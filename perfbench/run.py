@@ -118,20 +118,23 @@ def setup_probe(workload, seed):
     return float(proc.stdout.strip().splitlines()[-1])
 
 
-def timed_phase(wl, seconds, trace):
+def timed_phase(wl, seconds, trace, between=()):
     """Make passes over the workload's inputs for ``seconds``, and at least
     one pass (two with ``trace``, where input j of pass p is traced when
-    j + p is even, so that the two passes trace every input once).
+    j + p is even, so that the two passes trace every input once).  Passes
+    after those cover only the first ``timed_size`` inputs.  After each
+    pass one of the ``between`` callables runs, off the clock.
 
-    Returns, for traced and untraced ops, each input's least latency over
-    the passes, the op count and the summed latency; the digits and the
-    failures of every op; and the user-callable counts of the first pass
-    and the span totals of the first two.  Interference from other
+    Returns, for traced and untraced ops, each timed input's least latency
+    over the passes, the op count and the summed latency; the digits and
+    the failures of every op; and the user-callable counts of the first
+    pass and the span totals of the first two.  Interference from other
     processes only adds time, so the least latency of an input is its
     steadiest measure.
     """
     tr = wl.tr
-    n = wl.pass_size
+    n = wl.timed_size or wl.pass_size
+    between = list(between)
     best = {True: [math.inf] * n, False: [math.inf] * n}
     ops = {True: 0, False: 0}
     busy = {True: 0.0, False: 0.0}
@@ -144,12 +147,13 @@ def timed_phase(wl, seconds, trace):
         if p:
             wl.start_pass()
         p0, c0 = tr.points, tr.calls
-        for j in range(n):
+        for j in range(wl.pass_size if p < 1 + trace else n):
             if p >= 1 + trace and _clock() >= deadline:
                 break
             traced = tr.enabled = bool(trace) and (j + p) % 2 == 0
             latency, dig, cause = wl.op(j)
-            best[traced][j] = min(best[traced][j], latency)
+            if j < n:
+                best[traced][j] = min(best[traced][j], latency)
             ops[traced] += 1
             busy[traced] += latency
             if dig is not None:
@@ -160,7 +164,13 @@ def timed_phase(wl, seconds, trace):
         if p == trace:
             window = (tr.points - p0, tr.calls - c0,
                       {k: list(v) for k, v in tr.stats.items()})
+        if between:
+            t0 = _clock()
+            between.pop()()
+            deadline += _clock() - t0
         p += 1
+    for fn in between:
+        fn()
     return best, ops, busy, digits, failures, window
 
 
@@ -244,13 +254,14 @@ def main(argv=None):
     if args.setup_probe:
         print(repr(own_setup))
         return 0
+    # The set-up probes run between passes, so that they sample the machine
+    # over the whole run rather than in one stretch.
     setups = [own_setup]
-    if not args.trace:
-        setups += [setup_probe(args.workload, args.seed)
-                   for _ in range(SETUP_PROBES)]
+    probes = [] if args.trace else [
+        lambda: setups.append(setup_probe(args.workload, args.seed))] * SETUP_PROBES
 
     best, ops, busy, digits, failures, window = timed_phase(
-        wl, args.seconds, args.trace)
+        wl, args.seconds, args.trace, probes)
     attempted = ops[True] + ops[False]
     lat = best[False]
     if args.trace:
@@ -268,9 +279,9 @@ def main(argv=None):
         pct = tail_pct(len(lat))
         cut = np.percentile(lat, pct)
         beyond = sum(x > cut for x in lat)
-        print(f"  latencies are each input's least over {ops[False] / len(lat):.1f} "
-              f"passes; op_tail_ms is p{pct:.4g} with {beyond} of {len(lat)} "
-              f"inputs beyond it")
+        print(f"  latencies are each of the first {len(lat)} inputs' least over "
+              f"the passes; op_tail_ms is p{pct:.4g} with {beyond} inputs "
+              f"beyond it")
     print(f"  failed_op_share {len(failures) / attempted:.6g} "
           f"({len(failures)} of {attempted})")
     for (j, cause), passes in sorted(Counter(f[1:] for f in failures).items()):
@@ -278,7 +289,8 @@ def main(argv=None):
     context = {"python": platform.python_version(), "numpy": np.__version__,
                "nproc": os.cpu_count(), "commit": git_commit(),
                "src_lines": src_lines(), "seconds": args.seconds,
-               "inputs_per_pass": wl.pass_size}
+               "inputs_per_pass": wl.pass_size,
+               "timed_inputs": len(lat)}
     print("context " + json.dumps(context))
     print(json.dumps({"correct": not failures, "attempted": attempted,
                       "failed": len(failures),

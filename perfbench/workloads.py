@@ -13,6 +13,7 @@ time), through ``importlib.import_module``: the package attribute
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import math
@@ -102,6 +103,7 @@ class Workload:
 
     name = ""
     pass_size = 1
+    timed_size = 0  # inputs timed again after the first pass; 0 for all
     rss_of_children = False
 
     def __init__(self, tracer, seed: int):
@@ -142,6 +144,7 @@ class Workload:
 class DensitySweep(Workload):
     name = "density-sweep"
     pass_size = 1000
+    timed_size = 200
     grid = np.linspace(0.01, 0.99, 41)
 
     def setup(self):
@@ -270,6 +273,7 @@ class OperatorSolve(Workload):
 
     name = "operator-solve"
     pass_size = 240
+    timed_size = 120
     pool_size = 48
     off_grid = np.linspace(0.02, 0.98, 30)
 
@@ -283,7 +287,10 @@ class OperatorSolve(Workload):
 
     def start_pass(self):
         q, m = self.quad, self.measures
+        # The old pool's caches sit in reference cycles; free them now, so
+        # that peak memory does not grow with the number of passes.
         self.pool = []
+        gc.collect()
         for k, oj in enumerate(self.pool_oracles):
             rho = m.Density(q.Interval(0.0, 1.0), self.tr.counted(oj.smooth),
                             q.EndpointExponents(oj.alpha, oj.beta), f"pool{k}")
