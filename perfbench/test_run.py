@@ -1,4 +1,4 @@
-"""Tests of the benchmark driver: exact work counts, and BENCHMARK.json.
+"""Tests of the benchmark runner: exact work counts, and BENCHMARK.json.
 
 Run with ``python -m pytest perfbench`` from the root of the repository.
 """
@@ -47,7 +47,7 @@ def test_trace_reports_every_per_layer_metric():
     assert metrics["trace.top_span_share"]["value"] >= 0.9
 
 
-def test_benchmark_json_matches_driver():
+def test_benchmark_json_matches_runner():
     doc = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [m["name"] for m in doc["end_to_end"]] == [n for n, _ in run.END_TO_END]
     assert [(m["name"], m["unit"], m["better"]) for m in doc["per_layer"]] == \
