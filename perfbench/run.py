@@ -13,31 +13,44 @@ recorded around the benchmark's calls into each secmeasure module, plus
 the tracing overhead.  The lines before it give the same numbers for a
 reader, the tail percentile used, every failed op with its cause, and the
 run's context.  The package is imported from ``src/`` of the checkout.
+
+Op latencies and set-up times are CPU seconds (spans.cpu_clock) scaled to
+a fixed machine speed: each is multiplied by REFERENCE_S over the mean CPU
+time of a reference routine run just before and just after it
+(spans.reference_s), which takes out most of the slowdown when the host is
+busy.  ``ops_per_s`` is ops per second at that speed.  Span self times
+are plain CPU time; ``--seconds`` is wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+# One client, no threads: an idle OpenBLAS worker spins and would be counted
+# in the CPU time of every op.  The secm processes inherit this setting.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+
+from spans import REFERENCE_S, Tracer, cpu_clock, reference_s  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-_clock = time.perf_counter
+_wall = time.perf_counter
 
-# Set-up is repeated in this many fresh processes besides the run's own;
-# setup_s is the median of all of them.
-SETUP_PROBES = 6
+# An untraced run sets up this many times, each from a fresh import of
+# secmeasure; setup_s is the median.
+SETUPS = 5
 
 # Which end-to-end metrics each group of spans should move, and where:
 #   quadrature.tanh_sinh, measures.rule, measures.moments: user_points_per_op,
@@ -103,57 +116,64 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--setup-probe", action="store_true",
-                   help="only time one set-up and print the seconds")
     return p.parse_args(argv)
 
 
-def setup_probe(workload, seed):
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__)), "--setup-probe",
-         "--workload", workload, "--seed", str(seed)],
-        cwd=ROOT, capture_output=True, text=True, timeout=120)
-    if proc.returncode != 0:
-        raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()[-500:]}")
-    return float(proc.stdout.strip().splitlines()[-1])
+def fresh_setup(cls, seed):
+    """Drop every secmeasure module, so that the import and the module-level
+    caches start afresh as in a new process, then build and set up a
+    workload.  Returns it and its set-up time, scaled."""
+    for name in [m for m in sys.modules
+                 if m == "secmeasure" or m.startswith("secmeasure.")]:
+        del sys.modules[name]
+    gc.collect()
+    ref = reference_s()
+    t0 = cpu_clock()
+    wl = cls(Tracer(False), seed)
+    wl.setup()
+    seconds = cpu_clock() - t0
+    ref = 0.5 * (ref + reference_s())
+    return wl, seconds * REFERENCE_S / ref
 
 
-def timed_phase(wl, seconds, trace, between=()):
-    """Make passes over the workload's inputs for ``seconds``, and at least
-    one pass (two with ``trace``, where input j of pass p is traced when
-    j + p is even, so that the two passes trace every input once).  Passes
-    after those cover only the first ``timed_size`` inputs.  After each
-    pass one of the ``between`` callables runs, off the clock.
+def timed_phase(wl, seconds, trace):
+    """Make passes over the workload's inputs for ``seconds`` of wall time,
+    and at least one pass (two with ``trace``, where input j of pass p is
+    traced when j + p is even, so that the two passes trace every input
+    once).  Passes after those cover only the first ``timed_size`` inputs.
 
-    Returns, for traced and untraced ops, each timed input's least latency
-    over the passes, the op count and the summed latency; the digits and
-    the failures of every op; and the user-callable counts of the first
-    pass and the span totals of the first two.  Interference from other
-    processes only adds time, so the least latency of an input is its
+    Returns, for traced and untraced ops, each timed input's least scaled
+    latency over the passes, the op count and the summed CPU time; the
+    digits and the failures of every op; and the user-callable counts of
+    the first pass and the span totals of the first two.  Interference from
+    other processes only adds time, so the least latency of an input is its
     steadiest measure.
     """
     tr = wl.tr
     n = wl.timed_size or wl.pass_size
-    between = list(between)
     best = {True: [math.inf] * n, False: [math.inf] * n}
     ops = {True: 0, False: 0}
     busy = {True: 0.0, False: 0.0}
     digits, failures = [], []
     window = None
-    deadline = _clock() + seconds
+    deadline = _wall() + seconds
     p = 0
-    while p < 1 + trace or _clock() < deadline:
+    while p < 1 + trace or _wall() < deadline:
         tr.enabled = False
         if p:
             wl.start_pass()
         p0, c0 = tr.points, tr.calls
+        ref = reference_s()
         for j in range(wl.pass_size if p < 1 + trace else n):
-            if p >= 1 + trace and _clock() >= deadline:
+            if p >= 1 + trace and _wall() >= deadline:
                 break
             traced = tr.enabled = bool(trace) and (j + p) % 2 == 0
             latency, dig, cause = wl.op(j)
+            # Scale by the reference speed measured on both sides of the op.
+            ref_before, ref = ref, reference_s()
             if j < n:
-                best[traced][j] = min(best[traced][j], latency)
+                best[traced][j] = min(best[traced][j], latency * REFERENCE_S
+                                      / (0.5 * (ref_before + ref)))
             ops[traced] += 1
             busy[traced] += latency
             if dig is not None:
@@ -164,13 +184,7 @@ def timed_phase(wl, seconds, trace, between=()):
         if p == trace:
             window = (tr.points - p0, tr.calls - c0,
                       {k: list(v) for k, v in tr.stats.items()})
-        if between:
-            t0 = _clock()
-            between.pop()()
-            deadline += _clock() - t0
         p += 1
-    for fn in between:
-        fn()
     return best, ops, busy, digits, failures, window
 
 
@@ -239,7 +253,6 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    from spans import Tracer
     from workloads import WORKLOADS
     if args.workload not in WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; "
@@ -247,21 +260,14 @@ def main(argv=None):
         return 2
     cls = WORKLOADS[args.workload]
 
-    t0 = _clock()
-    wl = cls(Tracer(False), args.seed)
-    wl.setup()
-    own_setup = _clock() - t0
-    if args.setup_probe:
-        print(repr(own_setup))
-        return 0
-    # The set-up probes run between passes, so that they sample the machine
-    # over the whole run rather than in one stretch.
-    setups = [own_setup]
-    probes = [] if args.trace else [
-        lambda: setups.append(setup_probe(args.workload, args.seed))] * SETUP_PROBES
+    setups = []
+    for _ in range(1 if args.trace else SETUPS):
+        wl = None  # free the last set-up's workload and modules first
+        wl, seconds = fresh_setup(cls, args.seed)
+        setups.append(seconds)
 
     best, ops, busy, digits, failures, window = timed_phase(
-        wl, args.seconds, args.trace, probes)
+        wl, args.seconds, args.trace)
     attempted = ops[True] + ops[False]
     lat = best[False]
     if args.trace:

@@ -4,14 +4,49 @@ Every number here comes from outside secmeasure: spans time the
 benchmark's own calls into a module, and the counters count the points
 and Python calls that the library makes into the callables the benchmark
 hands it (a density's smooth part h, and f and g).
+
+Times are CPU seconds (``cpu_clock``), not wall time, so that time the
+machine gives to other processes drops out.  CPU time still stretches when
+the host under a virtual machine is busy; ``reference_s`` measures by how
+much, so that the runner can scale it out.
 """
 
 from __future__ import annotations
 
 import contextlib
+import resource
 import time
 
-_clock = time.perf_counter
+import numpy as np
+
+
+def cpu_clock():
+    """CPU seconds, user and system, of this process and of every child
+    process it has waited for."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + ru.ru_utime + ru.ru_stime
+
+
+# What reference_s takes on an idle core, in round figures (about 2 ms on a
+# Xeon virtual machine with Python 3.11).  A time scaled by
+# REFERENCE_S / reference_s() is the time the same work takes at that speed.
+REFERENCE_S = 2e-3
+
+
+def reference_s():
+    """CPU seconds of a fixed routine that mixes Python arithmetic with calls
+    of numpy ufuncs on small arrays, as secmeasure's ops do.  It calls no
+    secmeasure code, so a change to secmeasure cannot change it."""
+    t0 = cpu_clock()
+    s = 0
+    for i in range(20000):
+        s += i * i
+    a = np.linspace(0.0, 1.0, 64)
+    for _ in range(200):
+        a = np.tanh(a) * 0.5 + np.exp(-a) * 0.1
+    return cpu_clock() - t0
+
+
 _NO_SPAN = contextlib.nullcontext()
 
 
@@ -25,11 +60,11 @@ class _Span:
     def __enter__(self):
         self.child = 0.0
         self.tracer.stack.append(self)
-        self.t0 = _clock()
+        self.t0 = cpu_clock()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        dur = _clock() - self.t0
+        dur = cpu_clock() - self.t0
         tr = self.tracer
         tr.stack.pop()
         st = tr.stat(self.name)
