@@ -28,8 +28,8 @@ from .operators import (IntegralEquationProblem, OperatorContext, apply_V,
 from .orthopoly import (PolynomialSequence, RecurrenceCoefficients, apply_T,
                         orthonormal_polys, recurrence_coefficients,
                         secondary_polys)
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, Interval, integrate,
-                         integrate_with_error, principal_value, tanh_sinh)
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, Interval,
+                         principal_value, tanh_sinh)
 from .report import (OutputTable, VerificationReport, numeric_report,
                      property_report)
 from .stieltjes import (SecondaryMeasureData, lerch_phi_half, perron_invert,

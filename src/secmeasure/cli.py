@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from typing import List, Optional
 
@@ -57,6 +58,17 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes negative numbers such as -3.6e-05 for values, not options
+    (argparse itself does so only for forms like -1 and -1.5); subcommand
+    parsers share the class."""
+
+    def _parse_optional(self, arg_string):
+        if re.fullmatch(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_density_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--density", choices=CATALOG_NAMES,
                     help="catalog density name")
@@ -73,7 +85,7 @@ def _add_density_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="secm",
         description="Secondary measures, reducers, and equi-normal families.")
     p.add_argument("--tol", type=float, default=1e-10,

@@ -157,18 +157,21 @@ def family_density(rho: BaseDensity, t: float, x,
 
 
 def family_transform(rho: BaseDensity, t: float, z,
-                     spec: IntegrationSpec = DEFAULT_SPEC) -> complex:
-    """S_{rho_t}(z) = S(z) / (t + (1-t)(z-c_1) S(z))."""
+                     spec: IntegrationSpec = DEFAULT_SPEC):
+    """S_{rho_t}(z) = S(z) / (t + (1-t)(z-c_1) S(z)), elementwise over an
+    array of z; DenominatorZero if the denominator vanishes at any z."""
     if t <= 0:
         raise InvalidParameter(f"family parameter must be positive, got {t}")
-    z = complex(z)
-    s = stieltjes_transform(rho, z, spec)
+    zs = np.asarray(z, dtype=complex)
+    s = stieltjes_transform(rho, zs, spec)
     c1 = moment(rho, 1, spec)
-    den = t + (1.0 - t) * (z - c1) * s
-    if abs(den) < 1e-12 * max(1.0, abs(t)):
+    den = t + (1.0 - t) * (zs - c1) * s
+    zero = np.abs(den) < 1e-12 * max(1.0, abs(t))
+    if zero.any():
         raise DenominatorZero(
-            f"transform denominator vanished at z={z} for t={t:g}")
-    return s / den
+            f"transform denominator vanished at z={zs[zero][0]} for t={t:g}")
+    out = s / den
+    return complex(out) if zs.ndim == 0 else out
 
 
 def moment0_curve(rho: BaseDensity, t: float,
@@ -192,12 +195,12 @@ def denominator_root_scan(rho: BaseDensity, t: float, search: Interval,
         raise ValueError("need at least two grid points")
     c1 = moment(rho, 1, spec)
 
-    def D(x: float) -> float:
+    def D(x):
         s = stieltjes_transform(rho, x, spec).real
         return t + (1.0 - t) * (x - c1) * s
 
     xs = np.linspace(search.a, search.b, grid_points)
-    vals = np.array([D(x) for x in xs])
+    vals = D(xs)
     brackets = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         lo, hi = xs[i], xs[i + 1]

@@ -1,17 +1,17 @@
 """Integration engine on compact intervals.
 
-Three entry points:
+Every integral here is a tanh-sinh (double exponential) rule.  Entry points:
 
-* ``integrate``          -- adaptive Gauss-Legendre with bisection, for
-                            integrands that are smooth in the interior.
-* ``integrate_singular`` -- tanh-sinh (double exponential) rule for weights
-                            of the form (x-a)^alpha (b-x)^beta h(x).
-* ``principal_value``    -- Cauchy principal values by singularity
-                            subtraction, with the log term in closed form.
+* ``tanh_sinh``       -- integral of ``fn(x, dist_left, dist_right)``; the
+                         endpoint distances come without cancellation, so
+                         endpoint singularities, and sharp features placed
+                         at an endpoint, are resolved.
+* ``principal_value`` -- Cauchy principal values by singularity subtraction,
+                         with the log term in closed form.
 
-All routines accept vectorised integrands (callables mapping an ndarray of
-abscissae to an ndarray of values); plain scalar callables are wrapped
-transparently.  Everything here is pure and safe to call concurrently.
+Integrands map an ndarray of abscissae to an ndarray of values; a plain
+scalar callable given to ``principal_value`` is wrapped transparently.
+Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ __all__ = [
     "IntegrationSpec",
     "EndpointExponents",
     "DEFAULT_SPEC",
-    "integrate",
-    "integrate_with_error",
-    "integrate_singular",
     "principal_value",
     "tanh_sinh",
     "tanh_sinh_nodes",
@@ -65,11 +62,12 @@ class Interval:
             return self.a < x < self.b
         return self.a <= x <= self.b
 
-    def distance_to(self, z: complex) -> float:
-        """Distance from a complex point to the interval as a subset of R."""
-        x, y = z.real, z.imag
-        dx = max(self.a - x, 0.0, x - self.b)
-        return math.hypot(dx, y)
+    def distance_to(self, z):
+        """Distance from complex points (a scalar or an array) to the
+        interval as a subset of R."""
+        z = np.asarray(z)
+        dx = np.maximum(np.maximum(self.a - z.real, 0.0), z.real - self.b)
+        return np.hypot(dx, z.imag)
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,6 @@ class EndpointExponents:
     def __post_init__(self):
         if self.alpha <= -1 or self.beta <= -1:
             raise ValueError("endpoint exponents must exceed -1")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.alpha == 0.0 and self.beta == 0.0
 
 
 def _call(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -178,82 +172,6 @@ def tanh_sinh(fn: Callable, interval: Interval, spec: IntegrationSpec = DEFAULT_
         prev = est
     raise NonConvergence(
         f"tanh-sinh did not converge in {spec.max_refinement_levels} refinements")
-
-
-# ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre
-# ---------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
-def _gl_panel(f: Callable, a: float, b: float):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GL_NODES
-    vals = _call(f, x)
-    _check_finite(vals)
-    return half * (_GL_WEIGHTS @ vals)
-
-
-def integrate_with_error(f: Callable, interval: Interval,
-                         spec: IntegrationSpec = DEFAULT_SPEC):
-    """Adaptive Gauss-Legendre integral of ``f``; returns (value, error estimate).
-
-    Panels are bisected until the two-half refinement of each panel agrees
-    with the single-panel estimate within its width-prorated share of the
-    global tolerance.  Raises ``NonConvergence`` when the refinement budget
-    is exhausted and the accumulated error estimate still exceeds the
-    requested tolerance.
-    """
-    a, b = interval.a, interval.b
-    rough = _gl_panel(f, a, b)
-    tol_global = spec.tolerance_for(abs(rough))
-    total = 0.0
-    err = 0.0
-    stack = [(a, b, rough, 0)]
-    while stack:
-        lo, hi, whole, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
-        delta = abs(left + right - whole)
-        if delta <= tol_global * (hi - lo) / interval.width or depth >= spec.max_refinement_levels:
-            total = total + left + right
-            err += delta
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    if err > spec.tolerance_for(abs(total)):
-        raise NonConvergence(
-            f"adaptive Gauss-Legendre error estimate {err:.3e} exceeds tolerance")
-    return total, err
-
-
-def integrate(f: Callable, interval: Interval,
-              spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-    """Adaptive Gauss-Legendre integral of a smooth integrand."""
-    return integrate_with_error(f, interval, spec)[0]
-
-
-# ---------------------------------------------------------------------------
-# endpoint-singular weights
-# ---------------------------------------------------------------------------
-
-def integrate_singular(h: Callable, exps: EndpointExponents, interval: Interval,
-                       spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-    """Integral of (x-a)^alpha (b-x)^beta h(x) with h smooth on [a, b]."""
-    if exps.is_trivial:
-        def fn(x, dl, dr):
-            return _call(h, x)
-    else:
-        def fn(x, dl, dr):
-            vals = _call(h, x)
-            if exps.alpha != 0.0:
-                vals = vals * dl ** exps.alpha
-            if exps.beta != 0.0:
-                vals = vals * dr ** exps.beta
-            return vals
-    return float(tanh_sinh(fn, interval, spec).real)
 
 
 # ---------------------------------------------------------------------------

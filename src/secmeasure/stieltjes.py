@@ -1,8 +1,9 @@
 """Stieltjes transforms, the reducer, and the secondary measure.
 
 The transform S_rho(z) = int rho(t)/(z - t) dt is computed by tanh-sinh
-quadrature away from the support and by singularity subtraction with an
-interval split when z approaches the cut.  The reducer
+quadrature away from the support, for a whole array of z at once, and by
+singularity subtraction with an interval split when z approaches the
+cut.  The reducer
 
     phi(x) = 2 PV int rho(t)/(x - t) dt
 
@@ -25,7 +26,7 @@ from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
                      NonConvergence, PointOnInterval, TransformZero)
 from .measures import BaseDensity, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, Interval,
-                         QUOTIENT_FALLBACK, integrate, tanh_sinh,
+                         QUOTIENT_FALLBACK, _check_finite, tanh_sinh,
                          tanh_sinh_nodes)
 
 __all__ = [
@@ -46,9 +47,12 @@ REDUCER_MARGIN = 1e-4
 # subtracted, split-interval evaluation.
 NEAR_CUT_FRACTION = 5e-2
 
+_FAR_START_LEVEL = 3
 _PHI_START_LEVEL = 3
 _PHI_MAX_LEVEL = 12
-_PHI_CHUNK = 64
+# Rows of a point x node matrix formed at once, so that no temporary grows
+# with the number of points.
+_ROW_CHUNK = 64
 # Points closer than this (in widths) to an endpoint are clamped before the
 # reducer quadrature: below it the pole region is unresolvable at the level
 # cap, and every downstream weighted integral is insensitive to phi there.
@@ -90,8 +94,8 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
         act = np.nonzero(~done)[0]
         cur = np.empty(len(act))
         mag = np.empty(len(act))
-        for s in range(0, len(act), _PHI_CHUNK):
-            sel = act[s:s + _PHI_CHUNK]
+        for s in range(0, len(act), _ROW_CHUNK):
+            sel = act[s:s + _ROW_CHUNK]
             # x - u as a difference of distances to the nearer endpoint of
             # x; stays exact when x and u crowd the same endpoint.
             use_left = (dxl[sel] <= dxr[sel])[:, None]
@@ -106,8 +110,8 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
                     & interior[sel, None]) | exact
             if swap.any():
                 quot = np.where(swap, -deriv(sel)[:, None], quot)
-            cur[s:s + _PHI_CHUNK] = half * (quot @ w) + base[sel]
-            mag[s:s + _PHI_CHUNK] = half * (np.abs(quot) @ w) + np.abs(base[sel])
+            cur[s:s + _ROW_CHUNK] = half * (quot @ w) + base[sel]
+            mag[s:s + _ROW_CHUNK] = half * (np.abs(quot) @ w) + np.abs(base[sel])
         if level > _PHI_START_LEVEL:
             tol = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur)),
                              100 * np.finfo(float).eps * mag)
@@ -199,54 +203,98 @@ def _cauchy_near_cut(rho: BaseDensity, z: complex, spec: IntegrationSpec,
                      shift: Optional[float]) -> complex:
     """int w(t)/(z - t) dt for z close to the cut, w = rho * (t - shift).
 
-    Subtracting w at the projection of z leaves a bounded integrand; the
-    closed-form log carries the near-singular part.  The interval is split
-    so the endpoint singularities of rho and the sharp (scale Im z) feature
-    at the projection are handled by different engines.
+    Subtracting w at the projection x0 = Re z leaves a bounded integrand;
+    the closed-form log carries the near-singular part.  The outer pieces
+    take the endpoint singularities of rho.  The inner pieces [x0 - delta,
+    x0] and [x0, x0 + delta] cluster their tanh-sinh nodes at x0, where the
+    integrand turns over on the scale Im z; there z - t is formed from each
+    node's exact distance to x0, without cancellation.
     """
     interval = rho.interval
     a, b = interval.a, interval.b
-    x0 = z.real
+    x0, y = z.real, z.imag
     w0 = float(_weight_eval(rho, np.asarray(x0), x0 - a, b - x0, shift))
     delta = 0.5 * min(x0 - a, b - x0)
 
-    def quot(t, dl, dr):
-        return (_weight_eval(rho, t, dl, dr, shift) - w0) / (z - t)
+    def quot(t, dl, dr, zt):
+        return (_weight_eval(rho, t, dl, dr, shift) - w0) / zt
 
-    left = tanh_sinh(lambda t, dl, dr: quot(t, dl, b - t),
+    left = tanh_sinh(lambda t, dl, dr: quot(t, dl, b - t, z - t),
                      Interval(a, x0 - delta), spec)
-    right = tanh_sinh(lambda t, dl, dr: quot(t, t - a, dr),
+    right = tanh_sinh(lambda t, dl, dr: quot(t, t - a, dr, z - t),
                       Interval(x0 + delta, b), spec)
-    deep = IntegrationSpec(spec.rel_tol, spec.abs_tol,
-                           max(spec.max_refinement_levels, 48))
-    middle = integrate(lambda t: quot(t, t - a, b - t),
-                       Interval(x0 - delta, x0 + delta), deep)
-    return complex(left + right + middle + w0 * np.log((z - a) / (z - b)))
+    below = tanh_sinh(lambda t, dl, dr: quot(t, t - a, b - t, dr + 1j * y),
+                      Interval(x0 - delta, x0), spec)
+    above = tanh_sinh(lambda t, dl, dr: quot(t, t - a, b - t, 1j * y - dl),
+                      Interval(x0, x0 + delta), spec)
+    return complex(left + right + below + above
+                   + w0 * np.log((z - a) / (z - b)))
 
 
-def _cauchy_integral(rho: BaseDensity, z: complex, spec: IntegrationSpec,
-                     shift: Optional[float] = None) -> complex:
+def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
+                shift: Optional[float]) -> np.ndarray:
+    """int w(t)/(z - t) dt for a 1-d array of z away from the cut.
+
+    All z share one tanh-sinh level loop, so w is evaluated once per level;
+    each z stops at the first level that agrees with the one before it.
+    """
     interval = rho.interval
-    dist = interval.distance_to(z)
-    if dist < ONCUT_DISTANCE:
+    half, mid = 0.5 * interval.width, interval.midpoint
+    est = np.zeros(len(zs), dtype=complex)
+    done = np.zeros(len(zs), dtype=bool)
+    for level in range(_FAR_START_LEVEL,
+                       _FAR_START_LEVEL + spec.max_refinement_levels + 1):
+        g, w, dm, dp = tanh_sinh_nodes(level)
+        t = mid + half * g
+        vals = _weight_eval(rho, t, half * dp, half * dm, shift)
+        _check_finite(vals)
+        act = np.nonzero(~done)[0]
+        for s in range(0, len(act), _ROW_CHUNK):
+            sel = act[s:s + _ROW_CHUNK]
+            cur = half * ((vals / (zs[sel, None] - t)) @ w)
+            if level > _FAR_START_LEVEL:
+                done[sel] = np.abs(cur - est[sel]) <= np.maximum(
+                    spec.abs_tol, spec.rel_tol * np.abs(cur))
+            est[sel] = cur
+        if done.all():
+            return est
+    raise NonConvergence(f"transform of {rho.name!r} at {int(np.sum(~done))} of "
+                         f"{len(zs)} points did not settle by level {level}")
+
+
+def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec,
+                     shift: Optional[float] = None) -> np.ndarray:
+    """int w(t)/(z - t) dt elementwise over an array of z (any shape)."""
+    interval = rho.interval
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    dist = interval.distance_to(flat)
+    on_cut = dist < ONCUT_DISTANCE
+    if on_cut.any():
         raise PointOnInterval(
-            f"{z} is within {ONCUT_DISTANCE:g} of [{interval.a}, {interval.b}]")
-    width = interval.width
-    margin = 1e-3 * width
-    if (dist < NEAR_CUT_FRACTION * width
-            and interval.a + margin < z.real < interval.b - margin):
-        return _cauchy_near_cut(rho, z, spec, shift)
-
-    def fn(t, dl, dr):
-        return _weight_eval(rho, t, dl, dr, shift) / (z - t)
-
-    return complex(tanh_sinh(fn, interval, spec, start_level=3))
+            f"{flat[on_cut][0]} is within {ONCUT_DISTANCE:g} of "
+            f"[{interval.a}, {interval.b}]")
+    margin = 1e-3 * interval.width
+    near = ((dist < NEAR_CUT_FRACTION * interval.width)
+            & (interval.a + margin < flat.real) & (flat.real < interval.b - margin))
+    out = np.empty(len(flat), dtype=complex)
+    if not near.all():
+        out[~near] = _cauchy_far(rho, flat[~near], spec, shift)
+    for i in np.nonzero(near)[0]:
+        out[i] = _cauchy_near_cut(rho, complex(flat[i]), spec, shift)
+    return out.reshape(zs.shape)
 
 
 def stieltjes_transform(rho: BaseDensity, z,
-                        spec: IntegrationSpec = DEFAULT_SPEC) -> complex:
-    """S_rho(z) = int rho(t)/(z - t) dt for z off the support interval."""
-    return _cauchy_integral(rho, complex(z), spec)
+                        spec: IntegrationSpec = DEFAULT_SPEC):
+    """S_rho(z) = int rho(t)/(z - t) dt for z off the support interval.
+
+    A scalar z gives a ``complex``, an array a complex array of its shape.
+    rho is evaluated once per level for all z away from the cut; z near it
+    take ``_cauchy_near_cut``.  Any z on the support raises PointOnInterval.
+    """
+    s = _cauchy_integral(rho, z, spec)
+    return complex(s) if s.ndim == 0 else s
 
 
 def secondary_transform(rho: BaseDensity, z,
@@ -258,11 +306,11 @@ def secondary_transform(rho: BaseDensity, z,
     form at large |z|.
     """
     z = complex(z)
-    s = _cauchy_integral(rho, z, spec)
+    s = complex(_cauchy_integral(rho, z, spec))
     if abs(s) < 1e-14:
         raise TransformZero(f"|S_rho({z})| < 1e-14, cannot form S_mu")
     c1 = moment(rho, 1, spec)
-    return _cauchy_integral(rho, z, spec, shift=c1) / s
+    return complex(_cauchy_integral(rho, z, spec, shift=c1)) / s
 
 
 # ---------------------------------------------------------------------------

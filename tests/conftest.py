@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from secmeasure import DEFAULT_SPEC, catalog
+from secmeasure import DEFAULT_SPEC, Density, Interval, catalog
+from secmeasure.quadrature import EndpointExponents
 
 _acceptance_lines = []
 
@@ -55,3 +58,18 @@ def all_catalog(cheb_u, cheb_t, uniform, linear2x, sqrt32):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def counted_semicircle():
+    """A fresh (uncached) semicircle density and the list of array sizes
+    its smooth part was called with, one entry per call."""
+    calls = []
+
+    def h(x):
+        calls.append(np.size(x))
+        return np.full(np.shape(x), 2.0 / math.pi)
+
+    rho = Density(Interval(-1.0, 1.0), h, EndpointExponents(0.5, 0.5),
+                  "cheb-u")
+    return rho, calls

@@ -78,6 +78,21 @@ def test_custom_density_expression():
                - 2.0 / 3.0) < 1e-10
 
 
+def test_negative_numbers_in_exponent_notation():
+    # uniform density 1/1.2 on [-0.2, 1]: phi(x) = (2/1.2) ln((x+0.2)/(1-x))
+    r = run("reducer", "--density-expr", "1/1.2", "--interval", "-2e-1", "1",
+            "--x", "-3.6e-05", "0.5")
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in r.stdout.strip().split("\n")[1:]]
+    for x, phi in rows:
+        x = float(x)
+        assert abs(float(phi) - 2.0 / 1.2 * math.log((x + 0.2) / (1.0 - x))) < 1e-9
+    assert float(rows[0][0]) == -3.6e-05
+    r = run("solve", "--density", "cheb-u", "--lam", "-1e-3",
+            "--g", "1/(1+x^2)", "--grid", "3")
+    assert r.returncode == 0, r.stderr
+
+
 def test_usage_errors_exit_two():
     assert run("moments", "--density", "nope").returncode == 2
     assert run("moments").returncode == 2  # no density at all

@@ -57,6 +57,26 @@ def test_family_transform_closed_form(cheb_u, spec):
             assert abs(family_transform(cheb_u, t, z, spec) - expct) < 1e-12
 
 
+def test_family_transform_array(cheb_u, spec):
+    zs = np.array([[2.0, 3.0 + 1j], [0.3 + 1e-6j, -4.0 - 0.5j]])
+    got = family_transform(cheb_u, 1.4, zs, spec)
+    assert got.shape == zs.shape
+    want = [family_transform(cheb_u, 1.4, z, spec) for z in zs.ravel()]
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0)
+    assert type(family_transform(cheb_u, 1.4, 2.0, spec)) is complex
+
+
+def test_family_transform_denominator_zero(cheb_u, spec):
+    # 3 + (1-3) z S(z) vanishes at z = 3/(2 sqrt 2) for the semicircle
+    root = 3.0 / (2.0 * math.sqrt(2.0))
+    with pytest.raises(DenominatorZero):
+        family_transform(cheb_u, 3.0, root, spec)
+    with pytest.raises(DenominatorZero):
+        family_transform(cheb_u, 3.0, np.array([2.0, root, 3.0 + 1j]), spec)
+    assert np.all(np.isfinite(
+        family_transform(cheb_u, 3.0, np.array([2.0, 3.0 + 1j]), spec)))
+
+
 def test_family_transform_rejects_bad_t(cheb_u, spec):
     with pytest.raises(InvalidParameter):
         family_transform(cheb_u, -1.0, 2.0, spec)
@@ -97,6 +117,15 @@ def test_root_scan_none_below_one(all_catalog, spec):
         for t in (0.3, 0.9):
             assert denominator_root_scan(
                 rho, t, Interval(b + 1e-3 * w, b + 10 * w), 60, spec) == []
+
+
+def test_root_scan_is_one_batched_call(counted_semicircle, spec):
+    rho, calls = counted_semicircle
+    moment(rho, 1, spec)  # c_1 is cached before counting
+    calls.clear()
+    assert denominator_root_scan(rho, 0.5, Interval(1.001, 11.0), 200,
+                                 spec) == []
+    assert len(calls) <= spec.max_refinement_levels + 1
 
 
 def test_root_scan_rejects_overlap(cheb_u, spec):

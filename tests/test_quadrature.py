@@ -5,7 +5,6 @@ import pytest
 
 from secmeasure import IntegrationSpec, Interval, NonConvergence
 from secmeasure.quadrature import (DEFAULT_SPEC, difference_quotient,
-                                   integrate, integrate_with_error,
                                    numerical_derivative, principal_value,
                                    tanh_sinh, tanh_sinh_nodes)
 
@@ -59,17 +58,17 @@ def test_tanh_sinh_nonconvergence():
                   Interval(0.0, 1.0), spec)
 
 
-def test_adaptive_integrate():
-    val, err = integrate_with_error(lambda x: np.sin(x), Interval(0.0, math.pi),
-                                    DEFAULT_SPEC)
+def test_tanh_sinh_sin_and_polynomial():
+    val = tanh_sinh(lambda x, dl, dr: np.sin(x), Interval(0.0, math.pi),
+                    DEFAULT_SPEC)
     assert abs(val - 2.0) < 1e-12
-    assert err < 1e-10
-    assert abs(integrate(lambda x: x ** 7, Interval(-1.0, 2.0), DEFAULT_SPEC)
-               - (2.0 ** 8 - 1.0) / 8.0) < 1e-10
+    assert abs(tanh_sinh(lambda x, dl, dr: x ** 7, Interval(-1.0, 2.0),
+                         DEFAULT_SPEC) - (2.0 ** 8 - 1.0) / 8.0) < 1e-10
 
 
-def test_adaptive_integrate_complex():
-    val = integrate(lambda x: 1.0 / (x - 1j), Interval(0.0, 1.0), DEFAULT_SPEC)
+def test_tanh_sinh_complex():
+    val = tanh_sinh(lambda x, dl, dr: 1.0 / (x - 1j), Interval(0.0, 1.0),
+                    DEFAULT_SPEC)
     expected = complex(np.log((1 - 1j) / (-1j)))
     assert abs(val - expected) < 1e-12
 

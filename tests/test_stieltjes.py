@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secmeasure import (DomainError, ExtrapolationDivergence, PointOnInterval,
-                        lerch_phi_half, moment, perron_invert, reducer,
+                        catalog, lerch_phi_half, moment, perron_invert, reducer,
                         secondary_measure, secondary_transform,
                         stieltjes_transform)
 
@@ -34,6 +34,54 @@ def test_transform_near_cut(cheb_u, spec):
                - _s_semicircle(z)) < 1e-9
 
 
+@pytest.mark.parametrize("name, closed_form, x0s", [
+    ("cheb-u", _s_semicircle, (-0.9, -0.5, 0.0, 0.3, 0.8)),
+    ("uniform", lambda z: np.log(z / (z - 1.0)), (0.05, 0.3, 0.5, 0.9)),
+    ("linear2x", lambda z: 2.0 * (z * np.log(z / (z - 1.0)) - 1.0),
+     (0.05, 0.3, 0.5, 0.9)),
+], ids=["cheb-u", "uniform", "linear2x"])
+def test_transform_near_cut_closed_forms(name, closed_form, x0s, spec):
+    rho = catalog(name)
+    ys = [s * y for y in (1e-2, 1e-4, 1e-6, 1e-8) for s in (1, -1)]
+    zs = np.array([[complex(x0, y) for y in ys] for x0 in x0s])
+    expct = closed_form(zs)
+    got = stieltjes_transform(rho, zs, spec)
+    np.testing.assert_allclose(got, expct, rtol=1e-9, atol=0)
+    for z, e in zip(zs[::2, ::3].ravel(), expct[::2, ::3].ravel()):
+        assert abs(stieltjes_transform(rho, z, spec) - e) <= 1e-9 * abs(e)
+
+
+def test_transform_array_matches_scalar(cheb_u, spec):
+    far = [2.0, -3.0 + 0.5j, 1.5 + 1j, 10.0, 0.3 + 0.2j]
+    near = [0.3 + 1e-6j, -0.7 - 1e-3j, 0.999 + 1e-4j, 0.5 - 1e-8j]
+    for zs in (np.array(far), np.array(near),
+               np.array(far[:3] + near + far[3:]).reshape(3, 3)):
+        got = stieltjes_transform(cheb_u, zs, spec)
+        assert got.shape == zs.shape and got.dtype == complex
+        want = np.array([stieltjes_transform(cheb_u, z, spec)
+                         for z in zs.ravel()]).reshape(zs.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_transform_scalar_returns_complex(cheb_u, spec):
+    for z in (2.0, 3, 1.5 + 1j, np.float64(-2.0), np.complex128(0.3 + 1e-3j)):
+        assert type(stieltjes_transform(cheb_u, z, spec)) is complex
+
+
+def test_far_batch_costs_no_more_than_its_hardest_point(counted_semicircle,
+                                                        spec, rng):
+    rho, calls = counted_semicircle
+    zs = rng.uniform(1.2, 4.0, 50) * np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
+    per_z = []
+    for z in zs:
+        calls.clear()
+        stieltjes_transform(rho, z, spec)
+        per_z.append(len(calls))
+    calls.clear()
+    stieltjes_transform(rho, zs, spec)
+    assert len(calls) <= max(per_z)
+
+
 def test_transform_decay_at_infinity(cheb_u, spec):
     z = 1e6
     assert abs(z * stieltjes_transform(cheb_u, z, spec) - 1.0) < 1e-4
@@ -42,6 +90,9 @@ def test_transform_decay_at_infinity(cheb_u, spec):
 def test_point_on_interval(cheb_u, spec):
     with pytest.raises(PointOnInterval):
         stieltjes_transform(cheb_u, 0.3, spec)
+    with pytest.raises(PointOnInterval):
+        stieltjes_transform(cheb_u, np.array([2.0, 0.3 + 1e-3j, -0.5, 3j]),
+                            spec)
 
 
 def test_reducer_closed_forms(cheb_u, uniform, linear2x, spec):
