@@ -10,8 +10,8 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      EvaluationFailure, ExprSyntaxError,
                      ExtrapolationDivergence, InstabilityDetected,
                      InvalidDensity, InvalidParameter, NonConvergence,
-                     PointOnInterval, PoleOutsideInterval, SecmeasureError,
-                     TransformZero, UnknownDensity, UnknownFunction)
+                     PointOnInterval, SecmeasureError, TransformZero,
+                     UnknownDensity, UnknownFunction)
 from .expressions import Expr, evaluate, parse
 from .family import (FamilyDensity, FamilyParameter, denominator_root_scan,
                      dirac_limit_check, equi_normality_check, family,
@@ -28,8 +28,7 @@ from .operators import (IntegralEquationProblem, OperatorContext, apply_V,
 from .orthopoly import (PolynomialSequence, RecurrenceCoefficients, apply_T,
                         orthonormal_polys, recurrence_coefficients,
                         secondary_polys)
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, Interval,
-                         principal_value, tanh_sinh)
+from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, tanh_sinh
 from .report import (OutputTable, VerificationReport, numeric_report,
                      property_report)
 from .stieltjes import (SecondaryMeasureData, lerch_phi_half, perron_invert,

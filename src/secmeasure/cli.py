@@ -23,8 +23,7 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      EvaluationFailure, ExprSyntaxError,
                      ExtrapolationDivergence, InstabilityDetected,
                      InvalidDensity, InvalidParameter, NonConvergence,
-                     PointOnInterval, PoleOutsideInterval, TransformZero,
-                     UnknownDensity)
+                     PointOnInterval, TransformZero, UnknownDensity)
 from .expressions import parse as parse_expr
 from .family import denominator_root_scan, family_density, moment0_curve
 from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
@@ -45,8 +44,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _USAGE_ERRORS = (UnknownDensity, InvalidDensity, ExprSyntaxError, DomainError,
-                 InvalidParameter, PoleOutsideInterval, PointOnInterval,
-                 ValueError)
+                 InvalidParameter, PointOnInterval, ValueError)
 _NUMERICAL_ERRORS = (NonConvergence, EvaluationFailure, InstabilityDetected,
                      ExtrapolationDivergence, TransformZero, DenominatorZero,
                      DegenerateMeasure, FloatingPointError, OverflowError)
@@ -202,13 +200,6 @@ def _resolve_density(args, spec: IntegrationSpec) -> BaseDensity:
     return catalog(args.density)
 
 
-def _interior_grid(rho: BaseDensity, n: int) -> np.ndarray:
-    if n < 2:
-        raise UsageError("--grid must be at least 2")
-    pad = 2e-3 * rho.interval.width
-    return np.linspace(rho.interval.a + pad, rho.interval.b - pad, n)
-
-
 def _emit(table: OutputTable, args) -> None:
     sys.stdout.write(table.render(args.format))
 
@@ -241,7 +232,7 @@ def cmd_ortho(args, spec) -> int:
 def cmd_reducer(args, spec) -> int:
     rho = _resolve_density(args, spec)
     xs = (np.asarray(args.x, dtype=float) if args.x
-          else _interior_grid(rho, args.grid))
+          else rho.interval.interior_grid(args.grid, 2e-3))
     phi = np.atleast_1d(reducer(rho, xs, spec))
     table = OutputTable(["x", "phi"], list(zip(xs.tolist(), phi.tolist())),
                         {"density": rho.name, "tol": spec.rel_tol})
@@ -252,7 +243,7 @@ def cmd_reducer(args, spec) -> int:
 def cmd_secondary(args, spec) -> int:
     rho = _resolve_density(args, spec)
     sm = secondary_measure(rho, spec)
-    xs = _interior_grid(rho, args.grid)
+    xs = rho.interval.interior_grid(args.grid, 2e-3)
     mu = np.atleast_1d(sm.mu(xs))
     table = OutputTable(["x", "mu", "mu0"],
                         list(zip(xs.tolist(), mu.tolist(), (mu / sm.d0).tolist())),
@@ -265,7 +256,7 @@ def cmd_family_density(args, spec) -> int:
     rho = _resolve_density(args, spec)
     if args.t <= 0:
         raise UsageError("--t must be positive")
-    xs = _interior_grid(rho, args.grid)
+    xs = rho.interval.interior_grid(args.grid, 2e-3)
     vals = np.atleast_1d(family_density(rho, args.t, xs, spec))
     table = OutputTable(["x", "rho_t"], list(zip(xs.tolist(), vals.tolist())),
                         {"density": rho.name, "t": args.t, "tol": spec.rel_tol})
@@ -320,7 +311,7 @@ def cmd_solve(args, spec) -> int:
     rho = _resolve_density(args, spec)
     expr = parse_expr(args.g)
     problem = IntegralEquationProblem(rho, args.lam, expr.evaluate)
-    xs = _interior_grid(rho, args.grid)
+    xs = rho.interval.interior_grid(args.grid, 2e-3)
     f_vals = np.atleast_1d(solve_integral_equation(problem, xs, spec))
 
     def f(u):
@@ -449,6 +440,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         spec = _spec_from(args)
+        if getattr(args, "grid", 2) < 2:
+            raise UsageError("--grid must be at least 2")
         return args.run(args, spec)
     except (UsageError,) + _USAGE_ERRORS as exc:
         print(f"secm: error: {exc}", file=sys.stderr)

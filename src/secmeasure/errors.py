@@ -15,10 +15,6 @@ class EvaluationFailure(SecmeasureError):
     """An integrand or expression produced a non-finite value."""
 
 
-class PoleOutsideInterval(SecmeasureError):
-    """Principal-value pole does not lie strictly inside the interval."""
-
-
 # --- measures ---
 
 class UnknownDensity(SecmeasureError):

@@ -231,9 +231,7 @@ def equi_normality_check(rho: BaseDensity, t: float,
         dens = family(rho, t, spec, require_valid=False)
         sm = secondary_measure(rho, spec)
         sm_t = secondary_measure(dens, spec)
-        interval = rho.interval
-        pad = 2e-3 * interval.width
-        grid = np.linspace(interval.a + pad, interval.b - pad, 30)
+        grid = rho.interval.interior_grid(30, 2e-3)
         dev_grid = float(np.max(np.abs(sm_t.mu(grid) - t * sm.mu(grid))))
         dev_moment = abs(sm_t.d0 - t * sm.d0)
     passed = dev_grid <= 1e-4 and dev_moment <= 1e-6

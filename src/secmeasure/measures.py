@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidDensity, NonConvergence, UnknownDensity
 from .quadrature import (DEFAULT_SPEC, EndpointExponents, IntegrationSpec,
-                         Interval, _call, tanh_sinh, tanh_sinh_nodes)
+                         Interval, _call, derivative, tanh_sinh,
+                         tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -79,13 +80,10 @@ class BaseDensity:
         return float(out) if out.ndim == 0 else out
 
     def derivative_at(self, x, dleft, dright):
-        """d(density)/dx, used by principal-value difference quotients."""
-        h = 1e-6 * self.interval.width
-        lo = np.maximum(x - h, self.interval.a + 0.25 * h)
-        hi = np.minimum(x + h, self.interval.b - 0.25 * h)
-        fl = self.value_at(lo, lo - self.interval.a, self.interval.b - lo)
-        fh = self.value_at(hi, hi - self.interval.a, self.interval.b - hi)
-        return (fh - fl) / (hi - lo)
+        """d(density)/dx, the reducer's difference-quotient fallback."""
+        iv = self.interval
+        return derivative(self.value, x, self.value_at(x, dleft, dright),
+                          iv.a, iv.b, iv.width)
 
     # -- cached weighted rule --------------------------------------------
 
@@ -116,22 +114,31 @@ class BaseDensity:
         raise NonConvergence(
             f"weighted rule for {self.name!r} did not converge by level {prev_level}")
 
-    def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
-        """Integral of f against this density, with rule-escalation on doubt."""
+    def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str):
+        """``evaluate(x, w)`` on the cached rule, refined until two levels agree.
+
+        Starts from the rule and its coarser level and adds levels until
+        the latest two estimates (scalars or arrays) agree to the spec's
+        tolerance; past the rule's own cap, level 2 + max_refinement_levels,
+        raises NonConvergence.
+        """
         rule = self.rule(spec)
         level = rule.level
-        hi = rule.w @ _call(f, rule.x)
-        lo = rule.w_lo @ _call(f, rule.x_lo)
-        for _ in range(3):
-            if abs(hi - lo) <= spec.tolerance_for(abs(hi)):
-                return hi
+        lo = evaluate(rule.x_lo, rule.w_lo)
+        hi = evaluate(rule.x, rule.w)
+        # np.max costs microseconds on a scalar; moments take this loop often.
+        size = (lambda v: np.max(np.abs(v))) if np.ndim(hi) else abs
+        while size(hi - lo) > spec.tolerance_for(size(hi)):
+            if level >= 2 + spec.max_refinement_levels:
+                raise NonConvergence(
+                    f"{what} against {self.name!r} did not settle by level {level}")
             level += 1
-            x, w = self._rule_at_level(level)
-            lo, hi = hi, w @ _call(f, x)
-        if abs(hi - lo) <= spec.tolerance_for(abs(hi)):
-            return hi
-        raise NonConvergence(
-            f"weighted integral against {self.name!r} did not settle")
+            lo, hi = hi, evaluate(*self._rule_at_level(level))
+        return hi
+
+    def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
+        """Integral of f against this density, refined until levels agree."""
+        return self._refine(lambda x, w: w @ _call(f, x), spec, "weighted integral")
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
         def fn(x, dl, dr):
@@ -158,26 +165,17 @@ class Density(BaseDensity):
         return vals
 
     def derivative_at(self, x, dleft, dright):
-        # rho' = rho * (alpha/dl - beta/dr) + dl^a dr^b h'; the first term is
-        # what matters arbitrarily close to an endpoint.
+        # rho = wt h with wt = dl^alpha dr^beta, so rho' = rho (alpha/dl -
+        # beta/dr) + wt h'; the first term is what matters arbitrarily close
+        # to an endpoint.
         x = np.asarray(x, dtype=float)
         dl = np.asarray(dleft, dtype=float)
         dr = np.asarray(dright, dtype=float)
-        rho = self.value_at(x, dl, dr)
-        out = np.zeros_like(rho)
-        if self.exps.alpha != 0.0:
-            out = out + rho * self.exps.alpha / dl
-        if self.exps.beta != 0.0:
-            out = out - rho * self.exps.beta / dr
-        h = 1e-6 * self.interval.width
-        hp = (np.asarray(_call(self.smooth_part, x + h), dtype=float) -
-              np.asarray(_call(self.smooth_part, x - h), dtype=float)) / (2 * h)
-        weight = np.ones_like(rho)
-        if self.exps.alpha != 0.0:
-            weight = weight * dl ** self.exps.alpha
-        if self.exps.beta != 0.0:
-            weight = weight * dr ** self.exps.beta
-        return out + weight * hp
+        hx = np.asarray(_call(self.smooth_part, x), dtype=float)
+        wt = dl ** self.exps.alpha * dr ** self.exps.beta
+        iv = self.interval
+        return (hx * wt * (self.exps.alpha / dl - self.exps.beta / dr)
+                + wt * derivative(self.smooth_part, x, hx, iv.a, iv.b, iv.width))
 
     def __repr__(self):
         return f"Density({self.name!r} on [{self.interval.a}, {self.interval.b}])"
@@ -194,14 +192,6 @@ class MomentSequence:
 
     def __len__(self):
         return len(self.values)
-
-    def hankel2(self) -> float:
-        """Determinant of the order-2 Hankel matrix (positivity check)."""
-        c = self.values
-        m = np.array([[c[0], c[1], c[2]],
-                      [c[1], c[2], c[3]],
-                      [c[2], c[3], c[4]]])
-        return float(np.linalg.det(m))
 
 
 # ---------------------------------------------------------------------------

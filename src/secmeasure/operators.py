@@ -60,10 +60,6 @@ class OperatorContext:
     def t(self) -> float:
         return self.param.t
 
-    def rho_t_tilde(self, x):
-        """rho_t / t, the weight for which V is an isometry."""
-        return self.rho_t.value(x) / self.param.t
-
 
 def make_context(rho: BaseDensity, t: float,
                  spec: IntegrationSpec = DEFAULT_SPEC) -> OperatorContext:
@@ -182,10 +178,8 @@ def residual_check(problem: IntegralEquationProblem, f: Callable,
                    provenance: str = "derived") -> VerificationReport:
     """Plug f into (E_lambda) on a 30-point grid; residual must be < 1e-5."""
     with timer() as tm:
-        interval = problem.rho.interval
         c1 = moment(problem.rho, 1, spec)
-        pad = 2e-3 * interval.width
-        grid = np.linspace(interval.a + pad, interval.b - pad, 30)
+        grid = problem.rho.interval.interior_grid(30, 2e-3)
         lhs = _as_values(f, grid)
         if problem.lam != 0.0:
             lhs = lhs + problem.lam * (grid - c1) * np.atleast_1d(
@@ -206,11 +200,6 @@ def shift_multiply(f: Callable, c1: float) -> Callable:
     return shifted
 
 
-def _interior_grid(rho: BaseDensity, n: int) -> np.ndarray:
-    pad = 2e-3 * rho.interval.width
-    return np.linspace(rho.interval.a + pad, rho.interval.b - pad, n)
-
-
 def barycentric_check(rho: BaseDensity, t: float, s: float, f: Callable,
                       spec: IntegrationSpec = DEFAULT_SPEC,
                       provenance: str = "derived") -> VerificationReport:
@@ -224,7 +213,7 @@ def barycentric_check(rho: BaseDensity, t: float, s: float, f: Callable,
         dens_t = family(rho, t, spec)
         dens_s = family(rho, s, spec)
         sf = shift_multiply(f, dens_t.c1)
-        grid = _interior_grid(rho, 20)
+        grid = rho.interval.interior_grid(20, 2e-3)
 
         def inner(u):
             return np.atleast_1d(apply_T(dens_s, sf, u, spec))
@@ -245,7 +234,7 @@ def composition_check(rho: BaseDensity, t: float, s: float, f: Callable,
         ctx_t = make_context(rho, t, spec)
         ctx_ts = make_context(rho, t * s, spec)
         ctx_s = make_context(ctx_t.rho_t, s, spec)
-        grid = _interior_grid(rho, 20)
+        grid = rho.interval.interior_grid(20, 2e-3)
 
         def vf(x):
             return np.atleast_1d(apply_V(ctx_t, f, x, spec))

@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as P
 from .errors import InstabilityDetected
 from .measures import BaseDensity
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call,
-                         QUOTIENT_FALLBACK, numerical_derivative)
+                         QUOTIENT_FALLBACK, derivative)
 
 __all__ = [
     "RecurrenceCoefficients",
@@ -31,7 +31,6 @@ __all__ = [
     "recurrence_coefficients",
     "orthonormal_polys",
     "secondary_polys",
-    "mu_families",
     "apply_T",
 ]
 
@@ -170,62 +169,55 @@ def secondary_polys(coeffs: RecurrenceCoefficients, d0: float) -> PolynomialSequ
     return _run_recurrence(coeffs, first, second)
 
 
-def mu_families(P_seq: PolynomialSequence, Q_seq: PolynomialSequence,
-                c1: float):
-    """Families A_n = Q_{n+1} and B_n = (x - c_1) Q_{n+1} - P_{n+1}."""
-    if len(P_seq) != len(Q_seq):
-        raise ValueError("P and Q sequences must have equal length")
-    A = [Q_seq[n + 1] for n in range(len(Q_seq) - 1)]
-    B = []
-    for n in range(len(Q_seq) - 1):
-        shifted = P.polymulx(Q_seq[n + 1]) - c1 * np.pad(Q_seq[n + 1], (0, 1))
-        p = np.pad(P_seq[n + 1], (0, len(shifted) - len(P_seq[n + 1])))
-        B.append(shifted - p)
-    return PolynomialSequence(A), PolynomialSequence(B)
-
-
 # ---------------------------------------------------------------------------
 # the secondary-polynomial operator T
 # ---------------------------------------------------------------------------
 
+# Entries of one block of the T kernel (rows x nodes), so that no temporary
+# grows with the number of points.
+_KERNEL_ENTRIES = 2 ** 16
+
+
 def _t_against_rule(f: Callable, xs: np.ndarray, fx: np.ndarray,
                     u: np.ndarray, w: np.ndarray, scale: float,
                     lo: float, hi: float) -> np.ndarray:
-    den = u[None, :] - xs[:, None]
-    near = np.abs(den) < QUOTIENT_FALLBACK * scale
-    K = (np.asarray(_call(f, u))[None, :] - fx[:, None]) / np.where(near, 1.0, den)
-    for i in np.nonzero(near.any(axis=1))[0]:
-        scalar_f = lambda t: _call(f, np.array([t]))[0]
-        K[i, near[i]] = numerical_derivative(scalar_f, xs[i], fx[i], lo, hi, scale)
-    return K @ w
+    fu = np.asarray(_call(f, u))
+    near_tol = QUOTIENT_FALLBACK * scale
+    # u ascends, so the node nearest each x is one of its two neighbours.
+    j = np.clip(np.searchsorted(u, xs), 1, len(u) - 1)
+    fallback = np.minimum(np.abs(u[j] - xs), np.abs(u[j - 1] - xs)) < near_tol
+    dtype = np.result_type(fu, fx, float)
+    dfx = np.zeros(len(xs), dtype=dtype)
+    if fallback.any():
+        dfx[fallback] = derivative(f, xs[fallback], fx[fallback], lo, hi, scale)
+    out = np.empty(len(xs), dtype=dtype)
+    rows = max(1, _KERNEL_ENTRIES // len(u))
+    for s in range(0, len(xs), rows):
+        blk = slice(s, s + rows)
+        den = u[None, :] - xs[blk, None]
+        near = np.abs(den) < near_tol
+        K = (fu[None, :] - fx[blk, None]) / np.where(near, 1.0, den)
+        out[blk] = np.where(near, dfx[blk, None], K) @ w
+    return out
 
 
 def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
             spec: IntegrationSpec = DEFAULT_SPEC):
     """T(f)(x) = int (f(u) - f(x))/(u - x) rho(u) du at one or many points.
 
-    The difference quotient is evaluated on the density's cached rule, with
-    a one-sided derivative fallback when a node falls within 1e-8 interval
-    widths of x.  Works for complex-valued f (e.g. resolvent kernels).
+    The difference quotient is evaluated on the density's cached rule and
+    refined with it until two levels agree (NonConvergence past the rule's
+    level cap); where a node falls within 1e-8 interval widths of x, the
+    derivative of f takes the quotient's place.  Works for complex-valued
+    f (e.g. resolvent kernels).
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     fx = np.asarray(_call(f, xs))
-    scale = rho.interval.width
-    a, b = rho.interval.a, rho.interval.b
-    rule = rho.rule(spec)
-    lo = _t_against_rule(f, xs, fx, rule.x_lo, rule.w_lo, scale, a, b)
-    hi = _t_against_rule(f, xs, fx, rule.x, rule.w, scale, a, b)
-    level = rule.level
-    for _ in range(3):
-        gap = np.max(np.abs(hi - lo))
-        if gap <= spec.tolerance_for(np.max(np.abs(hi))):
-            break
-        level += 1
-        u, w = rho._rule_at_level(level)
-        lo, hi = hi, _t_against_rule(f, xs, fx, u, w, scale, a, b)
-    out = hi
+    iv = rho.interval
+    out = rho._refine(
+        lambda u, w: _t_against_rule(f, xs, fx, u, w, iv.width, iv.a, iv.b),
+        spec, "T")
     if scalar:
-        out = out[0]
-        return complex(out) if np.iscomplexobj(hi) else float(out)
+        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
     return out

@@ -6,11 +6,12 @@ Every integral here is a tanh-sinh (double exponential) rule.  Entry points:
                          endpoint distances come without cancellation, so
                          endpoint singularities, and sharp features placed
                          at an endpoint, are resolved.
-* ``principal_value`` -- Cauchy principal values by singularity subtraction,
-                         with the log term in closed form.
+* ``derivative``      -- finite-difference derivatives at an array of points,
+                         centered where the interval allows and one-sided
+                         near its ends; the fallback of every difference
+                         quotient (u - x) -> 0.
 
-Integrands map an ndarray of abscissae to an ndarray of values; a plain
-scalar callable given to ``principal_value`` is wrapped transparently.
+Integrands map an ndarray of abscissae to an ndarray of values.
 Everything here is pure and safe to call concurrently.
 """
 
@@ -23,14 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationFailure, NonConvergence, PoleOutsideInterval
+from .errors import EvaluationFailure, NonConvergence
 
 __all__ = [
     "Interval",
     "IntegrationSpec",
     "EndpointExponents",
     "DEFAULT_SPEC",
-    "principal_value",
+    "derivative",
     "tanh_sinh",
     "tanh_sinh_nodes",
 ]
@@ -68,6 +69,11 @@ class Interval:
         z = np.asarray(z)
         dx = np.maximum(np.maximum(self.a - z.real, 0.0), z.real - self.b)
         return np.hypot(dx, z.imag)
+
+    def interior_grid(self, n: int, pad: float) -> np.ndarray:
+        """n equispaced points from a + pad*width to b - pad*width."""
+        p = pad * self.width
+        return np.linspace(self.a + p, self.b - p, n)
 
 
 @dataclass(frozen=True)
@@ -175,64 +181,30 @@ def tanh_sinh(fn: Callable, interval: Interval, spec: IntegrationSpec = DEFAULT_
 
 
 # ---------------------------------------------------------------------------
-# principal values
+# derivatives
 # ---------------------------------------------------------------------------
 
-# Difference quotients (w(u)-w(x))/(x-u) are 0/0 at u = x; below this
-# relative separation we switch to a one-sided numerical derivative.
+# Difference quotients (f(u)-f(x))/(u-x) are 0/0 at u = x; below this
+# relative separation they are replaced by a numerical derivative.
 QUOTIENT_FALLBACK = 1e-8
 DERIVATIVE_STEP = 1e-6
 
 
-def numerical_derivative(f: Callable, x: float, fx: float, lo: float, hi: float,
-                         scale: float) -> float:
-    """Derivative estimate at x: centered where the interval allows,
-    one-sided with the same step when x sits within a step of a boundary."""
+def derivative(f: Callable, x: np.ndarray, fx: np.ndarray, lo: float,
+               hi: float, scale: float) -> np.ndarray:
+    """Derivative estimates of f at the points x, where fx = f(x).
+
+    The step is DERIVATIVE_STEP * scale.  Each point gets a centered
+    difference where x - step and x + step lie inside (lo, hi), and a
+    one-sided difference with the same step, towards the far end of the
+    interval, otherwise.  f is called once, on all the offset points.
+    """
+    x = np.asarray(x, dtype=float)
     h = DERIVATIVE_STEP * scale
-    if x - h > lo and x + h < hi:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    step = h if x <= 0.5 * (lo + hi) else -h
-    return (f(x + step) - fx) / step
-
-
-def difference_quotient(f: Callable, x: float, u: np.ndarray, fx: float,
-                        fu: np.ndarray, scale: float, lo: float, hi: float,
-                        sign: float = 1.0) -> np.ndarray:
-    """(f(u) - f(x)) / (u - x) with a derivative fallback near u = x.
-
-    ``sign=-1`` yields (f(u) - f(x)) / (x - u) instead.
-    """
-    d = u - x
-    near = np.abs(d) < QUOTIENT_FALLBACK * scale
-    safe = np.where(near, 1.0, d)
-    q = (fu - fx) / safe
-    if np.any(near):
-        q = np.where(near, numerical_derivative(f, x, fx, lo, hi, scale), q)
-    return sign * q
-
-
-def principal_value(w: Callable, pole: float, interval: Interval,
-                    spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-    """PV integral of w(u)/(pole - u) over the interval.
-
-    Realized by singularity subtraction::
-
-        PV = int (w(u) - w(pole))/(pole - u) du
-             + w(pole) * ln((pole - a)/(b - pole))
-
-    The subtracted integrand has a removable singularity at the pole and is
-    handed to the tanh-sinh engine, which also absorbs any integrable
-    endpoint singularities of w itself.
-    """
-    if not interval.contains(pole):
-        raise PoleOutsideInterval(f"pole {pole} not in ({interval.a}, {interval.b})")
-    wp = float(w(pole))
-    scale = interval.width
-
-    def fn(x, dl, dr):
-        fu = _call(w, x)
-        return difference_quotient(w, pole, x, wp, fu, scale,
-                                   interval.a, interval.b, sign=-1.0)
-
-    sub = float(tanh_sinh(fn, interval, spec).real)
-    return sub + wp * math.log((pole - interval.a) / (interval.b - pole))
+    centered = (x - h > lo) & (x + h < hi)
+    step = np.where(centered | (x <= 0.5 * (lo + hi)), h, -h)
+    vals = _call(f, np.concatenate([x + step, x[centered] - h]))
+    ahead, behind = vals[:len(x)], vals[len(x):]
+    out = (ahead - fx) / step
+    out[centered] = (ahead[centered] - behind) / (2.0 * h)
+    return out

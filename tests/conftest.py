@@ -73,3 +73,19 @@ def counted_semicircle():
     rho = Density(Interval(-1.0, 1.0), h, EndpointExponents(0.5, 0.5),
                   "cheb-u")
     return rho, calls
+
+
+@pytest.fixture
+def counted():
+    """Wraps a callable; the wrapper keeps a copy of each argument it is
+    called with in its ``args`` list."""
+
+    def wrap(f):
+        def g(x):
+            g.args.append(np.array(x, dtype=float))
+            return f(x)
+
+        g.args = []
+        return g
+
+    return wrap

@@ -113,6 +113,9 @@ def test_numerical_failure_exit_three():
     assert r.returncode == 3
     for line in r.stdout.strip().split("\n")[1:]:
         assert line.split(",")[1] == "nan"
+    # T of an unresolved oscillation fails loudly, not as a bad residual.
+    assert run("solve", "--density", "uniform", "--lam", "0.5",
+               "--g", "sin(1000*x)").returncode == 3
 
 
 def test_verify_quick_passes():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import moment
-from secmeasure.errors import InstabilityDetected
-from secmeasure.orthopoly import (PolynomialSequence, RecurrenceCoefficients,
+from secmeasure import IntegrationSpec, catalog, moment
+from secmeasure.errors import InstabilityDetected, NonConvergence
+from secmeasure.orthopoly import (_KERNEL_ENTRIES, PolynomialSequence,
+                                  RecurrenceCoefficients, _t_against_rule,
                                   apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
+from secmeasure.quadrature import QUOTIENT_FALLBACK, derivative
 
 
 def test_recurrence_cheb_u(cheb_u, spec):
@@ -100,3 +102,52 @@ def test_apply_T_scalar_and_complex(cheb_u, spec):
     f = lambda x: 1.0 / (np.asarray(x) - 2j)
     got = np.atleast_1d(apply_T(cheb_u, f, np.array([0.1]), spec))
     assert np.iscomplexobj(got)
+
+
+def _sin1000(x):
+    return np.sin(1000.0 * np.asarray(x, dtype=float))
+
+
+def test_apply_T_oscillatory_reference(uniform, spec):
+    # mpmath at 30 digits
+    assert abs(apply_T(uniform, _sin1000, 0.3, spec)
+               - 0.7735340651037179) < 1e-9
+
+
+def test_unresolved_integrals_raise(uniform):
+    spec = IntegrationSpec(max_refinement_levels=2)
+    with pytest.raises(NonConvergence):
+        uniform.weighted_integral(_sin1000, spec)
+    with pytest.raises(NonConvergence):
+        apply_T(uniform, _sin1000, 0.3, spec)
+
+
+@pytest.mark.parametrize("name", ["cheb-u", "uniform", "sqrt32"])
+def test_apply_T_on_nodes_calls_f_a_few_times_per_level(name, counted, spec):
+    rho = catalog(name)
+    x = rho.rule(spec).x
+    f = counted(np.cos)
+    got = apply_T(rho, f, x, spec)
+    assert np.all(np.isfinite(got))
+    levels = sum(any(len(a) == len(u) and np.array_equal(a, u)
+                     for a in f.args)
+                 for u in (rho._rule_at_level(k)[0] for k in range(2, 15)))
+    assert levels >= 2
+    assert len(f.args) <= 1 + 3 * levels
+
+
+def test_t_kernel_blocks_match_one_matrix(uniform):
+    u, w = uniform._rule_at_level(9)
+    xs = np.concatenate([np.linspace(0.01, 0.99, 200), u[5::len(u) // 100][:100]])
+    assert len(xs) * len(u) > 2 * _KERNEL_ENTRIES
+    a, b, width = 0.0, 1.0, 1.0
+    fx = np.exp(xs)
+    got = _t_against_rule(np.exp, xs, fx, u, w, width, a, b)
+    den = u[None, :] - xs[:, None]
+    near = np.abs(den) < QUOTIENT_FALLBACK * width
+    assert near.any(axis=1).sum() == 100
+    K = (np.exp(u)[None, :] - fx[:, None]) / np.where(near, 1.0, den)
+    K = np.where(near, derivative(np.exp, xs, fx, a, b, width)[:, None], K)
+    # Equal to rounding: BLAS may sum a row in another order depending on
+    # its place in the matrix (up to 5 ulps seen here).
+    np.testing.assert_allclose(got, K @ w, rtol=8 * np.finfo(float).eps, atol=0)

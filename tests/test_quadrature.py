@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from secmeasure import IntegrationSpec, Interval, NonConvergence
-from secmeasure.quadrature import (DEFAULT_SPEC, difference_quotient,
-                                   numerical_derivative, principal_value,
-                                   tanh_sinh, tanh_sinh_nodes)
+from secmeasure.quadrature import (DEFAULT_SPEC, derivative, tanh_sinh,
+                                   tanh_sinh_nodes)
 
 
 def test_interval_helpers():
@@ -16,6 +15,8 @@ def test_interval_helpers():
     assert iv.contains(0.0) and not iv.contains(3.5)
     assert iv.distance_to(5.0) == 2.0
     assert iv.distance_to(1.0) == 0.0
+    np.testing.assert_array_equal(iv.interior_grid(5, 0.1),
+                                  np.linspace(-1.0 + 0.4, 3.0 - 0.4, 5))
 
 
 def test_interval_rejects_empty():
@@ -73,33 +74,13 @@ def test_tanh_sinh_complex():
     assert abs(val - expected) < 1e-12
 
 
-def test_principal_value_analytic():
-    # PV int_{-1}^{1} 1/(c - u) du = ln((1+c)/(1-c)) at c = 0.3
-    val = principal_value(lambda x: np.ones_like(x), 0.3, Interval(-1.0, 1.0),
-                          DEFAULT_SPEC)
-    assert abs(val - math.log(1.3 / 0.7)) < 1e-12
-
-
-def test_principal_value_smooth_numerator():
-    # PV int_{-1}^{1} u/(c - u) du = -2 + c ln((1+c)/(1-c))
-    c = -0.4
-    val = principal_value(lambda x: np.asarray(x, dtype=float), c,
-                          Interval(-1.0, 1.0), DEFAULT_SPEC)
-    assert abs(val - (-2.0 + c * math.log((1 + c) / (1 - c)))) < 1e-12
-
-
-def test_difference_quotient_near_pole():
-    f = lambda x: np.asarray(x, dtype=float) ** 3
-    x = 0.7
-    u = np.array([0.2, 0.7])
-    q = difference_quotient(f, x, u, x ** 3, f(u), 2.0, -1.0, 1.0)
-    exact = u * u + u * x + x * x  # (u^3 - x^3)/(u - x)
-    assert abs(q[0] - exact[0]) < 1e-12
-    # at coincidence the quotient falls back to the derivative
-    assert abs(q[1] - 3 * x * x) < 1e-6
-
-
-def test_numerical_derivative_one_sided_at_boundary():
-    f = lambda x: np.exp(x)
-    d = numerical_derivative(f, 0.0, 1.0, 0.0, 1.0, 1.0)
-    assert abs(d - 1.0) < 1e-6
+def test_derivative_one_sided_at_boundary(counted):
+    # Centered inside, one-sided within a step of either end; f is called
+    # once and never outside [0, 1].
+    f = counted(np.exp)
+    x = np.array([0.0, 5e-7, 0.3, 0.5, 1.0 - 5e-7, 1.0])
+    d = derivative(f, x, np.exp(x), 0.0, 1.0, 1.0)
+    assert len(f.args) == 1
+    assert np.all((f.args[0] >= 0.0) & (f.args[0] <= 1.0))
+    np.testing.assert_allclose(d, np.exp(x), rtol=1e-6)
+    np.testing.assert_allclose(d[2:4], np.exp(x[2:4]), rtol=1e-9)
