@@ -105,7 +105,7 @@ class FamilyDensity(BaseDensity):
 
 def _raw_family(rho: BaseDensity, t: float,
                 spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
-    key = (t, spec.rel_tol)
+    key = (t, spec)
     dens = rho._family.get(key)
     if dens is None:
         validity = "proven" if t <= 1.0 else "unchecked"

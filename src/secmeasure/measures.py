@@ -19,10 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidDensity, NonConvergence, UnknownDensity
+from .errors import InvalidDensity, UnknownDensity
 from .quadrature import (DEFAULT_SPEC, EndpointExponents, IntegrationSpec,
-                         Interval, _call, derivative, tanh_sinh,
-                         tanh_sinh_nodes)
+                         Interval, _call, derivative, refine_levels,
+                         tanh_sinh, tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -96,54 +96,47 @@ class BaseDensity:
 
     def rule(self, spec: IntegrationSpec = DEFAULT_SPEC,
              min_level: int = 2) -> WeightedRule:
-        key = (spec.rel_tol, spec.abs_tol, min_level)
+        key = (spec, min_level)
         cached = self._rules.get(key)
         if cached is not None:
             return cached
-        prev = None
-        prev_level = None
-        for level in range(min_level, min_level + spec.max_refinement_levels + 1):
-            x, w = self._rule_at_level(level)
-            est = w.sum()
-            if prev is not None and abs(est - prev[1].sum()) <= spec.tolerance_for(abs(est)):
-                rule = WeightedRule(x, w, prev[0], prev[1], level)
-                self._rules[key] = rule
-                return rule
-            prev = (x, w)
-            prev_level = level
-        raise NonConvergence(
-            f"weighted rule for {self.name!r} did not converge by level {prev_level}")
+        built = {}
+
+        def estimate(level, act):
+            built[level] = self._rule_at_level(level)
+            return built[level][1].sum()[None]
+
+        refine_levels(estimate, 1, spec, min_level,
+                      f"weighted rule of {self.name!r}")
+        level = max(built)
+        rule = WeightedRule(*built[level], *built[level - 1], level)
+        self._rules[key] = rule
+        return rule
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str):
         """``evaluate(x, w)`` on the cached rule, refined until two levels agree.
 
-        Starts from the rule and its coarser level and adds levels until
-        the latest two estimates (scalars or arrays) agree to the spec's
-        tolerance; past the rule's own cap, level 2 + max_refinement_levels,
-        raises NonConvergence.
+        The first two levels are the rule's coarser level and the rule
+        itself; later levels are built anew, up to the rule's own cap,
+        level 2 + max_refinement_levels.  The estimates may be scalars or
+        arrays (compared in max-norm).
         """
         rule = self.rule(spec)
-        level = rule.level
-        lo = evaluate(rule.x_lo, rule.w_lo)
-        hi = evaluate(rule.x, rule.w)
-        # np.max costs microseconds on a scalar; moments take this loop often.
-        size = (lambda v: np.max(np.abs(v))) if np.ndim(hi) else abs
-        while size(hi - lo) > spec.tolerance_for(size(hi)):
-            if level >= 2 + spec.max_refinement_levels:
-                raise NonConvergence(
-                    f"{what} against {self.name!r} did not settle by level {level}")
-            level += 1
-            lo, hi = hi, evaluate(*self._rule_at_level(level))
-        return hi
+        cached = {rule.level - 1: (rule.x_lo, rule.w_lo), rule.level: (rule.x, rule.w)}
+
+        def estimate(level, act):
+            x, w = cached.get(level) or self._rule_at_level(level)
+            return np.asarray(evaluate(x, w))[None]
+
+        return refine_levels(estimate, 1, spec, 2, f"{what} against {self.name!r}",
+                             first=rule.level - 1)[0]
 
     def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
         """Integral of f against this density, refined until levels agree."""
         return self._refine(lambda x, w: w @ _call(f, x), spec, "weighted integral")
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-        def fn(x, dl, dr):
-            return self.value_at(x, dl, dr)
-        return float(tanh_sinh(fn, self.interval, spec).real)
+        return float(tanh_sinh(self.value_at, self.interval, spec).real)
 
 
 class Density(BaseDensity):
@@ -259,7 +252,7 @@ def moment(rho: BaseDensity, n: int, spec: IntegrationSpec = DEFAULT_SPEC) -> fl
     """Moment c_n = int x^n rho(x) dx."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    key = (n, spec.rel_tol, spec.abs_tol)
+    key = (n, spec)
     if key not in rho._moments:
         rho._moments[key] = float(rho.weighted_integral(lambda x: x ** n, spec))
     return rho._moments[key]

@@ -1,7 +1,11 @@
 """Integration engine on compact intervals.
 
-Every integral here is a tanh-sinh (double exponential) rule.  Entry points:
+Every integral here is a tanh-sinh (double exponential) rule refined until
+two levels agree.  Entry points:
 
+* ``refine_levels``   -- the one tanh-sinh level loop, through which every
+                         integral in the package goes: a batch of integrals
+                         refined together, each stopping on its own test.
 * ``tanh_sinh``       -- integral of ``fn(x, dist_left, dist_right)``; the
                          endpoint distances come without cancellation, so
                          endpoint singularities, and sharp features placed
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,6 +36,7 @@ __all__ = [
     "EndpointExponents",
     "DEFAULT_SPEC",
     "derivative",
+    "refine_levels",
     "tanh_sinh",
     "tanh_sinh_nodes",
 ]
@@ -89,9 +94,6 @@ class IntegrationSpec:
             raise ValueError("tolerances must be positive")
         if self.max_refinement_levels < 1:
             raise ValueError("need at least one refinement level")
-
-    def tolerance_for(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
 
 
 DEFAULT_SPEC = IntegrationSpec()
@@ -154,6 +156,45 @@ def tanh_sinh_nodes(level: int):
     return g[keep], w[keep], dm[keep], dp[keep]
 
 
+def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
+                  start: int, what: str, first: Optional[int] = None):
+    """The one tanh-sinh level loop: refines ``count`` integrals together
+    and returns their values stacked along the first axis.
+
+    ``estimate(level, act)`` returns the level estimates of the elements
+    indexed by the array ``act`` (an element may be an array, compared in
+    max-norm), or those and a per-element ``floor``.  An element settles at
+    the first level where max|cur - prev| <= max(abs_tol, rel_tol max|cur|,
+    floor).  Levels run from ``first`` (default ``start``) to start +
+    max_refinement_levels; ``what`` names the integrals in NonConvergence.
+    """
+    act = np.arange(count)
+    est = None
+    for level in range(start if first is None else first,
+                       start + spec.max_refinement_levels + 1):
+        cur, floor = estimate(level, act), None
+        if isinstance(cur, tuple):
+            cur, floor = cur
+        if est is None:
+            est = cur.copy()
+            continue
+        gap, size = np.abs(cur - est[act]), np.abs(cur)
+        if cur.ndim > 1:
+            gap, size = (v.reshape(len(act), -1).max(axis=1) for v in (gap, size))
+        tol = np.maximum(size * spec.rel_tol, spec.abs_tol)
+        if floor is not None:
+            tol = np.maximum(tol, floor)
+        est[act] = cur
+        ok = gap <= tol
+        if ok.all():
+            return est
+        act, gap, tol = act[~ok], gap[~ok], tol[~ok]
+    worst = np.argmax(gap / tol)
+    raise NonConvergence(
+        f"{what} did not settle by level {level}: {len(act)} of {count} "
+        f"unsettled, worst gap {gap[worst]:.3e} against tolerance {tol[worst]:.3e}")
+
+
 def tanh_sinh(fn: Callable, interval: Interval, spec: IntegrationSpec = DEFAULT_SPEC,
               start_level: int = 2) -> complex:
     """Tanh-sinh integration of ``fn(x, dist_left, dist_right)``.
@@ -165,19 +206,14 @@ def tanh_sinh(fn: Callable, interval: Interval, spec: IntegrationSpec = DEFAULT_
     """
     half = 0.5 * interval.width
     mid = interval.midpoint
-    prev = None
-    for level in range(start_level, start_level + spec.max_refinement_levels + 1):
+
+    def estimate(level, act):
         g, w, dm, dp = tanh_sinh_nodes(level)
-        x = mid + half * g
-        vals = np.asarray(fn(x, half * dp, half * dm))
+        vals = np.asarray(fn(mid + half * g, half * dp, half * dm))
         _check_finite(vals)
-        est = half * (w @ vals)
-        if prev is not None:
-            if abs(est - prev) <= spec.tolerance_for(abs(est)):
-                return est
-        prev = est
-    raise NonConvergence(
-        f"tanh-sinh did not converge in {spec.max_refinement_levels} refinements")
+        return half * (w @ vals)[None]
+
+    return refine_levels(estimate, 1, spec, start_level, "tanh-sinh")[0]
 
 
 # ---------------------------------------------------------------------------

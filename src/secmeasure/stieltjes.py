@@ -1,9 +1,10 @@
 """Stieltjes transforms, the reducer, and the secondary measure.
 
-The transform S_rho(z) = int rho(t)/(z - t) dt is computed by tanh-sinh
-quadrature away from the support, for a whole array of z at once, and by
-singularity subtraction with an interval split when z approaches the
-cut.  The reducer
+The transform S_rho(z) = int rho(t)/(z - t) dt is computed for a whole
+array of z at once: by tanh-sinh quadrature away from the support, and by
+singularity subtraction with an interval split when z approaches the cut,
+where the four pieces of every near z are the rows of one batched
+refinement.  The reducer
 
     phi(x) = 2 PV int rho(t)/(x - t) dt
 
@@ -18,15 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
-                     NonConvergence, PointOnInterval, TransformZero)
+                     PointOnInterval, TransformZero)
 from .measures import BaseDensity, moment
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, Interval,
-                         QUOTIENT_FALLBACK, _check_finite, tanh_sinh,
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
+                         _check_finite, refine_levels, tanh_sinh,
                          tanh_sinh_nodes)
 
 __all__ = [
@@ -49,7 +50,6 @@ NEAR_CUT_FRACTION = 5e-2
 
 _FAR_START_LEVEL = 3
 _PHI_START_LEVEL = 3
-_PHI_MAX_LEVEL = 12
 # Rows of a point x node matrix formed at once, so that no temporary grows
 # with the number of points.
 _ROW_CHUNK = 64
@@ -85,13 +85,10 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
                 rho.derivative_at(xs[miss], dxl[miss], dxr[miss]), dtype=float)
         return drx[sel]
 
-    est = np.full(len(xs), np.nan)
-    done = np.zeros(len(xs), dtype=bool)
-    for level in range(_PHI_START_LEVEL, _PHI_MAX_LEVEL + 1):
+    def estimate(level, act):
         g, w, dm, dp = tanh_sinh_nodes(level)
         u, dl, dr = mid + half * g, half * dp, half * dm
         ru = np.asarray(rho.value_at(u, dl, dr), dtype=float)
-        act = np.nonzero(~done)[0]
         cur = np.empty(len(act))
         mag = np.empty(len(act))
         for s in range(0, len(act), _ROW_CHUNK):
@@ -112,23 +109,18 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
                 quot = np.where(swap, -deriv(sel)[:, None], quot)
             cur[s:s + _ROW_CHUNK] = half * (quot @ w) + base[sel]
             mag[s:s + _ROW_CHUNK] = half * (np.abs(quot) @ w) + np.abs(base[sel])
-        if level > _PHI_START_LEVEL:
-            tol = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur)),
-                             100 * np.finfo(float).eps * mag)
-            # Within the endpoint margin phi only enters downstream through
-            # phi^2/4 + pi^2 rho^2, which is rho^2-dominated exactly where
-            # the subtraction above is ill-conditioned (singular densities).
-            # Accept any error that perturbs that combination below 1e-9.
-            rxa = np.abs(rx[act])
-            slack = np.where(interior[act], 0.0,
-                             1e-9 * (cur ** 2 + math.pi ** 2 * rxa ** 2)
-                             / (2.0 * np.abs(cur) + 1e-30))
-            done[act] = np.abs(cur - est[act]) <= np.maximum(tol, slack)
-        est[act] = cur
-        if done.all():
-            return 2.0 * est
-    raise NonConvergence(
-        f"reducer quadrature for {rho.name!r} did not settle by level {_PHI_MAX_LEVEL}")
+        # Within the endpoint margin phi only enters downstream through
+        # phi^2/4 + pi^2 rho^2, which is rho^2-dominated exactly where the
+        # subtraction above is ill-conditioned (singular densities).  Accept
+        # any error that perturbs that combination below 1e-9.
+        rxa = np.abs(rx[act])
+        slack = np.where(interior[act], 0.0,
+                         1e-9 * (cur ** 2 + math.pi ** 2 * rxa ** 2)
+                         / (2.0 * np.abs(cur) + 1e-30))
+        return cur, np.maximum(100 * np.finfo(float).eps * mag, slack)
+
+    return 2.0 * refine_levels(estimate, len(xs), spec, _PHI_START_LEVEL,
+                               f"reducer quadrature of {rho.name!r}")
 
 
 def _phi_values(rho: BaseDensity, xs, dxl, dxr,
@@ -142,21 +134,15 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
     low, high = dxl < clamp, dxr < clamp
     xs[low], dxl[low], dxr[low] = interval.a + clamp, clamp, interval.width - clamp
     xs[high], dxl[high], dxr[high] = interval.b - clamp, interval.width - clamp, clamp
-    out = np.empty_like(xs)
-    todo = []
-    for i in range(len(xs)):
-        cached = rho._phi.get((xs[i], spec.rel_tol))
-        if cached is None:
-            todo.append(i)
-        else:
-            out[i] = cached
+    cache = rho._phi.setdefault(spec, {})
+    keys = xs.tolist()
+    vals = [cache.get(x) for x in keys]
+    todo = [i for i, v in enumerate(vals) if v is None]
     if todo:
-        idx = np.asarray(todo)
-        vals = _phi_batch(rho, xs[idx], dxl[idx], dxr[idx], spec)
-        out[idx] = vals
-        for i, v in zip(todo, vals):
-            rho._phi[(xs[i], spec.rel_tol)] = float(v)
-    return out
+        new = _phi_batch(rho, xs[todo], dxl[todo], dxr[todo], spec)
+        for i, v in zip(todo, new.tolist()):
+            vals[i] = cache[keys[i]] = v
+    return np.array(vals)
 
 
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
@@ -199,36 +185,53 @@ def _weight_eval(rho: BaseDensity, t, dl, dr, shift: Optional[float]):
     return vals
 
 
-def _cauchy_near_cut(rho: BaseDensity, z: complex, spec: IntegrationSpec,
-                     shift: Optional[float]) -> complex:
-    """int w(t)/(z - t) dt for z close to the cut, w = rho * (t - shift).
+def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
+                     shift: Optional[float]) -> np.ndarray:
+    """int w(t)/(z - t) dt for a 1-d array of z close to the cut,
+    w = rho * (t - shift).
 
     Subtracting w at the projection x0 = Re z leaves a bounded integrand;
-    the closed-form log carries the near-singular part.  The outer pieces
-    take the endpoint singularities of rho.  The inner pieces [x0 - delta,
-    x0] and [x0, x0 + delta] cluster their tanh-sinh nodes at x0, where the
-    integrand turns over on the scale Im z; there z - t is formed from each
-    node's exact distance to x0, without cancellation.
+    the closed-form log carries the near-singular part.  Each z splits the
+    support into four pieces, which are the rows of one batched tanh-sinh
+    refinement, so w is evaluated once per level for all rows.  The outer
+    pieces [a, x0 - delta] and [x0 + delta, b] take the endpoint
+    singularities of rho.  The inner pieces [x0 - delta, x0] and
+    [x0, x0 + delta] cluster their nodes at x0, where the integrand turns
+    over on the scale Im z; there z - t is formed from each node's exact
+    distance to x0, without cancellation.
     """
-    interval = rho.interval
-    a, b = interval.a, interval.b
-    x0, y = z.real, z.imag
-    w0 = float(_weight_eval(rho, np.asarray(x0), x0 - a, b - x0, shift))
-    delta = 0.5 * min(x0 - a, b - x0)
+    a, b = rho.interval.a, rho.interval.b
+    x0, y = zs.real, zs.imag
+    w0 = _weight_eval(rho, x0, x0 - a, b - x0, shift)
+    delta = 0.5 * np.minimum(x0 - a, b - x0)
+    # Row r is piece r // n (left, right, below, above) of z number r % n.
+    n = len(zs)
+    lo = np.concatenate([np.full(n, a), x0 + delta, x0 - delta, x0])
+    hi = np.concatenate([x0 - delta, np.full(n, b), x0, x0 + delta])
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    piece = np.repeat(np.arange(4), n)
+    z, iy, w0_row = np.tile(zs, 4), np.tile(1j * y, 4), np.tile(w0, 4)
 
-    def quot(t, dl, dr, zt):
-        return (_weight_eval(rho, t, dl, dr, shift) - w0) / zt
+    def estimate(level, act):
+        g, w, dm, dp = tanh_sinh_nodes(level)
+        h, p = half[act, None], piece[act, None]
+        t = mid[act, None] + h * g
+        dl, dr = h * dp, h * dm
+        # Distances to a and b: exact from the node on the outer piece
+        # that ends there, else by difference.
+        da = np.where(p == 0, dl, t - a)
+        db = np.where(p == 1, dr, b - t)
+        zt = np.where(p == 2, dr + iy[act, None],
+                      np.where(p == 3, iy[act, None] - dl, z[act, None] - t))
+        vals = (_weight_eval(rho, t.ravel(), da.ravel(), db.ravel(), shift)
+                .reshape(t.shape) - w0_row[act, None]) / zt
+        _check_finite(vals)
+        return half[act] * (vals @ w)
 
-    left = tanh_sinh(lambda t, dl, dr: quot(t, dl, b - t, z - t),
-                     Interval(a, x0 - delta), spec)
-    right = tanh_sinh(lambda t, dl, dr: quot(t, t - a, dr, z - t),
-                      Interval(x0 + delta, b), spec)
-    below = tanh_sinh(lambda t, dl, dr: quot(t, t - a, b - t, dr + 1j * y),
-                      Interval(x0 - delta, x0), spec)
-    above = tanh_sinh(lambda t, dl, dr: quot(t, t - a, b - t, 1j * y - dl),
-                      Interval(x0, x0 + delta), spec)
-    return complex(left + right + below + above
-                   + w0 * np.log((z - a) / (z - b)))
+    rows = refine_levels(estimate, 4 * n, spec, 2,
+                         f"near-cut transform of {rho.name!r}")
+    left, right, below, above = rows.reshape(4, n)
+    return left + right + below + above + w0 * np.log((zs - a) / (zs - b))
 
 
 def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
@@ -240,26 +243,20 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     """
     interval = rho.interval
     half, mid = 0.5 * interval.width, interval.midpoint
-    est = np.zeros(len(zs), dtype=complex)
-    done = np.zeros(len(zs), dtype=bool)
-    for level in range(_FAR_START_LEVEL,
-                       _FAR_START_LEVEL + spec.max_refinement_levels + 1):
+
+    def estimate(level, act):
         g, w, dm, dp = tanh_sinh_nodes(level)
         t = mid + half * g
         vals = _weight_eval(rho, t, half * dp, half * dm, shift)
         _check_finite(vals)
-        act = np.nonzero(~done)[0]
+        cur = np.empty(len(act), dtype=complex)
         for s in range(0, len(act), _ROW_CHUNK):
             sel = act[s:s + _ROW_CHUNK]
-            cur = half * ((vals / (zs[sel, None] - t)) @ w)
-            if level > _FAR_START_LEVEL:
-                done[sel] = np.abs(cur - est[sel]) <= np.maximum(
-                    spec.abs_tol, spec.rel_tol * np.abs(cur))
-            est[sel] = cur
-        if done.all():
-            return est
-    raise NonConvergence(f"transform of {rho.name!r} at {int(np.sum(~done))} of "
-                         f"{len(zs)} points did not settle by level {level}")
+            cur[s:s + _ROW_CHUNK] = half * ((vals / (zs[sel, None] - t)) @ w)
+        return cur
+
+    return refine_levels(estimate, len(zs), spec, _FAR_START_LEVEL,
+                         f"transform of {rho.name!r}")
 
 
 def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec,
@@ -280,8 +277,8 @@ def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec,
     out = np.empty(len(flat), dtype=complex)
     if not near.all():
         out[~near] = _cauchy_far(rho, flat[~near], spec, shift)
-    for i in np.nonzero(near)[0]:
-        out[i] = _cauchy_near_cut(rho, complex(flat[i]), spec, shift)
+    if near.any():
+        out[near] = _cauchy_near_cut(rho, flat[near], spec, shift)
     return out.reshape(zs.shape)
 
 
@@ -290,8 +287,9 @@ def stieltjes_transform(rho: BaseDensity, z,
     """S_rho(z) = int rho(t)/(z - t) dt for z off the support interval.
 
     A scalar z gives a ``complex``, an array a complex array of its shape.
-    rho is evaluated once per level for all z away from the cut; z near it
-    take ``_cauchy_near_cut``.  Any z on the support raises PointOnInterval.
+    rho is evaluated once per level for all z away from the cut, and once
+    per level for all z near it (``_cauchy_near_cut``).  Any z on the
+    support raises PointOnInterval.
     """
     s = _cauchy_integral(rho, z, spec)
     return complex(s) if s.ndim == 0 else s
@@ -377,21 +375,23 @@ def _default_ladder():
     return tuple(1e-2 * 0.5 ** k for k in range(9))
 
 
-def perron_invert(S: Callable[[complex], complex], x: float,
+def perron_invert(S: Callable[[np.ndarray], np.ndarray], x: float,
                   eps_ladder: Optional[Sequence[float]] = None) -> float:
     """Recover a density value from its transform evaluator.
 
-    Evaluates the cut jump (S(x - i eps) - S(x + i eps))/(2 i pi) along a
-    decreasing eps ladder and polynomial-extrapolates to eps = 0 (Neville).
-    The extrapolant must settle and its imaginary part must be residual.
+    S takes an array of complex points and returns the transform at each.
+    It is called once, on the 2n points x - i eps and x + i eps of a
+    decreasing eps ladder; the cut jump (S(x - i eps) - S(x + i eps))/(2 i pi)
+    is then polynomial-extrapolated to eps = 0 (Neville).  The extrapolant
+    must settle and its imaginary part must be residual.
     """
     eps = np.asarray(_default_ladder() if eps_ladder is None else eps_ladder,
                      dtype=float)
     if len(eps) < 3 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ValueError("eps ladder must be >= 3 decreasing positive values")
-    vals = np.array([(S(complex(x, -e)) - S(complex(x, e))) / (2j * math.pi)
-                     for e in eps], dtype=complex)
     n = len(eps)
+    s = np.asarray(S(x + 1j * np.concatenate([-eps, eps])), dtype=complex)
+    vals = (s[:n] - s[n:]) / (2j * math.pi)
     tab = vals.copy()
     diag = [tab[0]]
     for j in range(1, n):

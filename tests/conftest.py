@@ -76,6 +76,14 @@ def counted_semicircle():
 
 
 @pytest.fixture
+def wiggly():
+    """A fresh density 1 + 0.5 sin(30x) on [0, 1] (unnormalized), whose
+    integrals need more refinement levels than the catalog's."""
+    return Density(Interval(0.0, 1.0), lambda x: 1.0 + 0.5 * np.sin(30.0 * x),
+                   EndpointExponents(), "wiggly")
+
+
+@pytest.fixture
 def counted():
     """Wraps a callable; the wrapper keeps a copy of each argument it is
     called with in its ``args`` list."""

@@ -1,0 +1,36 @@
+"""Smoke test of the calls the benchmark in ``perfbench/`` makes into
+secmeasure: set-up and the first three ops of three workloads, seed 1.
+
+The full benchmark tests (``python -m pytest perfbench``) take over a
+minute; this catches a broken call in about a second.  It only imports
+``perfbench/`` and writes nothing there.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench(request):
+    mp = pytest.MonkeyPatch()
+    mp.syspath_prepend(str(PERFBENCH))
+    mp.setattr(sys, "dont_write_bytecode", True)
+    request.addfinalizer(mp.undo)
+    from spans import Tracer
+    from workloads import WORKLOADS
+    return Tracer, WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["density-sweep", "transform-scan",
+                                  "operator-solve"])
+def test_benchmark_ops_pass_their_checks(perfbench, name):
+    Tracer, WORKLOADS = perfbench
+    wl = WORKLOADS[name](Tracer(False), 1)
+    wl.setup()
+    for i in range(3):
+        _, _, cause = wl.op(i)
+        assert cause is None, f"{name} op {i}: {cause}"

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, Interval, InvalidDensity,
-                        UnknownDensity, catalog, inner_product, mean_project,
-                        moment, moments, user_density)
+from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, IntegrationSpec, Interval,
+                        InvalidDensity, NonConvergence, UnknownDensity,
+                        catalog, inner_product, mean_project, moment, moments,
+                        user_density)
 from secmeasure.quadrature import EndpointExponents
 
 
@@ -49,6 +50,15 @@ def test_moment_cache_and_validation(uniform, spec):
     assert moment(uniform, 3, spec) == moment(uniform, 3, spec)
     with pytest.raises(ValueError):
         moment(uniform, -1, spec)
+
+
+def test_caches_keyed_by_whole_spec(wiggly):
+    coarse = IntegrationSpec(max_refinement_levels=2)
+    with pytest.raises(NonConvergence):
+        moment(wiggly, 1, coarse)
+    moment(wiggly, 1)  # fills the rule and moment caches of the default spec
+    with pytest.raises(NonConvergence):
+        moment(wiggly, 1, coarse)
 
 
 def test_hankel_positive(uniform, spec):

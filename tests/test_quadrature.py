@@ -54,9 +54,13 @@ def test_tanh_sinh_both_singular():
 def test_tanh_sinh_nonconvergence():
     spec = IntegrationSpec(rel_tol=1e-15, abs_tol=1e-16,
                            max_refinement_levels=3)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence) as exc:
         tanh_sinh(lambda x, dl, dr: np.cos(50.0 * x * x) / np.sqrt(dl),
                   Interval(0.0, 1.0), spec)
+    msg = str(exc.value)
+    for part in ("tanh-sinh", "by level 5", "1 of 1 unsettled", "worst gap",
+                 "against tolerance"):
+        assert part in msg, msg
 
 
 def test_tanh_sinh_sin_and_polynomial():

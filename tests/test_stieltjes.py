@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (DomainError, ExtrapolationDivergence, PointOnInterval,
-                        catalog, lerch_phi_half, moment, perron_invert, reducer,
+from secmeasure import (DomainError, ExtrapolationDivergence, IntegrationSpec,
+                        NonConvergence, PointOnInterval, catalog,
+                        lerch_phi_half, moment, perron_invert, reducer,
                         secondary_measure, secondary_transform,
                         stieltjes_transform)
 
@@ -53,9 +54,10 @@ def test_transform_near_cut_closed_forms(name, closed_form, x0s, spec):
 
 def test_transform_array_matches_scalar(cheb_u, spec):
     far = [2.0, -3.0 + 0.5j, 1.5 + 1j, 10.0, 0.3 + 0.2j]
-    near = [0.3 + 1e-6j, -0.7 - 1e-3j, 0.999 + 1e-4j, 0.5 - 1e-8j]
+    near = [0.3 + 1e-6j, -0.7 - 1e-3j, 0.999 + 1e-4j, 0.5 - 1e-8j] + [
+        0.3 + s * y * 1j for y in (1e-2, 1e-4, 1e-6) for s in (1, -1)]
     for zs in (np.array(far), np.array(near),
-               np.array(far[:3] + near + far[3:]).reshape(3, 3)):
+               np.array(far[:3] + near + far[3:]).reshape(3, 5)):
         got = stieltjes_transform(cheb_u, zs, spec)
         assert got.shape == zs.shape and got.dtype == complex
         want = np.array([stieltjes_transform(cheb_u, z, spec)
@@ -80,6 +82,13 @@ def test_far_batch_costs_no_more_than_its_hardest_point(counted_semicircle,
     calls.clear()
     stieltjes_transform(rho, zs, spec)
     assert len(calls) <= max(per_z)
+
+
+def test_near_cut_batch_calls_h_once_per_level(counted_semicircle, spec):
+    rho, calls = counted_semicircle
+    zs = 0.3 + 1j * np.array([1e-2, -1e-2, 1e-4, -1e-4, 1e-6, -1e-6])
+    stieltjes_transform(rho, zs, spec)
+    assert len(calls) <= spec.max_refinement_levels + 2
 
 
 def test_transform_decay_at_infinity(cheb_u, spec):
@@ -115,6 +124,15 @@ def test_reducer_sqrt32_against_series(sqrt32, spec):
     for x in (0.2, 0.36, 0.7):
         assert abs(lerch_phi_half(x) - lerch_series(x)) < 1e-12
         assert abs(reducer(sqrt32, x, spec) - 3.0 * lerch_series(x)) < 1e-9
+
+
+def test_reducer_honours_level_cap(wiggly):
+    with pytest.raises(NonConvergence) as exc:
+        reducer(wiggly, 0.3, IntegrationSpec(max_refinement_levels=1))
+    msg = str(exc.value)
+    for part in ("reducer quadrature of 'wiggly'", "by level 4",
+                 "1 of 1 unsettled", "worst gap", "against tolerance"):
+        assert part in msg, msg
 
 
 def test_lerch_domain():
@@ -165,6 +183,17 @@ def test_perron_recovers_density(cheb_u, uniform, spec):
         S = lambda z, r=rho: stieltjes_transform(r, z, spec)
         for x in xs:
             assert abs(perron_invert(S, x) - rho.value(x)) < 1e-8
+
+
+def test_perron_calls_S_once_on_the_whole_ladder(cheb_u, spec):
+    shapes = []
+
+    def S(z):
+        shapes.append(np.shape(z))
+        return stieltjes_transform(cheb_u, z, spec)
+
+    assert abs(perron_invert(S, 0.3) - cheb_u.value(0.3)) < 1e-8
+    assert shapes == [(18,)]
 
 
 def test_perron_divergence_on_pole():
