@@ -12,7 +12,7 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      InvalidDensity, InvalidParameter, NonConvergence,
                      PointOnInterval, SecmeasureError, TransformZero,
                      UnknownDensity, UnknownFunction)
-from .expressions import Expr, evaluate, parse
+from .expressions import Expr, parse
 from .family import (FamilyDensity, FamilyParameter, denominator_root_scan,
                      dirac_limit_check, equi_normality_check, family,
                      family_density, family_transform, moment0_curve,

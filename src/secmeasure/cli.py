@@ -5,7 +5,7 @@ family density, family scan, roots, solve, verify, plot.  Tables render as
 CSV (17 significant digits) or JSON; plots are hand-emitted SVG.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 numerical non-convergence.
+3 numerical failure (non-convergence or a non-finite value).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
                        user_density)
 from .operators import IntegralEquationProblem, solve_integral_equation
 from .orthopoly import apply_T, recurrence_coefficients
-from .quadrature import (DEFAULT_SPEC, EndpointExponents, IntegrationSpec,
-                         Interval)
+from .quadrature import EndpointExponents, IntegrationSpec, Interval
 from .report import OutputTable
 from .stieltjes import reducer, secondary_measure
 from .verify import run_suite
@@ -290,16 +289,9 @@ def cmd_roots(args, spec) -> int:
         raise UsageError("--t must be positive")
     if args.grid_points < 2:
         raise UsageError("--grid-points must be at least 2")
-    a, b, w = rho.interval.a, rho.interval.b, rho.interval.width
-    if args.search is not None:
-        searches = [Interval(args.search[0], args.search[1])]
-    else:
-        searches = [Interval(a - 10 * w, a - 1e-3 * w),
-                    Interval(b + 1e-3 * w, b + 10 * w)]
-    brackets = []
-    for s in searches:
-        brackets.extend(denominator_root_scan(rho, args.t, s,
-                                              args.grid_points, spec))
+    search = None if args.search is None else Interval(*args.search)
+    brackets = denominator_root_scan(rho, args.t, search, args.grid_points,
+                                     spec)
     table = OutputTable(["lo", "hi"], brackets,
                         {"density": rho.name, "t": args.t,
                          "n_roots": len(brackets), "tol": spec.rel_tol})

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EvaluationFailure, ExprSyntaxError, UnknownFunction
 
-__all__ = ["Expr", "parse", "evaluate", "FUNCTIONS"]
+__all__ = ["Expr", "parse", "FUNCTIONS"]
 
 FUNCTIONS = {
     "sqrt": np.sqrt,
@@ -223,8 +223,3 @@ def parse(src: str) -> Expr:
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0, ("expression",))
     return Expr(_Parser(src).parse(), src)
-
-
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate a parsed expression at a point."""
-    return e.evaluate(x)

@@ -16,8 +16,8 @@ candidate density, marks the parameter invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,6 +48,8 @@ _SCAN_SPAN = 10.0
 _SCAN_POINTS = 200
 _MASS_TOL = 1e-6
 _BRACKET_WIDTH = 1e-10
+# The decreasing parameters along which the Dirac limit t -> 0 is checked.
+_DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
 
 @dataclass
@@ -116,13 +118,8 @@ def _raw_family(rho: BaseDensity, t: float,
 
 def _screen_parameter(rho: BaseDensity, dens: FamilyDensity,
                       spec: IntegrationSpec) -> FamilyParameter:
-    a, b = rho.interval.a, rho.interval.b
-    w = rho.interval.width
     t = dens.t
-    right = Interval(b + _SCAN_OFFSET * w, b + _SCAN_SPAN * w)
-    left = Interval(a - _SCAN_SPAN * w, a - _SCAN_OFFSET * w)
-    roots = (denominator_root_scan(rho, t, right, _SCAN_POINTS, spec)
-             + denominator_root_scan(rho, t, left, _SCAN_POINTS, spec))
+    roots = denominator_root_scan(rho, t, None, _SCAN_POINTS, spec)
     mass_ok = abs(dens.mass(spec) - 1.0) < _MASS_TOL
     ok = not roots and mass_ok
     return FamilyParameter(t, "empirical" if ok else "invalid")
@@ -180,15 +177,24 @@ def moment0_curve(rho: BaseDensity, t: float,
     return _raw_family(rho, t, spec).mass(spec)
 
 
-def denominator_root_scan(rho: BaseDensity, t: float, search: Interval,
+def denominator_root_scan(rho: BaseDensity, t: float,
+                          search: Optional[Interval],
                           grid_points: int = _SCAN_POINTS,
                           spec: IntegrationSpec = DEFAULT_SPEC):
     """Real roots of D(x) = t + (1-t)(x-c_1) S(x) on a grid off the support.
 
-    Returns bisection-refined brackets of width 1e-10; an empty list
-    certifies the absence of a sign change on the grid.
+    ``search`` None scans both sides of the support [a, b], first
+    [a - 10w, a - 1e-3 w], then [b + 1e-3 w, b + 10w] (w = b - a), each on
+    its own grid.  Returns bisection-refined brackets of width 1e-10; an
+    empty list certifies the absence of a sign change on the grid.
     """
     interval = rho.interval
+    if search is None:
+        a, b, w = interval.a, interval.b, interval.width
+        sides = (Interval(a - _SCAN_SPAN * w, a - _SCAN_OFFSET * w),
+                 Interval(b + _SCAN_OFFSET * w, b + _SCAN_SPAN * w))
+        return [br for side in sides
+                for br in denominator_root_scan(rho, t, side, grid_points, spec)]
     if not (search.b <= interval.a or search.a >= interval.b):
         raise DomainError("root-scan interval must be disjoint from the support")
     if grid_points < 2:
@@ -234,30 +240,20 @@ def equi_normality_check(rho: BaseDensity, t: float,
         grid = rho.interval.interior_grid(30, 2e-3)
         dev_grid = float(np.max(np.abs(sm_t.mu(grid) - t * sm.mu(grid))))
         dev_moment = abs(sm_t.d0 - t * sm.d0)
-    passed = dev_grid <= 1e-4 and dev_moment <= 1e-6
     rep = property_report(f"equi-normality {rho.name} t={t:g}",
                           max(dev_grid, dev_moment), 1e-4, "paper", tm.ms)
-    return VerificationReport(rep.check_id, rep.expected, rep.computed,
-                              rep.tolerance, rep.provenance, passed, tm.ms)
-
-
-def _default_t_ladder():
-    return (0.2, 0.1, 0.05, 0.02)
+    return replace(rep, passed=dev_grid <= 1e-4 and dev_moment <= 1e-6)
 
 
 def dirac_limit_check(rho: BaseDensity, g: Callable,
-                      t_ladder: Optional[Sequence[float]] = None,
                       spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
     """Verify that rho_t converges weakly to the point mass at c_1 as t -> 0.
 
-    Along a decreasing t ladder, int g rho_t must approach g(c_1) with
-    non-increasing error and a final gap below 5e-2, and the reducer of
-    rho_t must trend toward 2/(x - c_1) at two fixed interior points.
+    Along the t ladder 0.2, 0.1, 0.05, 0.02, int g rho_t must approach
+    g(c_1) with non-increasing error and a final gap below 5e-2, and the
+    reducer of rho_t must trend toward 2/(x - c_1) at two fixed interior
+    points.
     """
-    ladder = tuple(_default_t_ladder() if t_ladder is None else t_ladder)
-    if len(ladder) < 2 or any(x <= 0 for x in ladder) or \
-            any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("t ladder must be >= 2 decreasing positive values")
     with timer() as tm:
         c1 = moment(rho, 1, spec)
         target = float(np.asarray(_call(g, np.asarray([c1])))[0])
@@ -268,15 +264,13 @@ def dirac_limit_check(rho: BaseDensity, g: Callable,
                   if interval.a + 1e-3 * interval.width < x
                   < interval.b - 1e-3 * interval.width]
         probe_gaps = []
-        for t in ladder:
+        for t in _DIRAC_T_LADDER:
             dens = family(rho, t, spec)
             gaps.append(abs(float(dens.weighted_integral(g, spec).real) - target))
             probe_gaps.append(max(abs(reducer(dens, x, spec) - 2.0 / (x - c1))
                                   for x in probes))
         monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         trending = probe_gaps[-1] <= probe_gaps[0] + 1e-12
-    passed = monotone and trending and gaps[-1] < 5e-2
     rep = property_report(f"dirac-limit {rho.name}", gaps[-1], 5e-2,
                           "paper", tm.ms)
-    return VerificationReport(rep.check_id, rep.expected, rep.computed,
-                              rep.tolerance, rep.provenance, passed, tm.ms)
+    return replace(rep, passed=monotone and trending and gaps[-1] < 5e-2)

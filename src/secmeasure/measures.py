@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidDensity, UnknownDensity
 from .quadrature import (DEFAULT_SPEC, EndpointExponents, IntegrationSpec,
                          Interval, _call, derivative, refine_levels,
-                         tanh_sinh, tanh_sinh_nodes)
+                         tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -136,7 +136,8 @@ class BaseDensity:
         return self._refine(lambda x, w: w @ _call(f, x), spec, "weighted integral")
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-        return float(tanh_sinh(self.value_at, self.interval, spec).real)
+        """Total mass: the sum of the cached rule's weights."""
+        return float(self.rule(spec).w.sum())
 
 
 class Density(BaseDensity):

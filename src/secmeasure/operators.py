@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -54,7 +54,6 @@ class OperatorContext:
     param: FamilyParameter
     c1: float
     rho_t: FamilyDensity
-    spec: IntegrationSpec = DEFAULT_SPEC
 
     @property
     def t(self) -> float:
@@ -65,37 +64,31 @@ def make_context(rho: BaseDensity, t: float,
                  spec: IntegrationSpec = DEFAULT_SPEC) -> OperatorContext:
     """Validate t and bundle rho with its family member rho_t."""
     dens = family(rho, t, spec)
-    return OperatorContext(rho, dens.param, dens.c1, dens, spec)
+    return OperatorContext(rho, dens.param, dens.c1, dens)
 
 
-def _as_values(f: Callable, xs: np.ndarray) -> np.ndarray:
-    return np.asarray(_call(f, xs), dtype=float)
+def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
+              x, spec: IntegrationSpec):
+    """a f(x) + b (x-c_1) T_rho(f)(x); T is not evaluated when b == 0."""
+    shape = np.shape(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = a * np.asarray(_call(f, xs), dtype=float)
+    if b != 0.0:
+        out = out + b * (xs - c1) * np.atleast_1d(apply_T(rho, f, xs, spec))
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def apply_V(ctx: OperatorContext, f: Callable, x,
             spec: IntegrationSpec = DEFAULT_SPEC):
     """V(f)(x) = t f(x) + (1-t)(x-c_1) T(f)(x), T against the base density."""
-    t = ctx.t
-    shape = np.shape(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = t * _as_values(f, xs)
-    if t != 1.0:
-        tv = np.atleast_1d(apply_T(ctx.rho, f, xs, spec))
-        out = out + (1.0 - t) * (xs - ctx.c1) * tv
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return _f_plus_T(ctx.t, 1.0 - ctx.t, ctx.rho, ctx.c1, f, x, spec)
 
 
 def apply_V_inverse(ctx: OperatorContext, f: Callable, x,
                     spec: IntegrationSpec = DEFAULT_SPEC):
     """V^{-1}(f)(x) = (1/t) f(x) + (1 - 1/t)(x-c_1) T_{rho_t}(f)(x)."""
     t = ctx.t
-    shape = np.shape(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _as_values(f, xs) / t
-    if t != 1.0:
-        tv = np.atleast_1d(apply_T(ctx.rho_t, f, xs, spec))
-        out = out + (1.0 - 1.0 / t) * (xs - ctx.c1) * tv
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return _f_plus_T(1.0 / t, 1.0 - 1.0 / t, ctx.rho_t, ctx.c1, f, x, spec)
 
 
 def isometry_check(ctx: OperatorContext, f: Callable,
@@ -164,30 +157,21 @@ def solve_integral_equation(problem: IntegralEquationProblem, x,
         raise InvalidParameter(
             f"lambda={problem.lam:g} gives t={t:g}, not a family parameter")
     dens = family(problem.rho, t, spec)
-    shape = np.shape(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _as_values(problem.g, xs)
-    if problem.lam != 0.0:
-        tv = np.atleast_1d(apply_T(dens, problem.g, xs, spec))
-        out = out - problem.lam * t * (xs - dens.c1) * tv
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return _f_plus_T(1.0, -problem.lam * t, dens, dens.c1, problem.g, x, spec)
 
 
 def residual_check(problem: IntegralEquationProblem, f: Callable,
-                   spec: IntegrationSpec = DEFAULT_SPEC,
-                   provenance: str = "derived") -> VerificationReport:
+                   spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
     """Plug f into (E_lambda) on a 30-point grid; residual must be < 1e-5."""
     with timer() as tm:
-        c1 = moment(problem.rho, 1, spec)
-        grid = problem.rho.interval.interior_grid(30, 2e-3)
-        lhs = _as_values(f, grid)
-        if problem.lam != 0.0:
-            lhs = lhs + problem.lam * (grid - c1) * np.atleast_1d(
-                apply_T(problem.rho, f, grid, spec))
-        dev = float(np.max(np.abs(lhs - _as_values(problem.g, grid))))
+        rho = problem.rho
+        grid = rho.interval.interior_grid(30, 2e-3)
+        lhs = _f_plus_T(1.0, problem.lam, rho, moment(rho, 1, spec), f, grid,
+                        spec)
+        dev = float(np.max(np.abs(lhs - _call(problem.g, grid))))
     return property_report(
         f"integral-equation residual {problem.rho.name} lambda={problem.lam:g}",
-        dev, 1e-5, provenance, tm.ms)
+        dev, 1e-5, "derived", tm.ms)
 
 
 def shift_multiply(f: Callable, c1: float) -> Callable:
@@ -201,8 +185,7 @@ def shift_multiply(f: Callable, c1: float) -> Callable:
 
 
 def barycentric_check(rho: BaseDensity, t: float, s: float, f: Callable,
-                      spec: IntegrationSpec = DEFAULT_SPEC,
-                      provenance: str = "derived") -> VerificationReport:
+                      spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
     """T_{rho_t}(T_{rho_s}((x-c_1) f)) vs [s T_{rho_s}(f) - t T_{rho_t}(f)]/(s-t).
 
     Compared on a 20-point interior grid with tolerance 1e-5.
@@ -223,12 +206,11 @@ def barycentric_check(rho: BaseDensity, t: float, s: float, f: Callable,
                  - t * np.atleast_1d(apply_T(dens_t, f, grid, spec))) / (s - t)
         dev = float(np.max(np.abs(left - right)))
     return property_report(f"barycentric {rho.name} t={t:g} s={s:g}",
-                           dev, 1e-5, provenance, tm.ms)
+                           dev, 1e-5, "derived", tm.ms)
 
 
 def composition_check(rho: BaseDensity, t: float, s: float, f: Callable,
-                      spec: IntegrationSpec = DEFAULT_SPEC,
-                      provenance: str = "derived") -> VerificationReport:
+                      spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
     """V over rho_t at s, composed with V at t, vs the single step at t*s."""
     with timer() as tm:
         ctx_t = make_context(rho, t, spec)
@@ -243,12 +225,12 @@ def composition_check(rho: BaseDensity, t: float, s: float, f: Callable,
         right = np.atleast_1d(apply_V(ctx_ts, f, grid, spec))
         dev = float(np.max(np.abs(left - right)))
     return property_report(f"composition {rho.name} t={t:g} s={s:g}",
-                           dev, 1e-5, provenance, tm.ms)
+                           dev, 1e-5, "derived", tm.ms)
 
 
 def transform_relation_check(rho: BaseDensity, t: float, s: float, z,
-                             spec: IntegrationSpec = DEFAULT_SPEC,
-                             provenance: str = "derived") -> VerificationReport:
+                             spec: IntegrationSpec = DEFAULT_SPEC
+                             ) -> VerificationReport:
     """(z-c_1) S^t(z) S^s(z) vs [t S^t(z) - s S^s(z)]/(t-s), tolerance 1e-8."""
     if t == s:
         raise InvalidParameter("transform relation needs t != s")
@@ -260,4 +242,4 @@ def transform_relation_check(rho: BaseDensity, t: float, s: float, z,
         dev = abs((z - c1) * st * ss - (t * st - s * ss) / (t - s))
     return property_report(
         f"transform-relation {rho.name} t={t:g} s={s:g} z={z}",
-        dev, 1e-8, provenance, tm.ms)
+        dev, 1e-8, "derived", tm.ms)

@@ -34,7 +34,10 @@ __all__ = [
     "apply_T",
 ]
 
-MAX_DEGREE_DEFAULT = 20
+# Highest recurrence row count served, and the largest deviation of the
+# Gram matrix from the identity on the next-finer rule.
+MAX_DEGREE = 20
+DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,10 @@ class PolynomialSequence:
         c = self.coeffs[n]
         return lambda x: P.polyval(np.asarray(x, dtype=float), c)
 
-    def degree(self, n: int) -> int:
-        c = np.trim_zeros(self.coeffs[n], "b")
-        return len(c) - 1 if len(c) else -1
-
 
 def recurrence_coefficients(rho: BaseDensity, N: int,
-                            spec: IntegrationSpec = DEFAULT_SPEC,
-                            max_degree: int = MAX_DEGREE_DEFAULT,
-                            drift_tol: float = 1e-6) -> RecurrenceCoefficients:
+                            spec: IntegrationSpec = DEFAULT_SPEC
+                            ) -> RecurrenceCoefficients:
     """Stieltjes procedure for the first N recurrence rows of rho.
 
     Inner products are discretized on the density's tanh-sinh rule; a
@@ -92,9 +90,8 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
     """
     if N < 1:
         raise ValueError("need at least one recurrence row")
-    if N > max_degree:
-        raise InstabilityDetected(
-            f"degree cap is {max_degree}; raise max_degree only with care")
+    if N > MAX_DEGREE:
+        raise InstabilityDetected(f"degree cap is {MAX_DEGREE}")
     rule = rho.rule(spec, min_level=8)
     x, w = rule.x, rule.w
 
@@ -130,9 +127,9 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
                                    (b[n - 1] if n else 0.0) * pf_prev) / b[n]
     gram = (fine * wf) @ fine.T
     drift = np.max(np.abs(gram - np.eye(N)))
-    if drift > drift_tol:
+    if drift > DRIFT_TOL:
         raise InstabilityDetected(
-            f"orthogonality drift {drift:.3e} exceeds {drift_tol:g}")
+            f"orthogonality drift {drift:.3e} exceeds {DRIFT_TOL:g}")
     return RecurrenceCoefficients(a, b)
 
 

@@ -15,7 +15,10 @@ two levels agree.  Entry points:
                          near its ends; the fallback of every difference
                          quotient (u - x) -> 0.
 
-Integrands map an ndarray of abscissae to an ndarray of values.
+Integrands map an ndarray of abscissae to an ndarray of values, one per
+abscissa; a user callable that returns another shape raises TypeError.
+The engine rejects non-finite estimates: the first level whose estimate is
+NaN or infinite raises EvaluationFailure, naming the integral and the level.
 Everything here is pure and safe to call concurrently.
 """
 
@@ -63,11 +66,6 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains(self, x: float, strict: bool = True) -> bool:
-        if strict:
-            return self.a < x < self.b
-        return self.a <= x <= self.b
-
     def distance_to(self, z):
         """Distance from complex points (a scalar or an array) to the
         interval as a subset of R."""
@@ -112,19 +110,15 @@ class EndpointExponents:
 
 
 def _call(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, accepting scalar-only callables too."""
-    try:
-        vals = np.asarray(f(x))
-        if vals.shape != np.shape(x):
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([f(float(xi)) for xi in np.atleast_1d(x)])
+    """Evaluate a vectorised user callable on an array of points.
+
+    f must return one value per point; any other shape raises TypeError.
+    """
+    vals = np.asarray(f(x))
+    if vals.shape != np.shape(x):
+        raise TypeError(f"callable returned shape {vals.shape} for points "
+                        f"of shape {np.shape(x)}; it must be vectorised")
     return vals
-
-
-def _check_finite(vals: np.ndarray, what: str = "integrand") -> None:
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationFailure(f"{what} returned a non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,9 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     max-norm), or those and a per-element ``floor``.  An element settles at
     the first level where max|cur - prev| <= max(abs_tol, rel_tol max|cur|,
     floor).  Levels run from ``first`` (default ``start``) to start +
-    max_refinement_levels; ``what`` names the integrals in NonConvergence.
+    max_refinement_levels; ``what`` names the integrals in NonConvergence,
+    and in the EvaluationFailure raised at the first level whose estimates
+    are not all finite.
     """
     act = np.arange(count)
     est = None
@@ -175,6 +171,8 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
         cur, floor = estimate(level, act), None
         if isinstance(cur, tuple):
             cur, floor = cur
+        if not np.isfinite(cur).all():
+            raise EvaluationFailure(f"{what} is not finite at level {level}")
         if est is None:
             est = cur.copy()
             continue
@@ -195,8 +193,8 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
         f"unsettled, worst gap {gap[worst]:.3e} against tolerance {tol[worst]:.3e}")
 
 
-def tanh_sinh(fn: Callable, interval: Interval, spec: IntegrationSpec = DEFAULT_SPEC,
-              start_level: int = 2) -> complex:
+def tanh_sinh(fn: Callable, interval: Interval,
+              spec: IntegrationSpec = DEFAULT_SPEC) -> complex:
     """Tanh-sinh integration of ``fn(x, dist_left, dist_right)``.
 
     ``fn`` receives the mapped abscissae together with their distances to
@@ -210,10 +208,9 @@ def tanh_sinh(fn: Callable, interval: Interval, spec: IntegrationSpec = DEFAULT_
     def estimate(level, act):
         g, w, dm, dp = tanh_sinh_nodes(level)
         vals = np.asarray(fn(mid + half * g, half * dp, half * dm))
-        _check_finite(vals)
         return half * (w @ vals)[None]
 
-    return refine_levels(estimate, 1, spec, start_level, "tanh-sinh")[0]
+    return refine_levels(estimate, 1, spec, 2, "tanh-sinh")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secmeasure import EvaluationFailure, ExprSyntaxError, UnknownFunction
-from secmeasure.expressions import evaluate, parse
+from secmeasure.expressions import parse
 
 
 def test_precedence_and_value():
@@ -82,7 +82,3 @@ def test_nonfinite_evaluation():
         parse("1/x").evaluate(0.0)
     with pytest.raises(EvaluationFailure):
         parse("ln(x)").evaluate(-1.0)
-
-
-def test_evaluate_helper():
-    assert evaluate(parse("x*x"), 4.0) == 16.0

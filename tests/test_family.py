@@ -111,6 +111,16 @@ def test_root_scan_bracket(cheb_u, spec):
     assert lo <= root <= hi
 
 
+def test_root_scan_both_sides(cheb_u):
+    # search=None scans left of the support, then right of it; for the
+    # semicircle at t = 3 the roots are -+3/(2 sqrt 2).
+    brackets = denominator_root_scan(cheb_u, 3.0, None)
+    root = 3.0 / (2.0 * math.sqrt(2.0))
+    assert len(brackets) == 2
+    (llo, lhi), (rlo, rhi) = brackets
+    assert llo <= -root <= lhi and rlo <= root <= rhi
+
+
 def test_root_scan_none_below_one(all_catalog, spec):
     for rho in all_catalog:
         a, b, w = rho.interval.a, rho.interval.b, rho.interval.width
@@ -157,5 +167,3 @@ def test_dirac_limit(uniform, spec):
     g = np.exp
     rep = dirac_limit_check(uniform, g, spec=spec)
     assert rep.passed and rep.computed > 1e-4
-    with pytest.raises(ValueError):
-        dirac_limit_check(uniform, g, t_ladder=(0.1, 0.2), spec=spec)

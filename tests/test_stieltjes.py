@@ -199,11 +199,3 @@ def test_perron_calls_S_once_on_the_whole_ladder(cheb_u, spec):
 def test_perron_divergence_on_pole():
     with pytest.raises(ExtrapolationDivergence):
         perron_invert(lambda z: 1.0 / (z - 0.4), 0.4)
-
-
-def test_perron_ladder_validation(cheb_u, spec):
-    S = lambda z: stieltjes_transform(cheb_u, z, spec)
-    with pytest.raises(ValueError):
-        perron_invert(S, 0.0, eps_ladder=(1e-3, 1e-2, 1e-1))
-    with pytest.raises(ValueError):
-        perron_invert(S, 0.0, eps_ladder=(1e-2, 1e-3))
