@@ -14,18 +14,16 @@ and transform-relation identities satisfied by the family of operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import InvalidParameter
 from .family import FamilyDensity, FamilyParameter, family, family_transform
 from .measures import BaseDensity, inner_product, mean_project, moment
-from .orthopoly import (PolynomialSequence, apply_T, orthonormal_polys,
-                        recurrence_coefficients, secondary_polys)
+from .orthopoly import (apply_T, orthonormal_polys, recurrence_coefficients,
+                        secondary_polys)
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, _call
 from .report import VerificationReport, numeric_report, property_report, timer
 
@@ -110,26 +108,15 @@ def isometry_check(ctx: OperatorContext, f: Callable,
 
 def transformed_polys(ctx: OperatorContext, N: int,
                       spec: IntegrationSpec = DEFAULT_SPEC):
-    """Orthonormal and secondary polynomials of rho_t from those of rho.
+    """P_0^t..P_N^t and Q_0^t..Q_N^t, orthonormal and secondary for rho_t.
 
-    P_n^t = (1/sqrt(t)) [t P_n + (1-t)(x - c_1) Q_n] for n >= 1 (P_0^t = 1)
-    and Q_n^t = Q_n / sqrt(t).
+    They are the polynomials of rho's recurrence co-dilated by t (b_1
+    scaled by sqrt(t), every other row kept), which equal
+    P_n^t = (1/sqrt(t)) [t P_n + (1-t)(x - c_1) Q_n] for n >= 1 and
+    Q_n^t = Q_n / sqrt(t).
     """
-    rc = recurrence_coefficients(ctx.rho, N + 1, spec)
-    Ps = orthonormal_polys(rc)
-    c1 = ctx.c1
-    d0 = moment(ctx.rho, 2, spec) - c1 * c1
-    Qs = secondary_polys(rc, d0)
-    t = ctx.t
-    rt = math.sqrt(t)
-    pt = [np.array([1.0])]
-    qt = [np.array([0.0])]
-    for n in range(1, N + 1):
-        shifted = P.polymulx(Qs[n]) - c1 * np.pad(Qs[n], (0, 1))
-        p = np.pad(Ps[n], (0, len(shifted) - len(Ps[n])))
-        pt.append((t * p + (1.0 - t) * shifted) / rt)
-        qt.append(Qs[n] / rt)
-    return PolynomialSequence(pt), PolynomialSequence(qt)
+    rc = recurrence_coefficients(ctx.rho, N + 1, spec).codilated(ctx.t)
+    return orthonormal_polys(rc), secondary_polys(rc)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 The three-term recurrence (convention x P_n = b_{n+1} P_{n+1} + a_n P_n +
 b_n P_{n-1}) is built by the discretized Stieltjes procedure against the
-density's cached quadrature rule.  Secondary polynomials Q_n share the
-recurrence with shifted initial conditions Q_0 = 0, Q_1 = 1/sqrt(d_0), and
-agree pointwise with the operator
+density's cached quadrature rule.  A polynomial sequence is stored as that
+recurrence with its first two members and evaluated by running it forward.
+Secondary polynomials Q_n share the recurrence with shifted initial
+conditions Q_0 = 0, Q_1 = 1/b_1 (b_1^2 = d_0 = c_2 - c_1^2), and agree
+pointwise with the operator
 
     T(f)(x) = int (f(u) - f(x)) / (u - x) rho(u) du,
 
@@ -14,11 +16,11 @@ P_{n+1} are orthonormal for the secondary measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import InstabilityDetected
 from .measures import BaseDensity
@@ -57,25 +59,51 @@ class RecurrenceCoefficients:
     def n(self) -> int:
         return len(self.a)
 
+    def codilated(self, t: float) -> "RecurrenceCoefficients":
+        """The same rows with b_1 scaled by sqrt(t): the recurrence of rho_t.
 
+        This is the co-dilated perturbation of Marcellan, Dehesa and
+        Ronveaux, "On orthogonal polynomials with perturbed recurrence
+        relations", J. Comput. Appl. Math. 30 (1990).
+        """
+        b = self.b.copy()
+        b[:1] *= math.sqrt(t)
+        return RecurrenceCoefficients(self.a, b)
+
+
+@dataclass(frozen=True)
 class PolynomialSequence:
-    """Polynomials stored as ascending monomial coefficient vectors."""
+    """P_0..P_{N-1} of one recurrence, evaluated by running it forward.
 
-    def __init__(self, coeffs):
-        self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+    P_0 is the constant ``p0`` and P_1(x) = (p1[0] x + p1[1]) / b_1; then
+    P_{n+1} = ((x - a_n) P_n - b_n P_{n-1}) / b_{n+1}.
+    """
+
+    coeffs: RecurrenceCoefficients
+    p0: float
+    p1: tuple
 
     def __len__(self):
-        return len(self.coeffs)
+        return self.coeffs.n
 
-    def __getitem__(self, n) -> np.ndarray:
-        return self.coeffs[n]
+    def values(self, x) -> np.ndarray:
+        """All members at x, stacked along a new first axis."""
+        x = np.asarray(x, dtype=float)
+        a, b = self.coeffs.a, self.coeffs.b
+        rows = len(self)
+        out = np.empty((rows,) + x.shape)
+        out[0] = self.p0
+        if rows > 1:
+            out[1] = (self.p1[0] * x + self.p1[1]) / b[0]
+        for n in range(1, rows - 1):
+            out[n + 1] = ((x - a[n]) * out[n] - b[n - 1] * out[n - 1]) / b[n]
+        return out
 
     def eval(self, n: int, x):
-        return P.polyval(np.asarray(x, dtype=float), self.coeffs[n])
+        return self.values(x)[n]
 
     def as_callable(self, n: int) -> Callable:
-        c = self.coeffs[n]
-        return lambda x: P.polyval(np.asarray(x, dtype=float), c)
+        return lambda x: self.eval(n, x)
 
 
 def recurrence_coefficients(rho: BaseDensity, N: int,
@@ -83,10 +111,9 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
                             ) -> RecurrenceCoefficients:
     """Stieltjes procedure for the first N recurrence rows of rho.
 
-    Inner products are discretized on the density's tanh-sinh rule; a
-    cross-check of the resulting Gram matrix on the next-finer rule guards
-    against orthogonality loss (monomial-coefficient storage degrades
-    beyond degree ~20 for non-classical weights).
+    Inner products are discretized on the density's tanh-sinh rule; the
+    Gram matrix of the resulting polynomials on the next-finer rule must
+    stay within DRIFT_TOL of the identity.
     """
     if N < 1:
         raise ValueError("need at least one recurrence row")
@@ -97,13 +124,11 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
 
     a = np.empty(N)
     b = np.empty(max(N - 1, 0))
-    vecs = np.empty((N, len(x)))
     p_prev = np.zeros_like(x)
     mass = w.sum()
     p_cur = np.ones_like(x) / np.sqrt(mass)
     b_cur = 0.0
     for n in range(N):
-        vecs[n] = p_cur
         a[n] = w @ (x * p_cur * p_cur)
         if n == N - 1:
             break
@@ -113,57 +138,28 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
             raise InstabilityDetected(f"b_{n + 1}^2 = {b2:.3e} <= 0")
         b[n] = np.sqrt(b2)
         p_prev, p_cur, b_cur = p_cur, q / b[n], b[n]
+    coeffs = RecurrenceCoefficients(a, b)
 
-    # Independent orthogonality check on the next-finer rule.
+    # The rule must resolve the polynomials: check their orthonormality on
+    # the next-finer rule, which the procedure above did not see.
     xf, wf = rho._rule_at_level(rule.level + 1)
-    pf_prev = np.zeros_like(xf)
-    pf_cur = np.ones_like(xf) / np.sqrt(mass)
-    fine = np.empty((N, len(xf)))
-    for n in range(N):
-        fine[n] = pf_cur
-        if n == N - 1:
-            break
-        pf_prev, pf_cur = pf_cur, ((xf - a[n]) * pf_cur -
-                                   (b[n - 1] if n else 0.0) * pf_prev) / b[n]
+    fine = orthonormal_polys(coeffs).values(xf) / np.sqrt(mass)
     gram = (fine * wf) @ fine.T
     drift = np.max(np.abs(gram - np.eye(N)))
     if drift > DRIFT_TOL:
         raise InstabilityDetected(
             f"orthogonality drift {drift:.3e} exceeds {DRIFT_TOL:g}")
-    return RecurrenceCoefficients(a, b)
-
-
-def _run_recurrence(coeffs: RecurrenceCoefficients, first: np.ndarray,
-                    second: np.ndarray) -> PolynomialSequence:
-    a, b = coeffs.a, coeffs.b
-    out = [first]
-    if coeffs.n >= 2:
-        out.append(second)
-    for n in range(1, coeffs.n - 1):
-        grown = P.polymulx(out[n]) - a[n] * np.pad(out[n], (0, 1))
-        prev = np.pad(out[n - 1], (0, len(grown) - len(out[n - 1])))
-        out.append((grown - b[n - 1] * prev) / b[n])
-    return PolynomialSequence(out)
+    return coeffs
 
 
 def orthonormal_polys(coeffs: RecurrenceCoefficients) -> PolynomialSequence:
-    """P_0..P_{N-1} from the recurrence, P_0 = 1."""
-    if coeffs.n == 1:
-        return PolynomialSequence([np.array([1.0])])
-    first = np.array([1.0])
-    second = np.array([-coeffs.a[0], 1.0]) / coeffs.b[0]
-    return _run_recurrence(coeffs, first, second)
+    """P_0..P_{N-1}: P_0 = 1, P_1 = (x - a_0)/b_1."""
+    return PolynomialSequence(coeffs, 1.0, (1.0, -coeffs.a[0]))
 
 
-def secondary_polys(coeffs: RecurrenceCoefficients, d0: float) -> PolynomialSequence:
-    """Q_0..Q_{N-1}: same recurrence with Q_0 = 0, Q_1 = 1/sqrt(d_0)."""
-    if d0 <= 0:
-        raise ValueError("d0 = c_2 - c_1^2 must be positive")
-    if coeffs.n == 1:
-        return PolynomialSequence([np.array([0.0])])
-    first = np.array([0.0])
-    second = np.array([1.0 / np.sqrt(d0)])
-    return _run_recurrence(coeffs, first, second)
+def secondary_polys(coeffs: RecurrenceCoefficients) -> PolynomialSequence:
+    """Q_0..Q_{N-1}: the same recurrence with Q_0 = 0, Q_1 = 1/b_1."""
+    return PolynomialSequence(coeffs, 0.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -166,27 +166,31 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     """
     act = np.arange(count)
     est = None
-    for level in range(start if first is None else first,
-                       start + spec.max_refinement_levels + 1):
-        cur, floor = estimate(level, act), None
-        if isinstance(cur, tuple):
-            cur, floor = cur
-        if not np.isfinite(cur).all():
-            raise EvaluationFailure(f"{what} is not finite at level {level}")
-        if est is None:
-            est = cur.copy()
-            continue
-        gap, size = np.abs(cur - est[act]), np.abs(cur)
-        if cur.ndim > 1:
-            gap, size = (v.reshape(len(act), -1).max(axis=1) for v in (gap, size))
-        tol = np.maximum(size * spec.rel_tol, spec.abs_tol)
-        if floor is not None:
-            tol = np.maximum(tol, floor)
-        est[act] = cur
-        ok = gap <= tol
-        if ok.all():
-            return est
-        act, gap, tol = act[~ok], gap[~ok], tol[~ok]
+    # A non-finite estimate raises below; numpy's warnings about forming it
+    # would only repeat that.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for level in range(start if first is None else first,
+                           start + spec.max_refinement_levels + 1):
+            cur, floor = estimate(level, act), None
+            if isinstance(cur, tuple):
+                cur, floor = cur
+            if not np.isfinite(cur).all():
+                raise EvaluationFailure(f"{what} is not finite at level {level}")
+            if est is None:
+                est = cur.copy()
+                continue
+            gap, size = np.abs(cur - est[act]), np.abs(cur)
+            if cur.ndim > 1:
+                gap, size = (v.reshape(len(act), -1).max(axis=1)
+                             for v in (gap, size))
+            tol = np.maximum(size * spec.rel_tol, spec.abs_tol)
+            if floor is not None:
+                tol = np.maximum(tol, floor)
+            est[act] = cur
+            ok = gap <= tol
+            if ok.all():
+                return est
+            act, gap, tol = act[~ok], gap[~ok], tol[~ok]
     worst = np.argmax(gap / tol)
     raise NonConvergence(
         f"{what} did not settle by level {level}: {len(act)} of {count} "

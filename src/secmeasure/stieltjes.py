@@ -238,18 +238,30 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
 
     All z share one tanh-sinh level loop, so w is evaluated once per level;
     each z stops at the first level that agrees with the one before it.
+    z - t is formed as (z - e) + (e - t), e the endpoint nearer z and e - t
+    the node's exact distance to it, so that it keeps its digits for z next
+    to an endpoint, where the nodes crowd.
     """
     interval = rho.interval
     half, mid = 0.5 * interval.width, interval.midpoint
+    left = zs.real < mid
+    ze = zs - np.where(left, interval.a, interval.b)
+    one_side = np.count_nonzero(left) in (0, len(zs))
 
     def estimate(level, act):
         g, w, dm, dp = tanh_sinh_nodes(level)
-        t = mid + half * g
-        vals = _weight_eval(rho, t, half * dp, half * dm, shift)
+        dl, dr = half * dp, half * dm
+        vals = _weight_eval(rho, mid + half * g, dl, dr, shift)
         cur = np.empty(len(act), dtype=complex)
         for s in range(0, len(act), _ROW_CHUNK):
             sel = act[s:s + _ROW_CHUNK]
-            cur[s:s + _ROW_CHUNK] = half * ((vals / (zs[sel, None] - t)) @ w)
+            # e - t is -dl on rows next to a and dr on rows next to b; a
+            # batch on one side, the usual case, needs no per-row choice.
+            if one_side:
+                e_t = -dl if left[0] else dr
+            else:
+                e_t = np.where(left[sel, None], -dl, dr)
+            cur[s:s + _ROW_CHUNK] = half * ((vals / (ze[sel, None] + e_t)) @ w)
         return cur
 
     return refine_levels(estimate, len(zs), spec, _FAR_START_LEVEL,

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import IntegrationSpec, catalog, moment
+from secmeasure import IntegrationSpec, catalog, family, moment
 from secmeasure.errors import InstabilityDetected, NonConvergence
-from secmeasure.orthopoly import (_KERNEL_ENTRIES, PolynomialSequence,
-                                  RecurrenceCoefficients, _t_against_rule,
-                                  apply_T, orthonormal_polys,
+from secmeasure.measures import CATALOG_NAMES, BaseDensity
+from secmeasure.orthopoly import (_KERNEL_ENTRIES, RecurrenceCoefficients,
+                                  _t_against_rule, apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
 from secmeasure.quadrature import QUOTIENT_FALLBACK, derivative
+from secmeasure.stieltjes import secondary_measure
 
 
 def test_recurrence_cheb_u(cheb_u, spec):
@@ -38,7 +39,7 @@ def test_degree_cap(cheb_u, spec):
 
 def test_orthonormal_polys_are_orthonormal(linear2x, spec):
     rc = recurrence_coefficients(linear2x, 6, spec)
-    polys = PolynomialSequence(orthonormal_polys(rc))
+    polys = orthonormal_polys(rc)
     for n in range(6):
         for m in range(n + 1):
             val = float(linear2x.weighted_integral(
@@ -46,9 +47,55 @@ def test_orthonormal_polys_are_orthonormal(linear2x, spec):
             assert abs(val - (1.0 if n == m else 0.0)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["uniform", "linear2x", "sqrt32"])
+def test_orthonormal_at_degree_cap(name, spec):
+    # Monomial coefficients lost 1.7e-3 to 3.0e-3 of orthonormality here.
+    rho = catalog(name)
+    polys = orthonormal_polys(recurrence_coefficients(rho, 20, spec))
+    x, w = rho._rule_at_level(rho.rule(spec, min_level=8).level + 1)
+    rows = np.array([polys.eval(n, x) for n in range(20)])
+    np.testing.assert_allclose((rows * w) @ rows.T, np.eye(20), rtol=0,
+                               atol=1e-12)
+    np.testing.assert_array_equal(polys.values(x), rows)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_family_recurrence_is_codilated(name, t, spec):
+    # J_t is J with b_1 scaled by sqrt(t) (Marcellan, Dehesa, Ronveaux 1990);
+    # the left side runs the reducer, the family density and its own rule.
+    rho = catalog(name)
+    got = recurrence_coefficients(family(rho, t, spec), 8, spec)
+    want = recurrence_coefficients(rho, 8, spec).codilated(t)
+    np.testing.assert_allclose(got.a, want.a, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-10)
+
+
+class _NormalizedSecondary(BaseDensity):
+    """mu0 = mu / d0, the normalized secondary measure of a density."""
+
+    def __init__(self, rho, spec):
+        super().__init__(rho.interval, f"mu0 of {rho.name}")
+        self.data = secondary_measure(rho, spec)
+
+    def value_at(self, x, dleft, dright):
+        return self.data.density_at(x, dleft, dright) / self.data.d0
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_secondary_recurrence_is_shifted(name, spec):
+    # The Jacobi matrix of mu0 is rho's with its first row and column
+    # dropped; the left side runs the principal-value reducer.
+    rho = catalog(name)
+    got = recurrence_coefficients(_NormalizedSecondary(rho, spec), 8, spec)
+    full = recurrence_coefficients(rho, 9, spec)
+    np.testing.assert_allclose(got.a, full.a[1:], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.b, full.b[1:], rtol=0, atol=1e-10)
+
+
 def test_cheb_u_polys_match_chebyshev(cheb_u, spec):
     rc = recurrence_coefficients(cheb_u, 5, spec)
-    polys = PolynomialSequence(orthonormal_polys(rc))
+    polys = orthonormal_polys(rc)
     xs = np.linspace(-0.9, 0.9, 9)
     theta = np.arccos(xs)
     for n in range(5):
@@ -59,7 +106,7 @@ def test_cheb_u_polys_match_chebyshev(cheb_u, spec):
 def test_secondary_polys_start(cheb_u, spec):
     rc = recurrence_coefficients(cheb_u, 5, spec)
     d0 = moment(cheb_u, 2, spec) - moment(cheb_u, 1, spec) ** 2
-    Q = PolynomialSequence(secondary_polys(rc, d0))
+    Q = secondary_polys(rc)
     xs = np.linspace(-0.9, 0.9, 5)
     np.testing.assert_allclose(Q.eval(0, xs), 0.0, atol=1e-15)
     np.testing.assert_allclose(Q.eval(1, xs), 1.0 / math.sqrt(d0), atol=1e-12)
@@ -87,9 +134,8 @@ def test_apply_T_quadratic(uniform, spec):
 
 def test_apply_T_gives_secondary_polys(sqrt32, spec):
     rc = recurrence_coefficients(sqrt32, 5, spec)
-    d0 = moment(sqrt32, 2, spec) - moment(sqrt32, 1, spec) ** 2
-    P = PolynomialSequence(orthonormal_polys(rc))
-    Q = PolynomialSequence(secondary_polys(rc, d0))
+    P = orthonormal_polys(rc)
+    Q = secondary_polys(rc)
     xs = np.linspace(0.05, 0.95, 9)
     for n in range(5):
         got = np.atleast_1d(apply_T(sqrt32, P.as_callable(n), xs, spec))

@@ -29,6 +29,20 @@ def test_transform_uniform_closed_form(uniform, spec):
                    - np.log(z / (z - 1.0))) < 1e-12
 
 
+def test_transform_next_to_an_endpoint(uniform, sqrt32, linear2x, spec):
+    # Real z 1e-10 widths off either end; z - t formed by subtraction lost
+    # every digit of the node's distance and never settled.
+    # One z per call takes the one-sided path, the pair the per-row one.
+    z = np.array([1.0 + 1e-10, -1e-10])
+    want = np.log(z / (z - 1.0))
+    np.testing.assert_allclose([stieltjes_transform(uniform, v, spec)
+                                for v in z], want, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(stieltjes_transform(uniform, z, spec), want,
+                               rtol=1e-9, atol=0)
+    for rho in (sqrt32, linear2x):
+        assert np.isfinite(stieltjes_transform(rho, 1.0 + 1e-10, spec))
+
+
 def test_transform_near_cut(cheb_u, spec):
     z = 0.3 + 1e-6j
     assert abs(stieltjes_transform(cheb_u, z, spec)
