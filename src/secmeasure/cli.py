@@ -144,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, required=True, help="family parameter")
     sp.add_argument("--search", nargs=2, type=float, metavar=("LO", "HI"),
                     help="scan interval (default: both sides of the support)")
-    sp.add_argument("--grid-points", type=int, default=200,
-                    help="scan grid size (default 200)")
     sp.set_defaults(run=cmd_roots)
 
     sp = sub.add_parser("solve",
@@ -287,11 +285,8 @@ def cmd_roots(args, spec) -> int:
     rho = _resolve_density(args, spec)
     if args.t <= 0:
         raise UsageError("--t must be positive")
-    if args.grid_points < 2:
-        raise UsageError("--grid-points must be at least 2")
     search = None if args.search is None else Interval(*args.search)
-    brackets = denominator_root_scan(rho, args.t, search, args.grid_points,
-                                     spec)
+    brackets = denominator_root_scan(rho, args.t, search, spec)
     table = OutputTable(["lo", "hi"], brackets,
                         {"density": rho.name, "t": args.t,
                          "n_roots": len(brackets), "tol": spec.rel_tol})

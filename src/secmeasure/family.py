@@ -10,7 +10,11 @@ and the Stieltjes transforms are related homographically,
 S_t = S / (t + (1-t)(z-c_1) S).  Parameters t in (0,1] always produce a
 probability density; larger t are screened empirically: a real root of the
 transform denominator outside the support, or a mass defect of the
-candidate density, marks the parameter invalid.
+candidate density, marks the parameter invalid.  The denominator has at
+most one real root on each side of the support, where (x - c_1) S(x) is
+monotone, and by Weyl's inequality for rho's Jacobi matrix with b_1 scaled
+by sqrt(t) none lies farther than |sqrt(t) - 1| b_1 from it; the root scan
+searches from 1e-10 widths off the support out to that reach.
 """
 
 from __future__ import annotations
@@ -41,13 +45,14 @@ __all__ = [
     "dirac_limit_check",
 ]
 
-# Empirical screen for t > 1: real-axis root scan over this many widths on
-# both sides of the support, plus a unit-mass check.
-_SCAN_OFFSET = 1e-3
-_SCAN_SPAN = 10.0
-_SCAN_POINTS = 200
+# Empirical screen for t > 1: a real-axis root scan on both sides of the
+# support, plus a unit-mass check.
 _MASS_TOL = 1e-6
+# The root scan narrows its brackets to this many widths, by k-section into
+# this many sections; a root closer than a bracket width to the support is
+# not looked for.
 _BRACKET_WIDTH = 1e-10
+_SECTIONS = 16
 # The decreasing parameters along which the Dirac limit t -> 0 is checked.
 _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
@@ -119,7 +124,7 @@ def _raw_family(rho: BaseDensity, t: float,
 def _screen_parameter(rho: BaseDensity, dens: FamilyDensity,
                       spec: IntegrationSpec) -> FamilyParameter:
     t = dens.t
-    roots = denominator_root_scan(rho, t, None, _SCAN_POINTS, spec)
+    roots = denominator_root_scan(rho, t, None, spec)
     mass_ok = abs(dens.mass(spec) - 1.0) < _MASS_TOL
     ok = not roots and mass_ok
     return FamilyParameter(t, "empirical" if ok else "invalid")
@@ -178,51 +183,46 @@ def moment0_curve(rho: BaseDensity, t: float,
 
 
 def denominator_root_scan(rho: BaseDensity, t: float,
-                          search: Optional[Interval],
-                          grid_points: int = _SCAN_POINTS,
+                          search: Optional[Interval] = None,
                           spec: IntegrationSpec = DEFAULT_SPEC):
-    """Real roots of D(x) = t + (1-t)(x-c_1) S(x) on a grid off the support.
+    """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
+    support [a, b], left of it first; D has at most one on each side.
 
-    ``search`` None scans both sides of the support [a, b], first
-    [a - 10w, a - 1e-3 w], then [b + 1e-3 w, b + 10w] (w = b - a), each on
-    its own grid.  Returns bisection-refined brackets of width 1e-10; an
-    empty list certifies the absence of a sign change on the grid.
+    ``search`` None searches both sides from 1e-10 w off the support
+    (w = b - a) out to the Weyl reach |sqrt(t) - 1| sqrt(c_2 - c_1^2);
+    otherwise ``search`` is the one side.  A side whose ends give D the
+    same sign has no root; the others narrow by k-section, D at the 15
+    interior points of 16 equal sections in one array call, to 1e-10 w.
     """
     interval = rho.interval
-    if search is None:
-        a, b, w = interval.a, interval.b, interval.width
-        sides = (Interval(a - _SCAN_SPAN * w, a - _SCAN_OFFSET * w),
-                 Interval(b + _SCAN_OFFSET * w, b + _SCAN_SPAN * w))
-        return [br for side in sides
-                for br in denominator_root_scan(rho, t, side, grid_points, spec)]
-    if not (search.b <= interval.a or search.a >= interval.b):
+    a, b, w = interval.a, interval.b, interval.width
+    if search is not None and not (search.b <= a or search.a >= b):
         raise DomainError("root-scan interval must be disjoint from the support")
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
     c1 = moment(rho, 1, spec)
+    if search is None:
+        gap = _BRACKET_WIDTH * w
+        reach = abs(math.sqrt(t) - 1.0) * math.sqrt(moment(rho, 2, spec) - c1 * c1)
+        if reach <= gap:
+            return []
+        lo, hi = np.array([a - reach, b + gap]), np.array([a - gap, b + reach])
+    else:
+        lo, hi = np.array([search.a]), np.array([search.b])
 
     def D(x):
-        s = stieltjes_transform(rho, x, spec).real
-        return t + (1.0 - t) * (x - c1) * s
+        return t + (1.0 - t) * (x - c1) * stieltjes_transform(rho, x, spec).real
 
-    xs = np.linspace(search.a, search.b, grid_points)
-    vals = D(xs)
-    brackets = []
-    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        lo, hi = xs[i], xs[i + 1]
-        flo = vals[i]
-        while hi - lo > _BRACKET_WIDTH:
-            mid = 0.5 * (lo + hi)
-            fmid = D(mid)
-            if fmid == 0.0:
-                lo, hi = mid - 0.5 * _BRACKET_WIDTH, mid + 0.5 * _BRACKET_WIDTH
-                break
-            if flo * fmid < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        brackets.append((float(lo), float(hi)))
-    return brackets
+    sign = np.sign(D(np.concatenate([lo, hi]))).reshape(2, -1)
+    root = sign[0] != sign[1]
+    lo, hi, sign = lo[root], hi[root], sign[0, root]
+    rows = np.arange(len(lo))
+    while np.any(hi - lo > _BRACKET_WIDTH * w):
+        xs = np.linspace(lo, hi, _SECTIONS + 1, axis=1)
+        # Keep the first section whose right end has left the sign of lo;
+        # hi always has.
+        left = np.sign(D(xs[:, 1:-1])) != sign[:, None]
+        k = np.where(left.any(axis=1), left.argmax(axis=1) + 1, _SECTIONS)
+        lo, hi = xs[rows, k - 1], xs[rows, k]
+    return [(float(l), float(h)) for l, h in zip(lo, hi)]
 
 
 def equi_normality_check(rho: BaseDensity, t: float,

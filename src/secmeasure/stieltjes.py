@@ -39,7 +39,7 @@ __all__ = [
     "perron_invert",
 ]
 
-# Transform arguments closer than this to the support are rejected.
+# Transform arguments within this many widths of the support are rejected.
 ONCUT_DISTANCE = 1e-12
 # The reducer is only served on [a + margin*w, b - margin*w].
 REDUCER_MARGIN = 1e-4
@@ -56,6 +56,8 @@ _ROW_CHUNK = 64
 # reducer quadrature: below it the pole region is unresolvable at the level
 # cap, and every downstream weighted integral is insensitive to phi there.
 _PHI_CLAMP = 1e-9
+# A density's reducer cache for one spec is emptied at this many points.
+_PHI_CACHE_SIZE = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,8 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
     xs[low], dxl[low], dxr[low] = interval.a + clamp, clamp, interval.width - clamp
     xs[high], dxl[high], dxr[high] = interval.b - clamp, interval.width - clamp, clamp
     cache = rho._phi.setdefault(spec, {})
+    if len(cache) >= _PHI_CACHE_SIZE:
+        cache.clear()
     keys = xs.tolist()
     vals = [cache.get(x) for x in keys]
     todo = [i for i, v in enumerate(vals) if v is None]
@@ -275,10 +279,10 @@ def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec,
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     dist = interval.distance_to(flat)
-    on_cut = dist < ONCUT_DISTANCE
+    on_cut = dist < ONCUT_DISTANCE * interval.width
     if on_cut.any():
         raise PointOnInterval(
-            f"{flat[on_cut][0]} is within {ONCUT_DISTANCE:g} of "
+            f"{flat[on_cut][0]} is within {ONCUT_DISTANCE:g} widths of "
             f"[{interval.a}, {interval.b}]")
     margin = 1e-3 * interval.width
     near = ((dist < NEAR_CUT_FRACTION * interval.width)

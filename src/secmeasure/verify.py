@@ -125,13 +125,13 @@ def criterion_root_scans(spec=DEFAULT_SPEC) -> List[VerificationReport]:
     for name in ("cheb-u", "uniform", "linear2x", "sqrt32"):
         rho = catalog(name)
         with timer() as tm:
-            n_roots = sum(len(denominator_root_scan(rho, t, None, 100, spec))
+            n_roots = sum(len(denominator_root_scan(rho, t, None, spec))
                           for t in (0.3, 0.6, 0.9))
         out.append(property_report(f"5 no denominator roots {name} t<=0.9",
                                    float(n_roots), 0.0, "paper", tm.ms))
     u = catalog("cheb-u")
     with timer() as tm:
-        brackets = denominator_root_scan(u, 3.0, Interval(1.001, 5.0), 200, spec)
+        brackets = denominator_root_scan(u, 3.0, Interval(1.001, 5.0), spec)
         ok = (len(brackets) == 1 and 1.06 < brackets[0][0]
               and brackets[0][1] < 1.07)
     out.append(property_report("5 one root in (1.06,1.07) cheb-u t=3",

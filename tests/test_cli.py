@@ -62,6 +62,18 @@ def test_roots_bracket():
     assert 1.06 < lo < hi < 1.07
 
 
+def test_roots_next_to_the_support():
+    # Both roots lie 1.728e-4 off [0, 1], inside the gap a grid scan from
+    # 1e-3 widths skipped.
+    r = run("--format", "json", "roots", "--density", "uniform", "--t", "1.3")
+    assert r.returncode == 0
+    obj = json.loads(r.stdout)
+    assert obj["meta"]["n_roots"] == 2
+    (llo, lhi), (rlo, rhi) = obj["rows"]
+    assert -1.73e-4 < llo < lhi < -1.72e-4
+    assert 1 + 1.72e-4 < rlo < rhi < 1 + 1.73e-4
+
+
 def test_solve_exit_zero():
     r = run("solve", "--density", "cheb-u", "--lam", "-0.5",
             "--g", "1/(1+x^2)", "--grid", "5")

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (DenominatorZero, DomainError, Interval,
+from secmeasure import (DenominatorZero, Density, DomainError, Interval,
                         InvalidParameter, denominator_root_scan,
                         dirac_limit_check, equi_normality_check, family,
                         family_density, family_transform, moment,
                         moment0_curve, reducer, validate_parameter)
 from secmeasure.family import FamilyParameter
+from secmeasure.quadrature import EndpointExponents
 
 
 def test_parameter_validation():
@@ -100,8 +101,7 @@ def test_validity_statuses(cheb_u, uniform, spec):
 
 
 def test_root_scan_bracket(cheb_u, spec):
-    brackets = denominator_root_scan(cheb_u, 3.0, Interval(1.001, 5.0), 200,
-                                     spec)
+    brackets = denominator_root_scan(cheb_u, 3.0, Interval(1.001, 5.0), spec)
     assert len(brackets) == 1
     lo, hi = brackets[0]
     assert 1.06 < lo < hi < 1.07
@@ -112,7 +112,7 @@ def test_root_scan_bracket(cheb_u, spec):
 
 
 def test_root_scan_both_sides(cheb_u):
-    # search=None scans left of the support, then right of it; for the
+    # search=None searches both sides of the support, left first; for the
     # semicircle at t = 3 the roots are -+3/(2 sqrt 2).
     brackets = denominator_root_scan(cheb_u, 3.0, None)
     root = 3.0 / (2.0 * math.sqrt(2.0))
@@ -126,21 +126,69 @@ def test_root_scan_none_below_one(all_catalog, spec):
         a, b, w = rho.interval.a, rho.interval.b, rho.interval.width
         for t in (0.3, 0.9):
             assert denominator_root_scan(
-                rho, t, Interval(b + 1e-3 * w, b + 10 * w), 60, spec) == []
+                rho, t, Interval(b + 1e-3 * w, b + 10 * w), spec) == []
 
 
 def test_root_scan_is_one_batched_call(counted_semicircle, spec):
     rho, calls = counted_semicircle
     moment(rho, 1, spec)  # c_1 is cached before counting
     calls.clear()
-    assert denominator_root_scan(rho, 0.5, Interval(1.001, 11.0), 200,
-                                 spec) == []
+    assert denominator_root_scan(rho, 0.5, Interval(1.001, 11.0), spec) == []
     assert len(calls) <= spec.max_refinement_levels + 1
 
 
 def test_root_scan_rejects_overlap(cheb_u, spec):
     with pytest.raises(DomainError):
-        denominator_root_scan(cheb_u, 2.0, Interval(0.5, 3.0), 50, spec)
+        denominator_root_scan(cheb_u, 2.0, Interval(0.5, 3.0), spec)
+
+
+def _uniform_root(t):
+    """Distance d > 0 from [0, 1] of the roots 1 + d and -d of the uniform
+    density's denominator at t > 1: the solution of
+    (d + 1/2) log((1 + d)/d) = t/(t - 1), by bisection in log d."""
+    level = t / (t - 1.0)
+    lo, hi = -40.0, 10.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        d = math.exp(mid)
+        if (d + 0.5) * math.log((1.0 + d) / d) > level:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("t", [1.3, 1500.0])
+def test_root_scan_finds_near_and_far_roots(uniform, t, spec):
+    # At t = 1.3 the roots lie 1.728e-4 off the support, at t = 1500 about
+    # 10.68 off it; a grid from 1e-3 to 10 widths missed both.
+    d = _uniform_root(t)
+    (llo, lhi), (rlo, rhi) = denominator_root_scan(uniform, t, None, spec)
+    assert llo <= -d <= lhi and rlo <= 1.0 + d <= rhi
+    assert max(lhi - llo, rhi - rlo) <= 1e-10
+    assert validate_parameter(uniform, t, spec).validity == "invalid"
+
+
+@pytest.mark.parametrize("w", [1e-9, 1e-3, 1e6])
+def test_root_scan_is_scale_free(w, spec):
+    rho = Density(Interval(0.0, w), lambda x: np.full(np.shape(x), 1.0 / w),
+                  EndpointExponents(), "uniform")
+    d = _uniform_root(3.0)
+    brackets = denominator_root_scan(rho, 3.0, None, spec)
+    assert len(brackets) == 2
+    for (lo, hi), root in zip(brackets, (-d, 1.0 + d)):
+        assert lo <= root * w <= hi
+        assert hi - lo <= 1e-10 * w
+
+
+def test_root_scan_narrows_in_few_calls(counted_semicircle, spec):
+    # One call for the ends of both sides, then one per k-section round;
+    # the grid scan with bisection made 128 calls of h here.
+    rho, calls = counted_semicircle
+    root = 3.0 / (2.0 * math.sqrt(2.0))
+    (llo, lhi), (rlo, rhi) = denominator_root_scan(rho, 3.0, None, spec)
+    assert llo <= -root <= lhi and rlo <= root <= rhi
+    assert len(calls) <= 40
 
 
 def test_group_action(cheb_u, spec):

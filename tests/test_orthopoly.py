@@ -71,6 +71,32 @@ def test_family_recurrence_is_codilated(name, t, spec):
     np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-10)
 
 
+def _codilated_moments(rho, t, spec):
+    """(J_t^n)_00 for n = 0..6, J_t the 4 x 4 co-dilated Jacobi matrix of
+    rho; four rows reach every path of length 6 from row 0."""
+    rc = recurrence_coefficients(rho, 4, spec).codilated(t)
+    J = np.diag(rc.a) + np.diag(rc.b, 1) + np.diag(rc.b, -1)
+    return [np.linalg.matrix_power(J, n)[0, 0] for n in range(7)]
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_family_moments_are_codilated(name, t, spec):
+    # c_n of rho_t is (J_t^n)_00; the right side needs no integral of rho_t.
+    rho = catalog(name)
+    dens = family(rho, t, spec)
+    got = [moment(dens, n, spec) for n in range(7)]
+    np.testing.assert_allclose(got, _codilated_moments(rho, t, spec),
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+def test_uniform_codilated_second_moment(uniform, t, spec):
+    # a_0^2 + t b_1^2 is the paper's c'_2 = (t + 3)/12.
+    assert abs(_codilated_moments(uniform, t, spec)[2]
+               - (t + 3) / 12) < 1e-12
+
+
 class _NormalizedSecondary(BaseDensity):
     """mu0 = mu / d0, the normalized secondary measure of a density."""
 

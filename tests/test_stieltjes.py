@@ -163,6 +163,17 @@ def test_reducer_domain(cheb_u, spec):
         reducer(cheb_u, 2.0, spec)
 
 
+def test_reducer_cache_is_bounded(counted_semicircle, spec, monkeypatch):
+    # Each call adds five points; the cache is emptied once it holds ten.
+    monkeypatch.setattr("secmeasure.stieltjes._PHI_CACHE_SIZE", 10)
+    rho, _ = counted_semicircle
+    sizes = []
+    for x in (-0.8, -0.5, -0.2, 0.1, 0.4):
+        reducer(rho, np.linspace(x, x + 0.1, 5), spec)
+        sizes.append(len(rho._phi[spec]))
+    assert sizes == [5, 10, 5, 10, 5]
+
+
 def test_secondary_measure_cheb_u(cheb_u, spec):
     # phi = 4x gives mu = rho / 4 and d0 = 1/4
     sm = secondary_measure(cheb_u, spec)
