@@ -14,7 +14,7 @@ candidate density, marks the parameter invalid.  The denominator has at
 most one real root on each side of the support, where (x - c_1) S(x) is
 monotone, and by Weyl's inequality for rho's Jacobi matrix with b_1 scaled
 by sqrt(t) none lies farther than |sqrt(t) - 1| b_1 from it; the root scan
-searches from 1e-10 widths off the support out to that reach.
+searches from a bracket width off the support out to that reach.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ __all__ = [
 # Empirical screen for t > 1: a real-axis root scan on both sides of the
 # support, plus a unit-mass check.
 _MASS_TOL = 1e-6
-# The root scan narrows its brackets to this many widths, by k-section into
+# The root scan narrows its brackets to this many widths, or to this many
+# float spacings of the endpoints where that is wider, by k-section into
 # this many sections; a root closer than a bracket width to the support is
 # not looked for.
 _BRACKET_WIDTH = 1e-10
+_BRACKET_SPACINGS = 8
 _SECTIONS = 16
 # The decreasing parameters along which the Dirac limit t -> 0 is checked.
 _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
@@ -188,23 +190,26 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
     support [a, b], left of it first; D has at most one on each side.
 
-    ``search`` None searches both sides from 1e-10 w off the support
-    (w = b - a) out to the Weyl reach |sqrt(t) - 1| sqrt(c_2 - c_1^2);
-    otherwise ``search`` is the one side.  A side whose ends give D the
+    ``search`` None searches both sides from eps off the support out to the
+    Weyl reach |sqrt(t) - 1| sqrt(d0), d0 the centred second moment on the
+    cached rule; otherwise ``search`` is the one side.  A side whose ends give D the
     same sign has no root; the others narrow by k-section, D at the 15
-    interior points of 16 equal sections in one array call, to 1e-10 w.
+    interior points of 16 equal sections in one array call, to eps, the
+    larger of 1e-10 w (w = b - a) and 8 float spacings at the endpoint
+    farther from 0, or until a round leaves every bracket as it was.
     """
     interval = rho.interval
     a, b, w = interval.a, interval.b, interval.width
     if search is not None and not (search.b <= a or search.a >= b):
         raise DomainError("root-scan interval must be disjoint from the support")
     c1 = moment(rho, 1, spec)
+    eps = max(_BRACKET_WIDTH * w, _BRACKET_SPACINGS * np.spacing(max(-a, b)))
     if search is None:
-        gap = _BRACKET_WIDTH * w
-        reach = abs(math.sqrt(t) - 1.0) * math.sqrt(moment(rho, 2, spec) - c1 * c1)
-        if reach <= gap:
+        rule = rho.rule(spec)
+        reach = abs(math.sqrt(t) - 1.0) * math.sqrt(rule.w @ (rule.x - c1) ** 2)
+        if reach <= eps:
             return []
-        lo, hi = np.array([a - reach, b + gap]), np.array([a - gap, b + reach])
+        lo, hi = np.array([a - reach, b + eps]), np.array([a - eps, b + reach])
     else:
         lo, hi = np.array([search.a]), np.array([search.b])
 
@@ -215,12 +220,14 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     root = sign[0] != sign[1]
     lo, hi, sign = lo[root], hi[root], sign[0, root]
     rows = np.arange(len(lo))
-    while np.any(hi - lo > _BRACKET_WIDTH * w):
+    while np.any(hi - lo > eps):
         xs = np.linspace(lo, hi, _SECTIONS + 1, axis=1)
         # Keep the first section whose right end has left the sign of lo;
         # hi always has.
         left = np.sign(D(xs[:, 1:-1])) != sign[:, None]
         k = np.where(left.any(axis=1), left.argmax(axis=1) + 1, _SECTIONS)
+        if np.array_equal(xs[rows, k - 1], lo) and np.array_equal(xs[rows, k], hi):
+            break
         lo, hi = xs[rows, k - 1], xs[rows, k]
     return [(float(l), float(h)) for l, h in zip(lo, hi)]
 

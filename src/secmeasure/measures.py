@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidDensity, UnknownDensity
-from .quadrature import (DEFAULT_SPEC, EndpointExponents, IntegrationSpec,
-                         Interval, _call, derivative, refine_levels,
-                         tanh_sinh_nodes)
+from .quadrature import (DEFAULT_SPEC, ODD, EndpointExponents,
+                         IntegrationSpec, Interval, _call, derivative,
+                         finer_rule, refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -43,8 +43,8 @@ __all__ = [
 class WeightedRule:
     """Quadrature rule with the density absorbed into the weights.
 
-    ``x_lo/w_lo`` are the nodes of the next-coarser tanh-sinh level and are
-    used as a cross-check when integrating a new function against the rule.
+    ``x_lo/w_lo`` are the next-coarser tanh-sinh level, the first level of
+    every integral refined on the rule; x_lo = x[::2] and w_lo = 2 w[::2].
     """
 
     x: np.ndarray
@@ -87,53 +87,58 @@ class BaseDensity:
 
     # -- cached weighted rule --------------------------------------------
 
-    def _rule_at_level(self, level: int) -> tuple:
-        half = 0.5 * self.interval.width
-        mid = self.interval.midpoint
-        g, w, dm, dp = tanh_sinh_nodes(level)
+    def _rule_at_level(self, level: int, odd: bool = False) -> tuple:
+        half, mid = 0.5 * self.interval.width, self.interval.midpoint
+        g, w, dm, dp = tanh_sinh_nodes(level, odd)
         x = mid + half * g
         return x, half * w * self.value_at(x, half * dp, half * dm)
 
     def rule(self, spec: IntegrationSpec = DEFAULT_SPEC,
              min_level: int = 2) -> WeightedRule:
+        """The density-weighted rule, cached per (spec, min_level); each
+        level past ``min_level`` is ``finer_rule`` of the one before and
+        its odd-k nodes, bit for bit ``_rule_at_level``."""
         key = (spec, min_level)
         cached = self._rules.get(key)
         if cached is not None:
             return cached
-        built = {}
+        built = []
 
-        def estimate(level, act):
-            built[level] = self._rule_at_level(level)
-            return built[level][1].sum()[None]
+        def estimate(level, act, odd):
+            x, w = self._rule_at_level(level, odd)
+            built.append(finer_rule(*built[-1], x, w) if odd else (x, w))
+            return w.sum()[None]
 
         refine_levels(estimate, 1, spec, min_level,
                       f"weighted rule of {self.name!r}")
-        level = max(built)
-        rule = WeightedRule(*built[level], *built[level - 1], level)
-        self._rules[key] = rule
+        rule = self._rules[key] = WeightedRule(*built[-1], *built[-2],
+                                               min_level + len(built) - 1)
         return rule
 
-    def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str):
-        """``evaluate(x, w)`` on the cached rule, refined until two levels agree.
-
-        The first two levels are the rule's coarser level and the rule
-        itself; later levels are built anew, up to the rule's own cap,
-        level 2 + max_refinement_levels.  The estimates may be scalars or
-        arrays (compared in max-norm).
-        """
+    def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
+                count: int = 1):
+        """``evaluate(x, w)``, ``count`` sums over the nodes x with weights
+        w stacked along the first axis, on the cached rule, each refined
+        until two levels agree (arrays compared in max-norm).  The first
+        level is the rule's coarser one in full; later levels pass only
+        their odd-k nodes, the rule's and then new ones up to the rule's
+        own cap, level 2 + max_refinement_levels."""
         rule = self.rule(spec)
-        cached = {rule.level - 1: (rule.x_lo, rule.w_lo), rule.level: (rule.x, rule.w)}
 
-        def estimate(level, act):
-            x, w = cached.get(level) or self._rule_at_level(level)
-            return np.asarray(evaluate(x, w))[None]
+        def estimate(level, act, odd):
+            x, w = ((rule.x_lo, rule.w_lo) if not odd
+                    else (rule.x[ODD], rule.w[ODD]) if level == rule.level
+                    else self._rule_at_level(level, odd))
+            return np.asarray(evaluate(x, w))[act]
 
-        return refine_levels(estimate, 1, spec, 2, f"{what} against {self.name!r}",
-                             first=rule.level - 1)[0]
+        return refine_levels(estimate, count, spec, 2,
+                             f"{what} against {self.name!r}",
+                             first=rule.level - 1)
 
     def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
         """Integral of f against this density, refined until levels agree."""
-        return self._refine(lambda x, w: w @ _call(f, x), spec, "weighted integral")
+        return self._refine(lambda x, w: (w @ _call(f, x))[None], spec,
+                            "weighted integral")[0]
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
         """Total mass: the sum of the cached rule's weights."""
@@ -253,16 +258,24 @@ def moment(rho: BaseDensity, n: int, spec: IntegrationSpec = DEFAULT_SPEC) -> fl
     """Moment c_n = int x^n rho(x) dx."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    key = (n, spec)
-    if key not in rho._moments:
-        rho._moments[key] = float(rho.weighted_integral(lambda x: x ** n, spec))
-    return rho._moments[key]
+    return _moments(rho, [n], spec)[0]
 
 
 def moments(rho: BaseDensity, n_max: int,
             spec: IntegrationSpec = DEFAULT_SPEC) -> MomentSequence:
     """Moments c_0..c_{n_max} as a sequence."""
-    return MomentSequence(tuple(moment(rho, n, spec) for n in range(n_max + 1)))
+    return MomentSequence(tuple(_moments(rho, range(n_max + 1), spec)))
+
+
+def _moments(rho: BaseDensity, orders, spec: IntegrationSpec) -> list:
+    """Cached moments; the missing ones come from one refinement with one
+    element, and one stop test, per order."""
+    todo = [n for n in orders if (n, spec) not in rho._moments]
+    if todo:
+        p = np.array(todo)[:, None]
+        vals = rho._refine(lambda x, w: (x ** p) @ w, spec, "moments", len(todo))
+        rho._moments.update(zip([(n, spec) for n in todo], vals.tolist()))
+    return [rho._moments[(n, spec)] for n in orders]
 
 
 def inner_product(f: Callable, g: Callable, rho: BaseDensity,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InstabilityDetected
 from .measures import BaseDensity
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call,
-                         QUOTIENT_FALLBACK, derivative)
+                         QUOTIENT_FALLBACK, derivative, finer_sum)
 
 __all__ = [
     "RecurrenceCoefficients",
@@ -111,9 +111,11 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
                             ) -> RecurrenceCoefficients:
     """Stieltjes procedure for the first N recurrence rows of rho.
 
-    Inner products are discretized on the density's tanh-sinh rule; the
-    Gram matrix of the resulting polynomials on the next-finer rule must
-    stay within DRIFT_TOL of the identity.
+    Inner products are discretized on the density's tanh-sinh rule
+    (``rule(spec, min_level=8)``); the Gram matrix of the resulting
+    polynomials on the next-finer rule must stay within DRIFT_TOL of the
+    identity.  That check evaluates the density only at the len(rule.x) - 1
+    nodes the finer rule adds.
     """
     if N < 1:
         raise ValueError("need at least one recurrence row")
@@ -124,27 +126,28 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
 
     a = np.empty(N)
     b = np.empty(max(N - 1, 0))
-    p_prev = np.zeros_like(x)
     mass = w.sum()
-    p_cur = np.ones_like(x) / np.sqrt(mass)
-    b_cur = 0.0
+    # Row n is P_n / sqrt(mass) on the rule.
+    p = np.empty((N, len(x)))
+    p[0] = 1.0 / np.sqrt(mass)
     for n in range(N):
-        a[n] = w @ (x * p_cur * p_cur)
+        a[n] = w @ (x * p[n] * p[n])
         if n == N - 1:
             break
-        q = (x - a[n]) * p_cur - b_cur * p_prev
+        q = (x - a[n]) * p[n] - (b[n - 1] * p[n - 1] if n else 0.0)
         b2 = w @ (q * q)
         if b2 <= 0:
             raise InstabilityDetected(f"b_{n + 1}^2 = {b2:.3e} <= 0")
         b[n] = np.sqrt(b2)
-        p_prev, p_cur, b_cur = p_cur, q / b[n], b[n]
+        p[n + 1] = q / b[n]
     coeffs = RecurrenceCoefficients(a, b)
 
     # The rule must resolve the polynomials: check their orthonormality on
-    # the next-finer rule, which the procedure above did not see.
-    xf, wf = rho._rule_at_level(rule.level + 1)
+    # the next-finer rule, which the procedure above did not see.  Its Gram
+    # matrix is half the rule's plus that of the odd-k nodes it adds.
+    xf, wf = rho._rule_at_level(rule.level + 1, odd=True)
     fine = orthonormal_polys(coeffs).values(xf) / np.sqrt(mass)
-    gram = (fine * wf) @ fine.T
+    gram = finer_sum((p * w) @ p.T, (fine * wf) @ fine.T)
     drift = np.max(np.abs(gram - np.eye(N)))
     if drift > DRIFT_TOL:
         raise InstabilityDetected(
@@ -209,8 +212,8 @@ def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
     fx = np.asarray(_call(f, xs))
     iv = rho.interval
     out = rho._refine(
-        lambda u, w: _t_against_rule(f, xs, fx, u, w, iv.width, iv.a, iv.b),
-        spec, "T")
+        lambda u, w: _t_against_rule(f, xs, fx, u, w, iv.width, iv.a, iv.b)[None],
+        spec, "T")[0]
     if scalar:
         return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
     return out

@@ -1,7 +1,11 @@
 """Integration engine on compact intervals.
 
 Every integral here is a tanh-sinh (double exponential) rule refined until
-two levels agree.  Entry points:
+two levels agree.  Level L's nodes are the even-k nodes of level L+1, bit
+for bit, at half the weight, so (as in Takahasi and Mori's scheme, mpmath's
+``TanhSinh.sum_next``) a refinement evaluates each later level only at the
+odd-k nodes it adds and adds half the previous level's sum; only this
+module knows that.  Entry points:
 
 * ``refine_levels``   -- the one tanh-sinh level loop, through which every
                          integral in the package goes: a batch of integrals
@@ -129,15 +133,21 @@ def _call(f: Callable, x: np.ndarray) -> np.ndarray:
 # of the mapped node to the endpoint is ~1e-37, small enough that even
 # alpha = -1/2 weights contribute below 1e-15.
 _TS_TMAX = 4.0
+# Positions of the odd-k nodes, the ones level - 1 lacks, in a level's arrays.
+ODD = slice(1, None, 2)
 
 
 @lru_cache(maxsize=None)
-def tanh_sinh_nodes(level: int):
+def tanh_sinh_nodes(level: int, odd: bool = False):
     """Unit tanh-sinh nodes on (-1, 1) at mesh h = 2^-level.
 
     Returns ``(g, w, dm, dp)`` where g are the abscissae, w the weights,
-    and dm = 1 - g, dp = 1 + g computed without cancellation.
+    and dm = 1 - g, dp = 1 + g computed without cancellation, at the
+    8 * 2^level + 1 nodes t = k h, |k| <= 4/h; with ``odd`` at the odd-k
+    ones only (a view of the full arrays).
     """
+    if odd:
+        return tuple(v[ODD] for v in tanh_sinh_nodes(level))
     h = 2.0 ** (-level)
     k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
     t = k * h
@@ -146,34 +156,53 @@ def tanh_sinh_nodes(level: int):
     w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
     dm = 2.0 / (1.0 + np.exp(2.0 * u))   # 1 - g, exact near the right endpoint
     dp = 2.0 / (1.0 + np.exp(-2.0 * u))  # 1 + g
-    keep = (dm > 0) & (dp > 0) & (w > 0)
-    return g[keep], w[keep], dm[keep], dp[keep]
+    return g, w, dm, dp
+
+
+def finer_sum(coarse, odd):
+    """Level L+1's sum from level L's and that over its odd-k nodes."""
+    return 0.5 * coarse + odd
+
+
+def finer_rule(x, w, x_odd, w_odd):
+    """Level L+1's nodes and weights: level L's (x, w) at half the weight,
+    interleaved with its odd-k nodes."""
+    out = np.empty((2, 2 * len(x) - 1))
+    out[:, ::2], out[:, ODD] = (x, 0.5 * w), (x_odd, w_odd)
+    return out
 
 
 def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
-                  start: int, what: str, first: Optional[int] = None):
+                  start: int, what: str, first: Optional[int] = None,
+                  settle: Optional[Callable] = None):
     """The one tanh-sinh level loop: refines ``count`` integrals together
     and returns their values stacked along the first axis.
 
-    ``estimate(level, act)`` returns the level estimates of the elements
-    indexed by the array ``act`` (an element may be an array, compared in
-    max-norm), or those and a per-element ``floor``.  An element settles at
-    the first level where max|cur - prev| <= max(abs_tol, rel_tol max|cur|,
-    floor).  Levels run from ``first`` (default ``start``) to start +
-    max_refinement_levels; ``what`` names the integrals in NonConvergence,
-    and in the EvaluationFailure raised at the first level whose estimates
-    are not all finite.
+    ``estimate(level, act, odd)`` returns the sums of the elements indexed
+    by the array ``act`` (an element may be an array, compared in
+    max-norm) over all of the level's nodes at the first level, and after
+    it (``odd``) over its odd-k nodes, to which the loop adds half the
+    previous level's sums.  The estimates are the sums, or the first of
+    ``settle(act, sums)``, which also returns a per-element ``floor``.  An
+    element settles at the first level where max|cur - prev| <=
+    max(abs_tol, rel_tol max|cur|, floor).  Levels run from ``first``
+    (default ``start``) to start + max_refinement_levels; ``what`` names
+    the integrals in NonConvergence, and in the EvaluationFailure raised
+    at the first level whose estimates are not all finite.
     """
     act = np.arange(count)
-    est = None
+    sums = est = None
     # A non-finite estimate raises below; numpy's warnings about forming it
     # would only repeat that.
     with np.errstate(invalid="ignore", divide="ignore"):
         for level in range(start if first is None else first,
                            start + spec.max_refinement_levels + 1):
-            cur, floor = estimate(level, act), None
-            if isinstance(cur, tuple):
-                cur, floor = cur
+            new = estimate(level, act, sums is not None)
+            if sums is None:
+                sums = new.copy()
+            else:
+                new = sums[act] = finer_sum(sums[act], new)
+            cur, floor = settle(act, new) if settle else (new, None)
             if not np.isfinite(cur).all():
                 raise EvaluationFailure(f"{what} is not finite at level {level}")
             if est is None:
@@ -209,8 +238,8 @@ def tanh_sinh(fn: Callable, interval: Interval,
     half = 0.5 * interval.width
     mid = interval.midpoint
 
-    def estimate(level, act):
-        g, w, dm, dp = tanh_sinh_nodes(level)
+    def estimate(level, act, odd):
+        g, w, dm, dp = tanh_sinh_nodes(level, odd)
         vals = np.asarray(fn(mid + half * g, half * dp, half * dm))
         return half * (w @ vals)[None]
 

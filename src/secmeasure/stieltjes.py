@@ -69,7 +69,9 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
 
     phi(x)/2 = int (rho(u) - rho(x))/(x - u) du + rho(x) ln(dxl/dxr); the
     pole separation x - u is formed as a difference of endpoint distances,
-    which stays exact when both points crowd the same endpoint.
+    which stays exact when both points crowd the same endpoint.  Each row
+    sums the integral and its magnitude (for the rounding floor); ``settle``
+    adds the log term to the nested sums.
     """
     interval = rho.interval
     half, mid = 0.5 * interval.width, interval.midpoint
@@ -86,12 +88,11 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
                 rho.derivative_at(xs[miss], dxl[miss], dxr[miss]), dtype=float)
         return drx[sel]
 
-    def estimate(level, act):
-        g, w, dm, dp = tanh_sinh_nodes(level)
+    def estimate(level, act, odd):
+        g, w, dm, dp = tanh_sinh_nodes(level, odd)
         u, dl, dr = mid + half * g, half * dp, half * dm
         ru = np.asarray(rho.value_at(u, dl, dr), dtype=float)
-        cur = np.empty(len(act))
-        mag = np.empty(len(act))
+        sums = np.empty((len(act), 2))
         for s in range(0, len(act), _ROW_CHUNK):
             sel = act[s:s + _ROW_CHUNK]
             # x - u as a difference of distances to the nearer endpoint of
@@ -108,8 +109,13 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
                     & interior[sel, None]) | exact
             if swap.any():
                 quot = np.where(swap, -deriv(sel)[:, None], quot)
-            cur[s:s + _ROW_CHUNK] = half * (quot @ w) + base[sel]
-            mag[s:s + _ROW_CHUNK] = half * (np.abs(quot) @ w) + np.abs(base[sel])
+            sums[s:s + _ROW_CHUNK, 0] = half * (quot @ w)
+            sums[s:s + _ROW_CHUNK, 1] = half * (np.abs(quot) @ w)
+        return sums
+
+    def settle(act, sums):
+        cur = sums[:, 0] + base[act]
+        mag = sums[:, 1] + np.abs(base[act])
         # Within the endpoint margin phi only enters downstream through
         # phi^2/4 + pi^2 rho^2, which is rho^2-dominated exactly where the
         # subtraction above is ill-conditioned (singular densities).  Accept
@@ -121,7 +127,8 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
         return cur, np.maximum(100 * np.finfo(float).eps * mag, slack)
 
     return 2.0 * refine_levels(estimate, len(xs), spec, _PHI_START_LEVEL,
-                               f"reducer quadrature of {rho.name!r}")
+                               f"reducer quadrature of {rho.name!r}",
+                               settle=settle)
 
 
 def _phi_values(rho: BaseDensity, xs, dxl, dxr,
@@ -215,8 +222,8 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     piece = np.repeat(np.arange(4), n)
     z, iy, w0_row = np.tile(zs, 4), np.tile(1j * y, 4), np.tile(w0, 4)
 
-    def estimate(level, act):
-        g, w, dm, dp = tanh_sinh_nodes(level)
+    def estimate(level, act, odd):
+        g, w, dm, dp = tanh_sinh_nodes(level, odd)
         h, p = half[act, None], piece[act, None]
         t = mid[act, None] + h * g
         dl, dr = h * dp, h * dm
@@ -252,8 +259,8 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     ze = zs - np.where(left, interval.a, interval.b)
     one_side = np.count_nonzero(left) in (0, len(zs))
 
-    def estimate(level, act):
-        g, w, dm, dp = tanh_sinh_nodes(level)
+    def estimate(level, act, odd):
+        g, w, dm, dp = tanh_sinh_nodes(level, odd)
         dl, dr = half * dp, half * dm
         vals = _weight_eval(rho, mid + half * g, dl, dr, shift)
         cur = np.empty(len(act), dtype=complex)

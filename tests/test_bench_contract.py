@@ -4,8 +4,9 @@ secmeasure: set-up and the first ops of three workloads, seed 1.
 transform-scan runs its whole first pass of 40 inputs, so that a validity
 screen answer the oracle rejects fails here; the other two run three ops.
 The full benchmark tests (``python -m pytest perfbench``) take over a
-minute; this catches a broken call in a few seconds.  It only imports
-``perfbench/`` and writes nothing there.
+minute; this catches a broken call in a few seconds.  A second test bounds
+the user points (the deterministic work count) of the first three ops.
+It only imports ``perfbench/`` and writes nothing there.
 """
 
 import sys
@@ -36,3 +37,22 @@ def test_benchmark_ops_pass_their_checks(perfbench, name):
     for i in range(wl.pass_size if name == "transform-scan" else 3):
         _, _, cause = wl.op(i)
         assert cause is None, f"{name} op {i}: {cause}"
+
+
+# User points of ops 0-2, seed 1, after set-up.  When every level of a
+# refinement evaluated all its nodes, density-sweep read 14,433 and
+# operator-solve 49,827; evaluating only the nodes a coarser level lacks
+# brought them to 8,608 and 23,206.  The bound is 0.7 of the former.
+_POINTS_ALL_NODES = {"density-sweep": 14433, "operator-solve": 49827}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTS_ALL_NODES))
+def test_benchmark_ops_evaluate_only_new_nodes(perfbench, name):
+    Tracer, WORKLOADS = perfbench
+    tracer = Tracer(False)
+    wl = WORKLOADS[name](tracer, 1)
+    wl.setup()
+    before = tracer.points
+    for i in range(3):
+        wl.op(i)
+    assert tracer.points - before <= 0.7 * _POINTS_ALL_NODES[name]

@@ -181,6 +181,22 @@ def test_root_scan_is_scale_free(w, spec):
         assert hi - lo <= 1e-10 * w
 
 
+@pytest.mark.parametrize("a", [1e4, 1e6, 1e7, 1e8])
+def test_root_scan_far_from_the_origin(a, spec):
+    # Uniform on [a, a + 1]: 1e-10 w is below the float spacing there.
+    # Before the brackets stopped at a few spacings, a = 1e6 never returned,
+    # a = 1e7 raised PointOnInterval, and a = 1e8 (where c_2 - c_1^2
+    # cancels to 0) returned no brackets.
+    rho = Density(Interval(a, a + 1.0), lambda x: np.ones(np.shape(x)),
+                  EndpointExponents(), "uniform")
+    d = _uniform_root(3.0)
+    brackets = denominator_root_scan(rho, 3.0, None, spec)
+    assert len(brackets) == 2
+    for (lo, hi), root in zip(brackets, (a - d, a + 1.0 + d)):
+        assert lo <= root <= hi
+        assert hi - lo <= max(1e-10, 8 * np.spacing(a + 1.0))
+
+
 def test_root_scan_narrows_in_few_calls(counted_semicircle, spec):
     # One call for the ends of both sides, then one per k-section round;
     # the grid scan with bisection made 128 calls of h here.

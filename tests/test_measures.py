@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, IntegrationSpec, Interval,
-                        InvalidDensity, NonConvergence, UnknownDensity,
-                        catalog, inner_product, mean_project, moment, moments,
-                        user_density)
-from secmeasure.quadrature import EndpointExponents
+from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, Density, IntegrationSpec,
+                        Interval, InvalidDensity, NonConvergence,
+                        UnknownDensity, catalog, inner_product, mean_project,
+                        measures, moment, moments, user_density)
+from secmeasure.quadrature import EndpointExponents, refine_levels
 
 
 def test_catalog_names_and_unknown():
@@ -114,3 +114,50 @@ def test_weighted_integral(sqrt32, spec):
     val = sqrt32.weighted_integral(
         lambda x: np.asarray(x, dtype=float), spec)
     assert abs(float(val.real) - 0.6) < 1e-12
+
+
+def _quartic():
+    return Density(Interval(0.0, 1.0), lambda x: 0.5 + x ** 4,
+                   EndpointExponents(0.5, 0.0), "quartic")
+
+
+def test_moments_make_one_engine_call(monkeypatch, spec):
+    # One refinement with one element, and one stop test, per order; it
+    # fills the cache that moment reads.  One call per order made seven.
+    rho = _quartic()
+    rho.rule(spec)
+    moment(rho, 2, spec)
+    calls = []
+
+    def counting(estimate, count, *args, **kwargs):
+        calls.append(count)
+        return refine_levels(estimate, count, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "refine_levels", counting)
+    ms = moments(rho, 6, spec)
+    assert calls == [6]
+    assert [moment(rho, n, spec) for n in range(7)] == list(ms.values)
+    assert calls == [6]
+    monkeypatch.undo()
+    for n in range(7):
+        assert abs(ms[n] - moment(_quartic(), n, spec)) <= 1e-15 * ms[n]
+
+
+@pytest.mark.parametrize("min_level", [2, 8])
+def test_rule_equals_its_level_bit_for_bit(min_level):
+    # rule() builds each level from the one before and its new nodes; the
+    # result is the level computed in full, and so is its coarser level.
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        alpha, beta = rng.uniform(-0.5, 1.5, 2)
+        coef = rng.uniform(0.2, 1.0, 4)
+        rho = Density(Interval(0.0, 1.0),
+                      lambda x, c=coef: np.polynomial.polynomial.polyval(x, c),
+                      EndpointExponents(alpha, beta), "jacobi")
+        rule = rho.rule(min_level=min_level)
+        for (x, w), level in (((rule.x, rule.w), rule.level),
+                              ((rule.x_lo, rule.w_lo), rule.level - 1)):
+            want_x, want_w = rho._rule_at_level(level)
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(w, want_w)
+        assert np.all(np.diff(rule.x) >= 0)

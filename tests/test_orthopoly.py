@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import IntegrationSpec, catalog, family, moment
+from secmeasure import (Density, IntegrationSpec, Interval, catalog, family,
+                        moment)
 from secmeasure.errors import InstabilityDetected, NonConvergence
 from secmeasure.measures import CATALOG_NAMES, BaseDensity
 from secmeasure.orthopoly import (_KERNEL_ENTRIES, RecurrenceCoefficients,
                                   _t_against_rule, apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
-from secmeasure.quadrature import QUOTIENT_FALLBACK, derivative
+from secmeasure.quadrature import (QUOTIENT_FALLBACK, EndpointExponents,
+                                   derivative)
 from secmeasure.stieltjes import secondary_measure
 
 
@@ -45,6 +47,18 @@ def test_orthonormal_polys_are_orthonormal(linear2x, spec):
             val = float(linear2x.weighted_integral(
                 lambda x: polys.eval(n, x) * polys.eval(m, x), spec).real)
             assert abs(val - (1.0 if n == m else 0.0)) < 1e-10
+
+
+def test_drift_check_evaluates_only_new_nodes(counted, spec):
+    # The next-finer Gram matrix is half the rule's plus its odd-k nodes',
+    # so a warm call evaluates the density at len(rule.x) - 1 points; on the
+    # finer rule in full it took 2 len(rule.x) - 1.
+    h = counted(lambda x: 1.0 + x)
+    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(0.5, 0.0), "h")
+    rule = rho.rule(spec, min_level=8)
+    h.args.clear()
+    recurrence_coefficients(rho, 10, spec)
+    assert sum(map(len, h.args)) == len(rule.x) - 1 == 4096
 
 
 @pytest.mark.parametrize("name", ["uniform", "linear2x", "sqrt32"])

@@ -26,10 +26,45 @@ def test_interval_rejects_empty():
 
 
 def test_tanh_sinh_nodes_nest():
-    g3, w3, _, _ = tanh_sinh_nodes(3)
-    g4, _, _, _ = tanh_sinh_nodes(4)
-    assert set(np.round(g3, 12)).issubset(set(np.round(g4, 12)))
-    assert np.all(w3 > 0)
+    # Level L+1's even-k nodes are level L's bit for bit, at exactly half
+    # the weight; the odd view is the rest.
+    for level in range(2, 15):
+        coarse, fine = tanh_sinh_nodes(level), tanh_sinh_nodes(level + 1)
+        g, w, dm, dp = coarse
+        assert len(g) == 8 * 2 ** level + 1 and np.all(w > 0)
+        for c, f in zip((g, dm, dp), (fine[0], fine[2], fine[3])):
+            np.testing.assert_array_equal(f[::2], c)
+        np.testing.assert_array_equal(fine[1][::2], 0.5 * w)
+        for f, o in zip(fine, tanh_sinh_nodes(level + 1, odd=True)):
+            np.testing.assert_array_equal(f[1::2], o)
+
+
+def test_refinement_evaluates_each_node_once(counted):
+    # Settling at level L, an integral has called its integrand on exactly
+    # the 8 2^L + 1 nodes of level L: the first level in full, then only the
+    # odd-k nodes of each finer one.  Evaluating every level in full called
+    # it on 98 points at level 3.
+    def nodes(level):
+        return 8 * 2 ** level + 1
+
+    f = counted(lambda x: np.exp(x))
+    val = tanh_sinh(lambda x, dl, dr: f(x), Interval(0.0, 1.0))
+    level = 1 + len(f.args)
+    assert abs(val - (math.e - 1.0)) < 1e-13
+    assert [len(a) for a in f.args] == [33] + [4 * 2 ** k
+                                             for k in range(3, level + 1)]
+
+    h = counted(lambda x: 1.0 + x * x)
+    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(), "quadratic")
+    rule = rho.rule()
+    assert rule.level == 3
+    assert sum(map(len, h.args)) == nodes(rule.level) == 65
+
+    # Past the rule's level, h too is called on the new nodes alone.
+    g = counted(np.cos)
+    rho.weighted_integral(g)
+    level = rule.level + len(g.args) - 2
+    assert sum(map(len, g.args)) == sum(map(len, h.args)) == nodes(level)
 
 
 def test_tanh_sinh_smooth():
