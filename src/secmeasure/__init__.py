@@ -10,8 +10,8 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      EvaluationFailure, ExprSyntaxError,
                      ExtrapolationDivergence, InstabilityDetected,
                      InvalidDensity, InvalidParameter, NonConvergence,
-                     PointOnInterval, SecmeasureError, TransformZero,
-                     UnknownDensity, UnknownFunction)
+                     PointOnInterval, SecmeasureError, UnknownDensity,
+                     UnknownFunction)
 from .expressions import Expr, parse
 from .family import (FamilyDensity, FamilyParameter, denominator_root_scan,
                      dirac_limit_check, equi_normality_check, family,
@@ -20,18 +20,17 @@ from .family import (FamilyDensity, FamilyParameter, denominator_root_scan,
 from .measures import (CATALOG_NAMES, BaseDensity, Density, MomentSequence,
                        catalog, inner_product, mean_project, moment, moments,
                        user_density)
-from .operators import (IntegralEquationProblem, OperatorContext, apply_V,
-                        apply_V_inverse, barycentric_check, composition_check,
-                        isometry_check, make_context, residual_check,
-                        solve_integral_equation, transform_relation_check,
-                        transformed_polys)
+from .operators import (IntegralEquationProblem, apply_V, apply_V_inverse,
+                        barycentric_check, composition_check, isometry_check,
+                        make_context, residual_check, solve_integral_equation,
+                        transform_relation_check, transformed_polys)
 from .orthopoly import (PolynomialSequence, RecurrenceCoefficients, apply_T,
                         orthonormal_polys, recurrence_coefficients,
                         secondary_polys)
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, tanh_sinh
 from .report import (OutputTable, VerificationReport, numeric_report,
                      property_report)
-from .stieltjes import (SecondaryMeasureData, lerch_phi_half, perron_invert,
+from .stieltjes import (SecondaryMeasure, lerch_phi_half, perron_invert,
                         reducer, secondary_measure, secondary_transform,
                         stieltjes_transform)
 from .verify import SUITES, run_suite

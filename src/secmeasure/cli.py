@@ -23,7 +23,7 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      EvaluationFailure, ExprSyntaxError,
                      ExtrapolationDivergence, InstabilityDetected,
                      InvalidDensity, InvalidParameter, NonConvergence,
-                     PointOnInterval, TransformZero, UnknownDensity)
+                     PointOnInterval, UnknownDensity)
 from .expressions import parse as parse_expr
 from .family import denominator_root_scan, family_density, moment0_curve
 from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
@@ -45,7 +45,7 @@ EXIT_NUMERICAL = 3
 _USAGE_ERRORS = (UnknownDensity, InvalidDensity, ExprSyntaxError, DomainError,
                  InvalidParameter, PointOnInterval, ValueError)
 _NUMERICAL_ERRORS = (NonConvergence, EvaluationFailure, InstabilityDetected,
-                     ExtrapolationDivergence, TransformZero, DenominatorZero,
+                     ExtrapolationDivergence, DenominatorZero,
                      DegenerateMeasure, FloatingPointError, OverflowError)
 
 RESIDUAL_LIMIT = 1e-5

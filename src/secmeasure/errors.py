@@ -37,10 +37,6 @@ class PointOnInterval(SecmeasureError):
     """Transform argument is (numerically) on the support interval."""
 
 
-class TransformZero(SecmeasureError):
-    """Stieltjes transform too close to zero to invert."""
-
-
 class DegenerateMeasure(SecmeasureError):
     """Secondary measure has (numerically) zero mass."""
 

@@ -93,19 +93,15 @@ class FamilyDensity(BaseDensity):
         return self.param.t
 
     def value_at(self, x, dleft, dright):
-        shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dleft = np.atleast_1d(np.asarray(dleft, dtype=float))
-        dright = np.atleast_1d(np.asarray(dright, dtype=float))
         rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
         t = self.param.t
         if t == 1.0:
-            return rho.reshape(shape)
+            return rho
         phi = _phi_values(self.base, x, dleft, dright, self.spec)
-        shift = x - self.c1
-        bracket = 0.5 * (t - 1.0) * shift * phi - t
+        shift = np.asarray(x, dtype=float) - self.c1
+        bracket = 0.5 * (t - 1.0) * shift * phi.reshape(rho.shape) - t
         den = bracket ** 2 + (math.pi * rho * (t - 1.0) * shift) ** 2
-        return (t * rho / den).reshape(shape)
+        return t * rho / den
 
     def __repr__(self):
         return (f"FamilyDensity({self.base.name!r}, t={self.t:g}, "

@@ -43,14 +43,12 @@ __all__ = [
 class WeightedRule:
     """Quadrature rule with the density absorbed into the weights.
 
-    ``x_lo/w_lo`` are the next-coarser tanh-sinh level, the first level of
-    every integral refined on the rule; x_lo = x[::2] and w_lo = 2 w[::2].
+    The next-coarser tanh-sinh level, the first level of every integral
+    refined on the rule, is x[::2] with weights 2 w[::2], bit for bit.
     """
 
     x: np.ndarray
     w: np.ndarray
-    x_lo: np.ndarray
-    w_lo: np.ndarray
     level: int
 
 
@@ -102,17 +100,18 @@ class BaseDensity:
         cached = self._rules.get(key)
         if cached is not None:
             return cached
-        built = []
+        x = w = top = None
 
         def estimate(level, act, odd):
-            x, w = self._rule_at_level(level, odd)
-            built.append(finer_rule(*built[-1], x, w) if odd else (x, w))
-            return w.sum()[None]
+            nonlocal x, w, top
+            xl, wl = self._rule_at_level(level, odd)
+            x, w = finer_rule(x, w, xl, wl) if odd else (xl, wl)
+            top = level
+            return wl.sum()[None]
 
         refine_levels(estimate, 1, spec, min_level,
                       f"weighted rule of {self.name!r}")
-        rule = self._rules[key] = WeightedRule(*built[-1], *built[-2],
-                                               min_level + len(built) - 1)
+        rule = self._rules[key] = WeightedRule(x, w, top)
         return rule
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
@@ -126,7 +125,7 @@ class BaseDensity:
         rule = self.rule(spec)
 
         def estimate(level, act, odd):
-            x, w = ((rule.x_lo, rule.w_lo) if not odd
+            x, w = ((rule.x[::2], 2.0 * rule.w[::2]) if not odd
                     else (rule.x[ODD], rule.w[ODD]) if level == rule.level
                     else self._rule_at_level(level, odd))
             return np.asarray(evaluate(x, w))[act]

@@ -8,8 +8,10 @@ solves the integral equation
     (E_lambda):  f(x) + lambda (x-c_1) int (f(u)-f(x))/(u-x) rho(u) du = g(x)
 
 in closed form, f = g - (lambda/(1+lambda)) (x-c_1) T_{rho_t}(g) with
-t = 1/(1+lambda).  The module also verifies the composition, barycentric,
-and transform-relation identities satisfied by the family of operators.
+t = 1/(1+lambda).  The operators' context is rho_t itself, the
+``FamilyDensity`` that ``make_context`` validates, carrying rho, c_1 and t.
+The module also verifies the composition, barycentric, and
+transform-relation identities satisfied by the family of operators.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameter
-from .family import FamilyDensity, FamilyParameter, family, family_transform
+from .family import FamilyDensity, family, family_transform
 from .measures import BaseDensity, inner_product, mean_project, moment
 from .orthopoly import (apply_T, orthonormal_polys, recurrence_coefficients,
                         secondary_polys)
@@ -28,7 +30,6 @@ from .quadrature import DEFAULT_SPEC, IntegrationSpec, _call
 from .report import VerificationReport, numeric_report, property_report, timer
 
 __all__ = [
-    "OperatorContext",
     "IntegralEquationProblem",
     "make_context",
     "apply_V",
@@ -44,25 +45,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorContext:
-    """A density, a validated family parameter, and the derived rho_t."""
-
-    rho: BaseDensity
-    param: FamilyParameter
-    c1: float
-    rho_t: FamilyDensity
-
-    @property
-    def t(self) -> float:
-        return self.param.t
-
-
 def make_context(rho: BaseDensity, t: float,
-                 spec: IntegrationSpec = DEFAULT_SPEC) -> OperatorContext:
-    """Validate t and bundle rho with its family member rho_t."""
-    dens = family(rho, t, spec)
-    return OperatorContext(rho, dens.param, dens.c1, dens)
+                 spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
+    """rho_t, t validated; the operators read rho, c_1 and t from it as
+    ``base``, ``c1`` and ``t``."""
+    return family(rho, t, spec)
 
 
 def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
@@ -76,37 +63,37 @@ def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def apply_V(ctx: OperatorContext, f: Callable, x,
+def apply_V(ctx: FamilyDensity, f: Callable, x,
             spec: IntegrationSpec = DEFAULT_SPEC):
     """V(f)(x) = t f(x) + (1-t)(x-c_1) T(f)(x), T against the base density."""
-    return _f_plus_T(ctx.t, 1.0 - ctx.t, ctx.rho, ctx.c1, f, x, spec)
+    return _f_plus_T(ctx.t, 1.0 - ctx.t, ctx.base, ctx.c1, f, x, spec)
 
 
-def apply_V_inverse(ctx: OperatorContext, f: Callable, x,
+def apply_V_inverse(ctx: FamilyDensity, f: Callable, x,
                     spec: IntegrationSpec = DEFAULT_SPEC):
     """V^{-1}(f)(x) = (1/t) f(x) + (1 - 1/t)(x-c_1) T_{rho_t}(f)(x)."""
     t = ctx.t
-    return _f_plus_T(1.0 / t, 1.0 - 1.0 / t, ctx.rho_t, ctx.c1, f, x, spec)
+    return _f_plus_T(1.0 / t, 1.0 - 1.0 / t, ctx, ctx.c1, f, x, spec)
 
 
-def isometry_check(ctx: OperatorContext, f: Callable,
+def isometry_check(ctx: FamilyDensity, f: Callable,
                    spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
     """Compare int f~^2 rho with int V(f~)^2 rho_t/t, f~ mean-projected.
 
     Passes when the two sides agree within 1e-6 * max(1, |left|).
     """
     with timer() as tm:
-        ft = mean_project(f, ctx.rho, spec)
-        left = inner_product(ft, ft, ctx.rho, spec)
-        right = float(ctx.rho_t.weighted_integral(
+        ft = mean_project(f, ctx.base, spec)
+        left = inner_product(ft, ft, ctx.base, spec)
+        right = float(ctx.weighted_integral(
             lambda xs: np.atleast_1d(apply_V(ctx, ft, xs, spec)) ** 2,
             spec).real) / ctx.t
     tol = 1e-6 * max(1.0, abs(left))
-    return numeric_report(f"isometry {ctx.rho.name} t={ctx.t:g}",
+    return numeric_report(f"isometry {ctx.base.name} t={ctx.t:g}",
                           left, right, tol, "paper", tm.ms)
 
 
-def transformed_polys(ctx: OperatorContext, N: int,
+def transformed_polys(ctx: FamilyDensity, N: int,
                       spec: IntegrationSpec = DEFAULT_SPEC):
     """P_0^t..P_N^t and Q_0^t..Q_N^t, orthonormal and secondary for rho_t.
 
@@ -115,7 +102,7 @@ def transformed_polys(ctx: OperatorContext, N: int,
     P_n^t = (1/sqrt(t)) [t P_n + (1-t)(x - c_1) Q_n] for n >= 1 and
     Q_n^t = Q_n / sqrt(t).
     """
-    rc = recurrence_coefficients(ctx.rho, N + 1, spec).codilated(ctx.t)
+    rc = recurrence_coefficients(ctx.base, N + 1, spec).codilated(ctx.t)
     return orthonormal_polys(rc), secondary_polys(rc)
 
 
@@ -202,7 +189,7 @@ def composition_check(rho: BaseDensity, t: float, s: float, f: Callable,
     with timer() as tm:
         ctx_t = make_context(rho, t, spec)
         ctx_ts = make_context(rho, t * s, spec)
-        ctx_s = make_context(ctx_t.rho_t, s, spec)
+        ctx_s = make_context(ctx_t, s, spec)
         grid = rho.interval.interior_grid(20, 2e-3)
 
         def vf(x):
@@ -218,15 +205,21 @@ def composition_check(rho: BaseDensity, t: float, s: float, f: Callable,
 def transform_relation_check(rho: BaseDensity, t: float, s: float, z,
                              spec: IntegrationSpec = DEFAULT_SPEC
                              ) -> VerificationReport:
-    """(z-c_1) S^t(z) S^s(z) vs [t S^t(z) - s S^s(z)]/(t-s), tolerance 1e-8."""
+    """(z-c_1) S^t(z) S^s(z) vs [t S^t(z) - s S^s(z)]/(t-s), tolerance 1e-8.
+
+    z is one point or an array of them, each parameter's transform one
+    call for all; the report carries the worst deviation.
+    """
     if t == s:
         raise InvalidParameter("transform relation needs t != s")
     with timer() as tm:
-        z = complex(z)
+        zs = np.asarray(z, dtype=complex)
         c1 = moment(rho, 1, spec)
-        st = family_transform(rho, t, z, spec)
-        ss = family_transform(rho, s, z, spec)
-        dev = abs((z - c1) * st * ss - (t * st - s * ss) / (t - s))
+        st = family_transform(rho, t, zs, spec)
+        ss = family_transform(rho, s, zs, spec)
+        dev = float(np.max(np.abs((zs - c1) * st * ss
+                                  - (t * st - s * ss) / (t - s))))
+    where = f"z={complex(zs)}" if zs.ndim == 0 else f"{zs.size} z"
     return property_report(
-        f"transform-relation {rho.name} t={t:g} s={s:g} z={z}",
+        f"transform-relation {rho.name} t={t:g} s={s:g} {where}",
         dev, 1e-8, "derived", tm.ms)

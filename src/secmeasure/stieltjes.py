@@ -9,28 +9,31 @@ refinement.  The reducer
     phi(x) = 2 PV int rho(t)/(x - t) dt
 
 is the jump data of S across the cut and enters the closed form of the
-secondary measure, mu = rho / (phi^2/4 + pi^2 rho^2).  Stieltjes-Perron
-inversion goes the other way: it recovers a density from an arbitrary
-transform evaluator by extrapolating (S(x - i eps) - S(x + i eps))/(2 i pi)
-to eps = 0.
+secondary measure, mu = rho / (phi^2/4 + pi^2 rho^2).  mu is itself a
+density (of mass d0, the variance of rho), so its transform is
+``stieltjes_transform`` of mu; the paper's homographic relation
+S_mu = z - c_1 - 1/S_rho is checked against it, not used to compute it.
+Stieltjes-Perron inversion goes the other way: it recovers a density from
+an arbitrary transform evaluator by extrapolating
+(S(x - i eps) - S(x + i eps))/(2 i pi) to eps = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
-                     PointOnInterval, TransformZero)
+                     PointOnInterval)
 from .measures import BaseDensity, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
-                         refine_levels, tanh_sinh, tanh_sinh_nodes)
+                         refine_levels, tanh_sinh_nodes)
 
 __all__ = [
-    "SecondaryMeasureData",
+    "SecondaryMeasure",
     "stieltjes_transform",
     "reducer",
     "lerch_phi_half",
@@ -133,12 +136,11 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
 
 def _phi_values(rho: BaseDensity, xs, dxl, dxr,
                 spec: IntegrationSpec = DEFAULT_SPEC) -> np.ndarray:
-    """Cached reducer phi at points supplied with exact endpoint distances."""
+    """Cached reducer phi at points supplied with exact endpoint distances,
+    as a flat array."""
     interval = rho.interval
     clamp = _PHI_CLAMP * interval.width
-    xs = np.atleast_1d(np.asarray(xs, dtype=float)).copy()
-    dxl = np.atleast_1d(np.asarray(dxl, dtype=float)).copy()
-    dxr = np.atleast_1d(np.asarray(dxr, dtype=float)).copy()
+    xs, dxl, dxr = (np.array(v, dtype=float).ravel() for v in (xs, dxl, dxr))
     low, high = dxl < clamp, dxr < clamp
     xs[low], dxl[low], dxr[low] = interval.a + clamp, clamp, interval.width - clamp
     xs[high], dxl[high], dxr[high] = interval.b - clamp, interval.width - clamp, clamp
@@ -155,21 +157,28 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
     return np.array(vals)
 
 
+def _served(rho: BaseDensity, x, what: str, fn: Callable):
+    """fn(xs, xs - a, b - xs) at points at least 1e-4 widths inside the
+    support, a float for a scalar x; DomainError for any other point."""
+    interval = rho.interval
+    delta = REDUCER_MARGIN * interval.width
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < interval.a + delta) or np.any(xs > interval.b - delta):
+        raise DomainError(
+            f"{what} of {rho.name!r} is served on "
+            f"[{interval.a + delta:g}, {interval.b - delta:g}] only")
+    vals = fn(xs, xs - interval.a, interval.b - xs)
+    return float(vals[0]) if np.isscalar(x) else vals
+
+
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
     """phi(x) = 2 PV int rho(t)/(x - t) dt at interior points.
 
     Points closer than 1e-4 interval widths to an endpoint are refused:
     phi can diverge there (logarithmically for the uniform density).
     """
-    interval = rho.interval
-    delta = REDUCER_MARGIN * interval.width
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < interval.a + delta) or np.any(xs > interval.b - delta):
-        raise DomainError(
-            f"reducer of {rho.name!r} is served on "
-            f"[{interval.a + delta:g}, {interval.b - delta:g}] only")
-    vals = _phi_values(rho, xs, xs - interval.a, interval.b - xs, spec)
-    return float(vals[0]) if np.isscalar(x) else vals
+    return _served(rho, x, "reducer",
+                   lambda xs, dl, dr: _phi_values(rho, xs, dl, dr, spec))
 
 
 def lerch_phi_half(x: float) -> float:
@@ -188,22 +197,14 @@ def lerch_phi_half(x: float) -> float:
 # transforms
 # ---------------------------------------------------------------------------
 
-def _weight_eval(rho: BaseDensity, t, dl, dr, shift: Optional[float]):
-    vals = np.asarray(rho.value_at(t, dl, dr), dtype=float)
-    if shift is not None:
-        vals = vals * (np.asarray(t, dtype=float) - shift)
-    return vals
+def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
+                     spec: IntegrationSpec) -> np.ndarray:
+    """int rho(t)/(z - t) dt for a 1-d array of z close to the cut.
 
-
-def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
-                     shift: Optional[float]) -> np.ndarray:
-    """int w(t)/(z - t) dt for a 1-d array of z close to the cut,
-    w = rho * (t - shift).
-
-    Subtracting w at the projection x0 = Re z leaves a bounded integrand;
+    Subtracting rho at the projection x0 = Re z leaves a bounded integrand;
     the closed-form log carries the near-singular part.  Each z splits the
     support into four pieces, which are the rows of one batched tanh-sinh
-    refinement, so w is evaluated once per level for all rows.  The outer
+    refinement, so rho is evaluated once per level for all rows.  The outer
     pieces [a, x0 - delta] and [x0 + delta, b] take the endpoint
     singularities of rho.  The inner pieces [x0 - delta, x0] and
     [x0, x0 + delta] cluster their nodes at x0, where the integrand turns
@@ -212,7 +213,7 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     """
     a, b = rho.interval.a, rho.interval.b
     x0, y = zs.real, zs.imag
-    w0 = _weight_eval(rho, x0, x0 - a, b - x0, shift)
+    w0 = rho.value_at(x0, x0 - a, b - x0)
     delta = 0.5 * np.minimum(x0 - a, b - x0)
     # Row r is piece r // n (left, right, below, above) of z number r % n.
     n = len(zs)
@@ -233,7 +234,7 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
         db = np.where(p == 1, dr, b - t)
         zt = np.where(p == 2, dr + iy[act, None],
                       np.where(p == 3, iy[act, None] - dl, z[act, None] - t))
-        vals = (_weight_eval(rho, t.ravel(), da.ravel(), db.ravel(), shift)
+        vals = (rho.value_at(t.ravel(), da.ravel(), db.ravel())
                 .reshape(t.shape) - w0_row[act, None]) / zt
         return half[act] * (vals @ w)
 
@@ -243,11 +244,11 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     return left + right + below + above + w0 * np.log((zs - a) / (zs - b))
 
 
-def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
-                shift: Optional[float]) -> np.ndarray:
-    """int w(t)/(z - t) dt for a 1-d array of z away from the cut.
+def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
+                spec: IntegrationSpec) -> np.ndarray:
+    """int rho(t)/(z - t) dt for a 1-d array of z away from the cut.
 
-    All z share one tanh-sinh level loop, so w is evaluated once per level;
+    All z share one tanh-sinh level loop, so rho is evaluated once per level;
     each z stops at the first level that agrees with the one before it.
     z - t is formed as (z - e) + (e - t), e the endpoint nearer z and e - t
     the node's exact distance to it, so that it keeps its digits for z next
@@ -262,7 +263,7 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     def estimate(level, act, odd):
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
         dl, dr = half * dp, half * dm
-        vals = _weight_eval(rho, mid + half * g, dl, dr, shift)
+        vals = rho.value_at(mid + half * g, dl, dr)
         cur = np.empty(len(act), dtype=complex)
         for s in range(0, len(act), _ROW_CHUNK):
             sel = act[s:s + _ROW_CHUNK]
@@ -279,9 +280,8 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
                          f"transform of {rho.name!r}")
 
 
-def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec,
-                     shift: Optional[float] = None) -> np.ndarray:
-    """int w(t)/(z - t) dt elementwise over an array of z (any shape)."""
+def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec) -> np.ndarray:
+    """int rho(t)/(z - t) dt elementwise over an array of z (any shape)."""
     interval = rho.interval
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
@@ -296,9 +296,9 @@ def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec,
             & (interval.a + margin < flat.real) & (flat.real < interval.b - margin))
     out = np.empty(len(flat), dtype=complex)
     if not near.all():
-        out[~near] = _cauchy_far(rho, flat[~near], spec, shift)
+        out[~near] = _cauchy_far(rho, flat[~near], spec)
     if near.any():
-        out[near] = _cauchy_near_cut(rho, flat[near], spec, shift)
+        out[near] = _cauchy_near_cut(rho, flat[near], spec)
     return out.reshape(zs.shape)
 
 
@@ -316,75 +316,66 @@ def stieltjes_transform(rho: BaseDensity, z,
 
 
 def secondary_transform(rho: BaseDensity, z,
-                        spec: IntegrationSpec = DEFAULT_SPEC) -> complex:
-    """Transform of the secondary measure, S_mu(z) = z - c_1 - 1/S_rho(z).
-
-    Evaluated as [int rho(t)(t - c_1)/(z - t) dt] / S_rho(z), which is the
-    same quantity without the catastrophic cancellation of the homographic
-    form at large |z|.
-    """
-    z = complex(z)
-    s = complex(_cauchy_integral(rho, z, spec))
-    if abs(s) < 1e-14:
-        raise TransformZero(f"|S_rho({z})| < 1e-14, cannot form S_mu")
-    c1 = moment(rho, 1, spec)
-    return complex(_cauchy_integral(rho, z, spec, shift=c1)) / s
+                        spec: IntegrationSpec = DEFAULT_SPEC):
+    """Transform of the secondary measure, S_mu(z) = int mu(t)/(z - t) dt,
+    by quadrature of mu.  The paper's homographic form
+    z - c_1 - 1/S_rho(z) is the same quantity by another route."""
+    return stieltjes_transform(secondary_measure(rho, spec), z, spec)
 
 
 # ---------------------------------------------------------------------------
 # secondary measure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SecondaryMeasureData:
-    """Secondary measure mu of a density, with its normalized companion.
+class SecondaryMeasure(BaseDensity):
+    """Secondary measure mu of a density rho, itself a density.
 
-    mu(x) = rho(x) / (phi^2(x)/4 + pi^2 rho^2(x)); its total mass is
-    d0 = c_2 - c_1^2 and mu0 = mu/d0 is a probability density.
+    mu(x) = rho(x) / (phi^2(x)/4 + pi^2 rho^2(x)), phi the reducer of rho
+    at ``spec``; its total mass is d0, the variance of rho, and
+    mu0 = mu/d0 is a probability density.
     """
 
-    base: BaseDensity
-    d0: float
-    spec: IntegrationSpec
+    def __init__(self, base: BaseDensity, spec: IntegrationSpec = DEFAULT_SPEC):
+        super().__init__(base.interval, f"mu of {base.name}")
+        self.base = base
+        self.spec = spec
 
-    def density_at(self, x, dleft, dright):
-        """mu at points supplied with exact endpoint distances."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dleft = np.atleast_1d(np.asarray(dleft, dtype=float))
-        dright = np.atleast_1d(np.asarray(dright, dtype=float))
+    def value_at(self, x, dleft, dright):
         rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
         phi = _phi_values(self.base, x, dleft, dright, self.spec)
+        phi = phi.reshape(rho.shape)
         return rho / (0.25 * phi ** 2 + math.pi ** 2 * rho ** 2)
 
+    @cached_property
+    def d0(self) -> float:
+        """The variance of rho, as the centred second moment
+        sum w (x - c_1)^2 refined on rho's rule: c_2 - c_1^2 would cancel on
+        a support far from the origin.  DegenerateMeasure at 1e-12 or less."""
+        c1 = moment(self.base, 1, self.spec)
+        d0 = float(self.base._refine(lambda x, w: (w @ (x - c1) ** 2)[None],
+                                     self.spec, "variance")[0])
+        if d0 <= 1e-12:
+            raise DegenerateMeasure(
+                f"{self.base.name!r} has variance {d0:.3e}; "
+                "secondary measure degenerate")
+        return d0
+
     def mu(self, x):
-        interval = self.base.interval
-        delta = REDUCER_MARGIN * interval.width
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs < interval.a + delta) or np.any(xs > interval.b - delta):
-            raise DomainError(
-                f"mu of {self.base.name!r} is served on "
-                f"[{interval.a + delta:g}, {interval.b - delta:g}] only")
-        vals = self.density_at(xs, xs - interval.a, interval.b - xs)
-        return float(vals[0]) if np.isscalar(x) else vals
+        return _served(self.base, x, "mu", self.value_at)
 
     def mu0(self, x):
         return self.mu(x) / self.d0
 
     def mass(self) -> float:
-        """int mu, which must reproduce d0."""
-        return float(tanh_sinh(self.density_at, self.base.interval,
-                               self.spec).real)
+        """int mu on its rule at ``spec``, which must reproduce d0."""
+        return super().mass(self.spec)
 
 
 def secondary_measure(rho: BaseDensity,
-                      spec: IntegrationSpec = DEFAULT_SPEC) -> SecondaryMeasureData:
-    """Secondary measure of rho; fails if c_2 - c_1^2 is numerically zero."""
-    c1 = moment(rho, 1, spec)
-    d0 = moment(rho, 2, spec) - c1 * c1
-    if d0 <= 1e-12:
-        raise DegenerateMeasure(
-            f"{rho.name!r} has c_2 - c_1^2 = {d0:.3e}; secondary measure degenerate")
-    return SecondaryMeasureData(rho, d0, spec)
+                      spec: IntegrationSpec = DEFAULT_SPEC) -> SecondaryMeasure:
+    """Secondary measure of rho; reading its d0 fails if the variance of
+    rho is numerically zero."""
+    return SecondaryMeasure(rho, spec)
 
 
 # ---------------------------------------------------------------------------

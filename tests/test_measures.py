@@ -146,7 +146,8 @@ def test_moments_make_one_engine_call(monkeypatch, spec):
 @pytest.mark.parametrize("min_level", [2, 8])
 def test_rule_equals_its_level_bit_for_bit(min_level):
     # rule() builds each level from the one before and its new nodes; the
-    # result is the level computed in full, and so is its coarser level.
+    # result is the level computed in full, and so is the coarser level
+    # derived from it, x[::2] with weights 2 w[::2].
     rng = np.random.default_rng(2024)
     for _ in range(20):
         alpha, beta = rng.uniform(-0.5, 1.5, 2)
@@ -155,8 +156,9 @@ def test_rule_equals_its_level_bit_for_bit(min_level):
                       lambda x, c=coef: np.polynomial.polynomial.polyval(x, c),
                       EndpointExponents(alpha, beta), "jacobi")
         rule = rho.rule(min_level=min_level)
+        coarse = (rule.x[::2], 2.0 * rule.w[::2])
         for (x, w), level in (((rule.x, rule.w), rule.level),
-                              ((rule.x_lo, rule.w_lo), rule.level - 1)):
+                              (coarse, rule.level - 1)):
             want_x, want_w = rho._rule_at_level(level)
             np.testing.assert_array_equal(x, want_x)
             np.testing.assert_array_equal(w, want_w)

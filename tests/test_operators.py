@@ -50,7 +50,7 @@ def test_factorization(cheb_u, spec):
     xs = np.linspace(-0.9, 0.9, 9)
     vf = lambda u: np.atleast_1d(apply_V(ctx, f, u, spec))
     np.testing.assert_allclose(
-        np.atleast_1d(apply_T(ctx.rho_t, vf, xs, spec)),
+        np.atleast_1d(apply_T(ctx, vf, xs, spec)),
         np.atleast_1d(apply_T(cheb_u, f, xs, spec)), atol=1e-9)
 
 
@@ -60,12 +60,12 @@ def test_transformed_polys_orthonormal(cheb_u, spec):
     for n in range(5):
         for m in range(n + 1):
             val = inner_product(Pt.as_callable(n), Pt.as_callable(m),
-                                ctx.rho_t, spec)
+                                ctx, spec)
             assert abs(val - (1.0 if n == m else 0.0)) < 1e-10
     # secondary polynomials transport: Q_n^t = T_{rho_t}(P_n^t)
     xs = np.linspace(-0.8, 0.8, 7)
     for n in range(1, 5):
-        got = np.atleast_1d(apply_T(ctx.rho_t, Pt.as_callable(n), xs, spec))
+        got = np.atleast_1d(apply_T(ctx, Pt.as_callable(n), xs, spec))
         np.testing.assert_allclose(got, Qt.eval(n, xs), atol=1e-8)
 
 

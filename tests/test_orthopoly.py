@@ -6,7 +6,7 @@ import pytest
 from secmeasure import (Density, IntegrationSpec, Interval, catalog, family,
                         moment)
 from secmeasure.errors import InstabilityDetected, NonConvergence
-from secmeasure.measures import CATALOG_NAMES, BaseDensity
+from secmeasure.measures import CATALOG_NAMES
 from secmeasure.orthopoly import (_KERNEL_ENTRIES, RecurrenceCoefficients,
                                   _t_against_rule, apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
@@ -111,23 +111,13 @@ def test_uniform_codilated_second_moment(uniform, t, spec):
                - (t + 3) / 12) < 1e-12
 
 
-class _NormalizedSecondary(BaseDensity):
-    """mu0 = mu / d0, the normalized secondary measure of a density."""
-
-    def __init__(self, rho, spec):
-        super().__init__(rho.interval, f"mu0 of {rho.name}")
-        self.data = secondary_measure(rho, spec)
-
-    def value_at(self, x, dleft, dright):
-        return self.data.density_at(x, dleft, dright) / self.data.d0
-
-
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_secondary_recurrence_is_shifted(name, spec):
-    # The Jacobi matrix of mu0 is rho's with its first row and column
-    # dropped; the left side runs the principal-value reducer.
+    # The Jacobi matrix of mu (that of mu0 = mu/d0: scaling a measure
+    # leaves it unchanged) is rho's with its first row and column dropped;
+    # the left side runs the principal-value reducer.
     rho = catalog(name)
-    got = recurrence_coefficients(_NormalizedSecondary(rho, spec), 8, spec)
+    got = recurrence_coefficients(secondary_measure(rho, spec), 8, spec)
     full = recurrence_coefficients(rho, 9, spec)
     np.testing.assert_allclose(got.a, full.a[1:], rtol=0, atol=1e-10)
     np.testing.assert_allclose(got.b, full.b[1:], rtol=0, atol=1e-10)

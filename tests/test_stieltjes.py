@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (DomainError, ExtrapolationDivergence, IntegrationSpec,
-                        NonConvergence, PointOnInterval, catalog,
-                        lerch_phi_half, moment, perron_invert, reducer,
-                        secondary_measure, secondary_transform,
-                        stieltjes_transform)
+from secmeasure import (CATALOG_NAMES, DegenerateMeasure, Density,
+                        DomainError, ExtrapolationDivergence, IntegrationSpec,
+                        Interval, NonConvergence, PointOnInterval, catalog,
+                        family, family_transform, lerch_phi_half, moment,
+                        perron_invert, reducer, secondary_measure,
+                        secondary_transform, stieltjes_transform)
+from secmeasure.quadrature import EndpointExponents
 
 
 def _s_semicircle(z):
@@ -201,6 +203,84 @@ def test_secondary_transform_identity(uniform, cheb_u, spec):
             s = stieltjes_transform(rho, z, spec)
             assert abs(secondary_transform(rho, z, spec)
                        - (z - c1 - 1.0 / s)) < 1e-10
+
+
+@pytest.mark.parametrize("a", [0.0, 1e4, 1e6, 1e8])
+def test_d0_keeps_its_digits_far_from_the_origin(a, spec):
+    # Uniform on [a, a + 1]: c_2 - c_1^2 was 6e-8 off at a = 1e4, 1e-3 off
+    # at 1e6 and 0 at 1e8; the centred second moment keeps its digits.
+    rho = Density(Interval(a, a + 1.0), np.ones_like, EndpointExponents(),
+                  "uniform")
+    assert abs(12.0 * secondary_measure(rho, spec).d0 - 1.0) <= 1e-9
+
+
+def test_degenerate_measure_raises_on_reading_d0(spec):
+    # Uniform on [0, 1e-6] has variance 8e-14; mu is built, d0 refuses.
+    rho = Density(Interval(0.0, 1e-6), lambda x: np.full_like(x, 1e6),
+                  EndpointExponents(), "narrow")
+    mu = secondary_measure(rho, spec)
+    with pytest.raises(DegenerateMeasure):
+        mu.d0
+
+
+def _jacobi_densities(count, seed, spec):
+    """Probability densities x^alpha (1-x)^beta p(x) on [0, 1], exponents
+    in (-0.5, 1.5) and p a cubic with coefficients in (0.2, 1)."""
+    rng = np.random.default_rng(seed)
+    polyval = np.polynomial.polynomial.polyval
+    out = []
+    for k in range(count):
+        exps = EndpointExponents(*rng.uniform(-0.5, 1.5, 2))
+        coef = rng.uniform(0.2, 1.0, 4)
+        raw = Density(Interval(0.0, 1.0), lambda x, c=coef: polyval(x, c),
+                      exps, "raw")
+        coef = coef / raw.mass(spec)
+        out.append(Density(Interval(0.0, 1.0),
+                           lambda x, c=coef: polyval(x, c), exps, f"j{k}"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def relation_densities(spec):
+    return ([catalog(name) for name in CATALOG_NAMES]
+            + _jacobi_densities(20, 2026, spec))
+
+
+def _relation_points(rho):
+    """Far z, one of them real and 1e-2 widths off b, then near-cut z."""
+    iv = rho.interval
+    a, b, w = iv.a, iv.b, iv.width
+    return np.array([b + 1e-2 * w, b + 0.5 * w, a - 2 * w + 0.3j * w,
+                     iv.midpoint + 2j * w, a + 0.3 * w + 0.01j * w,
+                     a + 0.7 * w - 0.02j * w])
+
+
+def test_secondary_mass_is_d0(relation_densities, spec):
+    for rho in relation_densities:
+        mu = secondary_measure(rho, spec)
+        assert abs(mu.mass() - mu.d0) <= 1e-9 * mu.d0
+
+
+def test_secondary_transform_is_homographic(relation_densities, spec):
+    # S_mu by quadrature of mu against the paper's z - c_1 - 1/S_rho(z).
+    for rho in relation_densities:
+        z = _relation_points(rho)
+        s = stieltjes_transform(rho, z, spec)
+        want = z - moment(rho, 1, spec) - 1.0 / s
+        np.testing.assert_allclose(secondary_transform(rho, z, spec), want,
+                                   rtol=1e-9, atol=0)
+
+
+def test_family_transform_is_homographic(relation_densities, spec):
+    # S/(t + (1-t)(z-c_1)S) against the quadrature of rho_t itself.
+    rng = np.random.default_rng(2027)
+    for rho in relation_densities:
+        t = rng.uniform(0.2, 1.0)
+        z = _relation_points(rho)
+        np.testing.assert_allclose(
+            family_transform(rho, t, z, spec),
+            stieltjes_transform(family(rho, t, spec), z, spec),
+            rtol=1e-8, atol=0)
 
 
 def test_perron_recovers_density(cheb_u, uniform, spec):
