@@ -13,10 +13,9 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      PointOnInterval, SecmeasureError, UnknownDensity,
                      UnknownFunction)
 from .expressions import Expr, parse
-from .family import (FamilyDensity, FamilyParameter, denominator_root_scan,
-                     dirac_limit_check, equi_normality_check, family,
-                     family_density, family_transform, moment0_curve,
-                     validate_parameter)
+from .family import (FamilyDensity, denominator_root_scan, dirac_limit_check,
+                     equi_normality_check, family, family_density,
+                     family_transform, moment0_curve, validate_parameter)
 from .measures import (CATALOG_NAMES, BaseDensity, Density, MomentSequence,
                        catalog, inner_product, mean_project, moment, moments,
                        user_density)

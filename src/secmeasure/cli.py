@@ -230,7 +230,7 @@ def cmd_reducer(args, spec) -> int:
     rho = _resolve_density(args, spec)
     xs = (np.asarray(args.x, dtype=float) if args.x
           else rho.interval.interior_grid(args.grid, 2e-3))
-    phi = np.atleast_1d(reducer(rho, xs, spec))
+    phi = reducer(rho, xs, spec)
     table = OutputTable(["x", "phi"], list(zip(xs.tolist(), phi.tolist())),
                         {"density": rho.name, "tol": spec.rel_tol})
     _emit(table, args)
@@ -241,7 +241,7 @@ def cmd_secondary(args, spec) -> int:
     rho = _resolve_density(args, spec)
     sm = secondary_measure(rho, spec)
     xs = rho.interval.interior_grid(args.grid, 2e-3)
-    mu = np.atleast_1d(sm.mu(xs))
+    mu = sm.mu(xs)
     table = OutputTable(["x", "mu", "mu0"],
                         list(zip(xs.tolist(), mu.tolist(), (mu / sm.d0).tolist())),
                         {"density": rho.name, "d0": sm.d0, "tol": spec.rel_tol})
@@ -254,7 +254,7 @@ def cmd_family_density(args, spec) -> int:
     if args.t <= 0:
         raise UsageError("--t must be positive")
     xs = rho.interval.interior_grid(args.grid, 2e-3)
-    vals = np.atleast_1d(family_density(rho, args.t, xs, spec))
+    vals = family_density(rho, args.t, xs, spec)
     table = OutputTable(["x", "rho_t"], list(zip(xs.tolist(), vals.tolist())),
                         {"density": rho.name, "t": args.t, "tol": spec.rel_tol})
     _emit(table, args)
@@ -299,17 +299,16 @@ def cmd_solve(args, spec) -> int:
     expr = parse_expr(args.g)
     problem = IntegralEquationProblem(rho, args.lam, expr.evaluate)
     xs = rho.interval.interior_grid(args.grid, 2e-3)
-    f_vals = np.atleast_1d(solve_integral_equation(problem, xs, spec))
+    f_vals = solve_integral_equation(problem, xs, spec)
 
     def f(u):
-        return np.atleast_1d(solve_integral_equation(problem, u, spec))
+        return solve_integral_equation(problem, u, spec)
 
     c1 = moment(rho, 1, spec)
     lhs = f_vals.copy()
     if args.lam != 0.0:
-        lhs = lhs + args.lam * (xs - c1) * np.atleast_1d(
-            apply_T(rho, f, xs, spec))
-    residual = lhs - np.atleast_1d(expr.evaluate(xs))
+        lhs = lhs + args.lam * (xs - c1) * apply_T(rho, f, xs, spec)
+    residual = lhs - expr.evaluate(xs)
     table = OutputTable(
         ["x", "f", "residual"],
         list(zip(xs.tolist(), f_vals.tolist(), residual.tolist())),

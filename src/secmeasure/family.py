@@ -7,20 +7,25 @@ secondary measure is t*mu) and the mean c_1.  Pointwise,
                            + pi^2 rho^2(x) (t-1)^2 (x-c_1)^2),
 
 and the Stieltjes transforms are related homographically,
-S_t = S / (t + (1-t)(z-c_1) S).  Parameters t in (0,1] always produce a
-probability density; larger t are screened empirically: a real root of the
-transform denominator outside the support, or a mass defect of the
-candidate density, marks the parameter invalid.  The denominator has at
-most one real root on each side of the support, where (x - c_1) S(x) is
-monotone, and by Weyl's inequality for rho's Jacobi matrix with b_1 scaled
-by sqrt(t) none lies farther than |sqrt(t) - 1| b_1 from it; the root scan
-searches from a bracket width off the support out to that reach.
+S_t = S / (t + (1-t)(z-c_1) S).  Whether rho_t is a probability density
+is a fact about rho_t, its ``validity``: parameters t in (0,1] always
+produce one ("proven"); larger t are screened empirically on first read.
+A real root of the transform denominator outside the support marks t
+"invalid" without further work; otherwise a mass defect of rho_t does, and
+a unit mass makes it "empirical".  The denominator has at most one real
+root on each side of the support, where (x - c_1) S(x) is monotone, and by
+Weyl's inequality for rho's Jacobi matrix with b_1 scaled by sqrt(t) none
+lies farther than |sqrt(t) - 1| b_1 from it; the root scan searches from a
+bracket width off the support out to that reach.  ``validate_parameter``
+returns the cached rho_t whatever its validity, ``family`` refuses an
+invalid one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +38,6 @@ from .stieltjes import (_phi_values, reducer, secondary_measure,
                         stieltjes_transform)
 
 __all__ = [
-    "FamilyParameter",
     "FamilyDensity",
     "family",
     "validate_parameter",
@@ -46,7 +50,7 @@ __all__ = [
 ]
 
 # Empirical screen for t > 1: a real-axis root scan on both sides of the
-# support, plus a unit-mass check.
+# support, then, when it finds no root, a unit-mass check to this tolerance.
 _MASS_TOL = 1e-6
 # The root scan narrows its brackets to this many widths, or to this many
 # float spacings of the endpoints where that is wider, by k-section into
@@ -55,46 +59,42 @@ _MASS_TOL = 1e-6
 _BRACKET_WIDTH = 1e-10
 _BRACKET_SPACINGS = 8
 _SECTIONS = 16
+# A density's family cache is emptied at this many members.
+_FAMILY_CACHE_SIZE = 256
 # The decreasing parameters along which the Dirac limit t -> 0 is checked.
 _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
 
-@dataclass
-class FamilyParameter:
-    """Family parameter with its validity status.
+class FamilyDensity(BaseDensity):
+    """The density rho_t built pointwise from rho and its reducer.
 
-    validity is "proven" (t <= 1), "empirical" (t > 1, screen passed),
-    "invalid" (screen failed), or "unchecked" (t > 1, not yet screened).
+    ``validity`` is "proven" for t <= 1; for t > 1 reading it runs the
+    screen once: the denominator root scan, then, only if it finds no root,
+    the unit-mass check.  Either failing gives "invalid", passing both
+    "empirical".
     """
 
-    t: float
-    validity: str
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise InvalidParameter(f"family parameter must be positive, got {self.t}")
-        if self.validity not in ("proven", "empirical", "invalid", "unchecked"):
-            raise ValueError(f"unknown validity {self.validity!r}")
-
-
-class FamilyDensity(BaseDensity):
-    """The density rho_t built pointwise from rho and its reducer."""
-
-    def __init__(self, base: BaseDensity, param: FamilyParameter,
+    def __init__(self, base: BaseDensity, t: float,
                  spec: IntegrationSpec = DEFAULT_SPEC):
-        super().__init__(base.interval, f"{base.name}|t={param.t:g}")
+        if t <= 0:
+            raise InvalidParameter(f"family parameter must be positive, got {t}")
+        super().__init__(base.interval, f"{base.name}|t={t:g}")
         self.base = base
-        self.param = param
+        self.t = t
         self.spec = spec
         self.c1 = moment(base, 1, spec)
 
-    @property
-    def t(self) -> float:
-        return self.param.t
+    @cached_property
+    def validity(self) -> str:
+        if self.t <= 1.0:
+            return "proven"
+        ok = (not denominator_root_scan(self.base, self.t, None, self.spec)
+              and abs(self.mass(self.spec) - 1.0) < _MASS_TOL)
+        return "empirical" if ok else "invalid"
 
     def value_at(self, x, dleft, dright):
         rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
-        t = self.param.t
+        t = self.t
         if t == 1.0:
             return rho
         phi = _phi_values(self.base, x, dleft, dright, self.spec)
@@ -104,56 +104,34 @@ class FamilyDensity(BaseDensity):
         return t * rho / den
 
     def __repr__(self):
-        return (f"FamilyDensity({self.base.name!r}, t={self.t:g}, "
-                f"{self.param.validity})")
+        return f"FamilyDensity({self.base.name!r}, t={self.t:g})"
 
 
-def _raw_family(rho: BaseDensity, t: float,
-                spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
-    key = (t, spec)
-    dens = rho._family.get(key)
-    if dens is None:
-        validity = "proven" if t <= 1.0 else "unchecked"
-        dens = FamilyDensity(rho, FamilyParameter(t, validity), spec)
-        rho._family[key] = dens
-    return dens
+def validate_parameter(rho: BaseDensity, t: float,
+                       spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
+    """rho_t, cached on rho per (t, spec) and not refused whatever its
+    ``validity``; InvalidParameter for t <= 0."""
+    if (t, spec) not in rho._family:
+        if len(rho._family) >= _FAMILY_CACHE_SIZE:
+            rho._family.clear()
+        rho._family[t, spec] = FamilyDensity(rho, t, spec)
+    return rho._family[t, spec]
 
 
-def _screen_parameter(rho: BaseDensity, dens: FamilyDensity,
-                      spec: IntegrationSpec) -> FamilyParameter:
-    t = dens.t
-    roots = denominator_root_scan(rho, t, None, spec)
-    mass_ok = abs(dens.mass(spec) - 1.0) < _MASS_TOL
-    ok = not roots and mass_ok
-    return FamilyParameter(t, "empirical" if ok else "invalid")
-
-
-def family(rho: BaseDensity, t: float, spec: IntegrationSpec = DEFAULT_SPEC,
-           require_valid: bool = True) -> FamilyDensity:
-    """The density rho_t, validated per the runtime validity policy.
-
-    t <= 1 is accepted outright; t > 1 is screened by a real-axis root
-    scan of the transform denominator plus a unit-mass check.
-    """
-    dens = _raw_family(rho, t, spec)
-    if dens.param.validity == "unchecked":
-        dens.param = _screen_parameter(rho, dens, spec)
-    if require_valid and dens.param.validity == "invalid":
+def family(rho: BaseDensity, t: float,
+           spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
+    """rho_t, or InvalidParameter when its ``validity`` is "invalid"."""
+    dens = validate_parameter(rho, t, spec)
+    if dens.validity == "invalid":
         raise InvalidParameter(
             f"t={t:g} fails the validity screen for {rho.name!r}")
     return dens
 
 
-def validate_parameter(rho: BaseDensity, t: float,
-                       spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyParameter:
-    """Validity status of a family parameter (proven/empirical/invalid)."""
-    return family(rho, t, spec, require_valid=False).param
-
-
 def family_density(rho: BaseDensity, t: float, x,
                    spec: IntegrationSpec = DEFAULT_SPEC):
     """rho_t(x); evaluable for any t > 0, validated or not."""
-    return _raw_family(rho, t, spec).value(x)
+    return validate_parameter(rho, t, spec).value(x)
 
 
 def family_transform(rho: BaseDensity, t: float, z,
@@ -177,7 +155,7 @@ def family_transform(rho: BaseDensity, t: float, z,
 def moment0_curve(rho: BaseDensity, t: float,
                   spec: IntegrationSpec = DEFAULT_SPEC) -> float:
     """f(t) = int rho_t; equals 1 exactly when t is a valid parameter."""
-    return _raw_family(rho, t, spec).mass(spec)
+    return validate_parameter(rho, t, spec).mass(spec)
 
 
 def denominator_root_scan(rho: BaseDensity, t: float,
@@ -237,7 +215,7 @@ def equi_normality_check(rho: BaseDensity, t: float,
     (tolerance 1e-6); both must hold to pass.
     """
     with timer() as tm:
-        dens = family(rho, t, spec, require_valid=False)
+        dens = validate_parameter(rho, t, spec)
         sm = secondary_measure(rho, spec)
         sm_t = secondary_measure(dens, spec)
         grid = rho.interval.interior_grid(30, 2e-3)

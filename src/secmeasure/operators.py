@@ -26,7 +26,7 @@ from .family import FamilyDensity, family, family_transform
 from .measures import BaseDensity, inner_product, mean_project, moment
 from .orthopoly import (apply_T, orthonormal_polys, recurrence_coefficients,
                         secondary_polys)
-from .quadrature import DEFAULT_SPEC, IntegrationSpec, _call
+from .quadrature import DEFAULT_SPEC, IntegrationSpec, _call, _pointwise
 from .report import VerificationReport, numeric_report, property_report, timer
 
 __all__ = [
@@ -54,13 +54,14 @@ def make_context(rho: BaseDensity, t: float,
 
 def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
               x, spec: IntegrationSpec):
-    """a f(x) + b (x-c_1) T_rho(f)(x); T is not evaluated when b == 0."""
-    shape = np.shape(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = a * np.asarray(_call(f, xs), dtype=float)
-    if b != 0.0:
-        out = out + b * (xs - c1) * np.atleast_1d(apply_T(rho, f, xs, spec))
-    return float(out[0]) if shape == () else out.reshape(shape)
+    """a f(x) + b (x-c_1) T_rho(f)(x) in x's shape (``_pointwise``); T is
+    not evaluated when b == 0."""
+
+    def fT(xs):
+        out = a * np.asarray(_call(f, xs), dtype=float)
+        return out + b * (xs - c1) * apply_T(rho, f, xs, spec) if b else out
+
+    return _pointwise(fT, x)
 
 
 def apply_V(ctx: FamilyDensity, f: Callable, x,
@@ -86,7 +87,7 @@ def isometry_check(ctx: FamilyDensity, f: Callable,
         ft = mean_project(f, ctx.base, spec)
         left = inner_product(ft, ft, ctx.base, spec)
         right = float(ctx.weighted_integral(
-            lambda xs: np.atleast_1d(apply_V(ctx, ft, xs, spec)) ** 2,
+            lambda xs: apply_V(ctx, ft, xs, spec) ** 2,
             spec).real) / ctx.t
     tol = 1e-6 * max(1.0, abs(left))
     return numeric_report(f"isometry {ctx.base.name} t={ctx.t:g}",
@@ -173,11 +174,11 @@ def barycentric_check(rho: BaseDensity, t: float, s: float, f: Callable,
         grid = rho.interval.interior_grid(20, 2e-3)
 
         def inner(u):
-            return np.atleast_1d(apply_T(dens_s, sf, u, spec))
+            return apply_T(dens_s, sf, u, spec)
 
-        left = np.atleast_1d(apply_T(dens_t, inner, grid, spec))
-        right = (s * np.atleast_1d(apply_T(dens_s, f, grid, spec))
-                 - t * np.atleast_1d(apply_T(dens_t, f, grid, spec))) / (s - t)
+        left = apply_T(dens_t, inner, grid, spec)
+        right = (s * apply_T(dens_s, f, grid, spec)
+                 - t * apply_T(dens_t, f, grid, spec)) / (s - t)
         dev = float(np.max(np.abs(left - right)))
     return property_report(f"barycentric {rho.name} t={t:g} s={s:g}",
                            dev, 1e-5, "derived", tm.ms)
@@ -193,10 +194,10 @@ def composition_check(rho: BaseDensity, t: float, s: float, f: Callable,
         grid = rho.interval.interior_grid(20, 2e-3)
 
         def vf(x):
-            return np.atleast_1d(apply_V(ctx_t, f, x, spec))
+            return apply_V(ctx_t, f, x, spec)
 
-        left = np.atleast_1d(apply_V(ctx_s, vf, grid, spec))
-        right = np.atleast_1d(apply_V(ctx_ts, f, grid, spec))
+        left = apply_V(ctx_s, vf, grid, spec)
+        right = apply_V(ctx_ts, f, grid, spec)
         dev = float(np.max(np.abs(left - right)))
     return property_report(f"composition {rho.name} t={t:g} s={s:g}",
                            dev, 1e-5, "derived", tm.ms)

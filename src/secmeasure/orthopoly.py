@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InstabilityDetected
 from .measures import BaseDensity
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call,
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
                          QUOTIENT_FALLBACK, derivative, finer_sum)
 
 __all__ = [
@@ -205,15 +205,15 @@ def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
     refined with it until two levels agree (NonConvergence past the rule's
     level cap); where a node falls within 1e-8 interval widths of x, the
     derivative of f takes the quotient's place.  Works for complex-valued
-    f (e.g. resolvent kernels).
+    f (e.g. resolvent kernels).  A 0-d x gives a Python scalar, any other
+    x an array of its shape.
     """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    fx = np.asarray(_call(f, xs))
     iv = rho.interval
-    out = rho._refine(
-        lambda u, w: _t_against_rule(f, xs, fx, u, w, iv.width, iv.a, iv.b)[None],
-        spec, "T")[0]
-    if scalar:
-        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
-    return out
+
+    def T(xs):
+        fx = _call(f, xs)
+        return rho._refine(
+            lambda u, w: _t_against_rule(f, xs, fx, u, w, iv.width, iv.a,
+                                         iv.b)[None], spec, "T")[0]
+
+    return _pointwise(T, x)

@@ -125,6 +125,14 @@ def _call(f: Callable, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _pointwise(fn: Callable, x):
+    """fn on the flat array of x's points, returned in x's shape: a Python
+    scalar for a 0-d x, an array of x's shape otherwise."""
+    xs = np.asarray(x, dtype=float)
+    out = np.asarray(fn(xs.ravel())).reshape(xs.shape)
+    return out.item() if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # tanh-sinh rule
 # ---------------------------------------------------------------------------

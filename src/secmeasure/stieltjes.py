@@ -2,8 +2,8 @@
 
 The transform S_rho(z) = int rho(t)/(z - t) dt is computed for a whole
 array of z at once: by tanh-sinh quadrature away from the support, and by
-singularity subtraction with an interval split when z approaches the cut,
-where the four pieces of every near z are the rows of one batched
+singularity subtraction with an interval split at Re z when z approaches
+the cut, where the two pieces of every near z are the rows of one batched
 refinement.  The reducer
 
     phi(x) = 2 PV int rho(t)/(x - t) dt
@@ -30,7 +30,7 @@ from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
                      PointOnInterval)
 from .measures import BaseDensity, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
-                         refine_levels, tanh_sinh_nodes)
+                         _pointwise, refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "SecondaryMeasure",
@@ -159,16 +159,15 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
 
 def _served(rho: BaseDensity, x, what: str, fn: Callable):
     """fn(xs, xs - a, b - xs) at points at least 1e-4 widths inside the
-    support, a float for a scalar x; DomainError for any other point."""
-    interval = rho.interval
-    delta = REDUCER_MARGIN * interval.width
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < interval.a + delta) or np.any(xs > interval.b - delta):
-        raise DomainError(
-            f"{what} of {rho.name!r} is served on "
-            f"[{interval.a + delta:g}, {interval.b - delta:g}] only")
-    vals = fn(xs, xs - interval.a, interval.b - xs)
-    return float(vals[0]) if np.isscalar(x) else vals
+    support, in x's shape (``_pointwise``); DomainError for any other
+    point."""
+    a, b = rho.interval.a, rho.interval.b
+    delta = REDUCER_MARGIN * rho.interval.width
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < a + delta) or np.any(xs > b - delta):
+        raise DomainError(f"{what} of {rho.name!r} is served on "
+                          f"[{a + delta:g}, {b - delta:g}] only")
+    return _pointwise(lambda xs: fn(xs, xs - a, b - xs), xs)
 
 
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
@@ -203,45 +202,40 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
 
     Subtracting rho at the projection x0 = Re z leaves a bounded integrand;
     the closed-form log carries the near-singular part.  Each z splits the
-    support into four pieces, which are the rows of one batched tanh-sinh
-    refinement, so rho is evaluated once per level for all rows.  The outer
-    pieces [a, x0 - delta] and [x0 + delta, b] take the endpoint
-    singularities of rho.  The inner pieces [x0 - delta, x0] and
-    [x0, x0 + delta] cluster their nodes at x0, where the integrand turns
-    over on the scale Im z; there z - t is formed from each node's exact
-    distance to x0, without cancellation.
+    support once, at x0, into [a, x0] and [x0, b], which are the rows of one
+    batched tanh-sinh refinement, so rho is evaluated once per level for all
+    rows.  Tanh-sinh clusters each piece's nodes at both of its ends: at a
+    or b, where rho may be singular, and at x0, where the integrand turns
+    over on the scale Im z.  There z - t is formed from each node's exact
+    distance to x0, without cancellation, and the distance to the far end
+    of the support is a sum of positives.
     """
     a, b = rho.interval.a, rho.interval.b
     x0, y = zs.real, zs.imag
     w0 = rho.value_at(x0, x0 - a, b - x0)
-    delta = 0.5 * np.minimum(x0 - a, b - x0)
-    # Row r is piece r // n (left, right, below, above) of z number r % n.
+    # Row r is piece r // n (left [a, x0], right [x0, b]) of z number r % n.
     n = len(zs)
-    lo = np.concatenate([np.full(n, a), x0 + delta, x0 - delta, x0])
-    hi = np.concatenate([x0 - delta, np.full(n, b), x0, x0 + delta])
+    left, x0_row = np.repeat([True, False], n), np.tile(x0, 2)
+    lo, hi = np.where(left, a, x0_row), np.where(left, x0_row, b)
     half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    piece = np.repeat(np.arange(4), n)
-    z, iy, w0_row = np.tile(zs, 4), np.tile(1j * y, 4), np.tile(w0, 4)
+    iy, w0_row = np.tile(1j * y, 2), np.tile(w0, 2)
 
     def estimate(level, act, odd):
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
-        h, p = half[act, None], piece[act, None]
+        h = half[act, None]
         t = mid[act, None] + h * g
         dl, dr = h * dp, h * dm
-        # Distances to a and b: exact from the node on the outer piece
-        # that ends there, else by difference.
-        da = np.where(p == 0, dl, t - a)
-        db = np.where(p == 1, dr, b - t)
-        zt = np.where(p == 2, dr + iy[act, None],
-                      np.where(p == 3, iy[act, None] - dl, z[act, None] - t))
+        # t - a = (lo - a) + dl and b - t = (b - hi) + dr, sums of
+        # positives; x0 - t is dr on the left piece and -dl on the right.
+        da, db = (lo[act] - a)[:, None] + dl, (b - hi[act])[:, None] + dr
+        zt = np.where(left[act, None], dr, -dl) + iy[act, None]
         vals = (rho.value_at(t.ravel(), da.ravel(), db.ravel())
                 .reshape(t.shape) - w0_row[act, None]) / zt
         return half[act] * (vals @ w)
 
-    rows = refine_levels(estimate, 4 * n, spec, 2,
+    rows = refine_levels(estimate, 2 * n, spec, 2,
                          f"near-cut transform of {rho.name!r}")
-    left, right, below, above = rows.reshape(4, n)
-    return left + right + below + above + w0 * np.log((zs - a) / (zs - b))
+    return rows[:n] + rows[n:] + w0 * np.log((zs - a) / (zs - b))
 
 
 def _cauchy_far(rho: BaseDensity, zs: np.ndarray,

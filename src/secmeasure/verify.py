@@ -15,7 +15,7 @@ import numpy as np
 
 from .family import (denominator_root_scan, dirac_limit_check,
                      equi_normality_check, family, family_density,
-                     family_transform, moment0_curve)
+                     family_transform, moment0_curve, validate_parameter)
 from .measures import catalog, inner_product, mean_project, moment
 from .operators import (IntegralEquationProblem, apply_T, apply_V,
                         apply_V_inverse, barycentric_check, composition_check,
@@ -90,7 +90,7 @@ def criterion_family_closed_forms(spec=DEFAULT_SPEC) -> List[VerificationReport]
     with timer() as tm:
         dev = 0.0
         for t in (0.5, 1.5):
-            dens = family(u, t, spec, require_valid=False)
+            dens = validate_parameter(u, t, spec)
             expct = 2 * (4 - 2 * t) * g / (t * t + 4 * (1 - t) * g * g)
             dev = max(dev, float(np.max(np.abs(reducer(dens, g, spec) - expct))))
     out.append(property_report("3 family reducer closed form cheb-u", dev,
@@ -166,7 +166,7 @@ def criterion_integral_equation(spec=DEFAULT_SPEC) -> List[VerificationReport]:
     out = []
     for name, g in gs.items():
         prob = IntegralEquationProblem(u, -0.5, g)
-        f = lambda xs, p=prob: np.atleast_1d(solve_integral_equation(p, xs, spec))
+        f = lambda xs, p=prob: solve_integral_equation(p, xs, spec)
         out.append(replace(residual_check(prob, f, spec),
                            check_id=f"7 round trip g={name}", provenance="paper"))
     return out
@@ -185,8 +185,8 @@ def criterion_barycentric(spec=DEFAULT_SPEC) -> List[VerificationReport]:
                  + 178 * g ** 4) / (8 * (g * g + 3))
         dens2, dens1 = family(u, 2.0, spec), family(u, 1.0, spec)
         sf = shift_multiply(f, dens2.c1)
-        inner = lambda v: np.atleast_1d(apply_T(dens1, sf, v, spec))
-        left = np.atleast_1d(apply_T(dens2, inner, g, spec))
+        inner = lambda v: apply_T(dens1, sf, v, spec)
+        left = apply_T(dens2, inner, g, spec)
         dev = float(np.max(np.abs(left - expct)))
     out.append(property_report("8 barycentric closed-form value", dev, 1e-5,
                                "paper", tm.ms))
@@ -236,13 +236,13 @@ def criterion_property_suites(spec=DEFAULT_SPEC, seed: int = 0
         ctx = make_context(u, 0.7, spec)
         f = mean_project(lambda x: x ** 3, u, spec)
         g = u.interval.interior_grid(15, 0.02)
-        vf = lambda xs: np.atleast_1d(apply_V(ctx, f, xs, spec))
+        vf = lambda xs: apply_V(ctx, f, xs, spec)
         dev = float(np.max(np.abs(apply_V_inverse(ctx, vf, g, spec) - f(g))))
     out.append(property_report("10 inverse pair cheb-u t=0.7", dev, 1e-6,
                                "paper", tm.ms))
     with timer() as tm:
-        dev = float(np.max(np.abs(np.atleast_1d(apply_T(ctx, vf, g, spec))
-                                  - np.atleast_1d(apply_T(u, f, g, spec)))))
+        dev = float(np.max(np.abs(apply_T(ctx, vf, g, spec)
+                                  - apply_T(u, f, g, spec))))
     out.append(property_report("10 factorization cheb-u t=0.7", dev, 1e-6,
                                "paper", tm.ms))
 

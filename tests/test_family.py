@@ -8,17 +8,18 @@ from secmeasure import (DenominatorZero, Density, DomainError, Interval,
                         dirac_limit_check, equi_normality_check, family,
                         family_density, family_transform, moment,
                         moment0_curve, reducer, validate_parameter)
-from secmeasure.family import FamilyParameter
+from secmeasure.family import _FAMILY_CACHE_SIZE
 from secmeasure.quadrature import EndpointExponents
 
 
-def test_parameter_validation():
-    with pytest.raises(InvalidParameter):
-        FamilyParameter(0.0, "proven")
-    with pytest.raises(InvalidParameter):
-        FamilyParameter(-2.0, "proven")
-    with pytest.raises(ValueError):
-        FamilyParameter(1.0, "maybe")
+def test_parameter_validation(uniform, spec):
+    for t in (0.0, -2.0):
+        with pytest.raises(InvalidParameter):
+            family(uniform, t, spec)
+        with pytest.raises(InvalidParameter):
+            family_density(uniform, t, 0.5, spec)
+        with pytest.raises(InvalidParameter):
+            validate_parameter(uniform, t, spec)
 
 
 def test_t_equals_one_is_identity(uniform, spec):
@@ -45,7 +46,7 @@ def test_family_t2_is_cheb_t(cheb_u, cheb_t, spec):
 def test_family_reducer_cheb_u(cheb_u, spec):
     xs = np.linspace(-0.8, 0.8, 9)
     for t in (0.5, 1.5):
-        dens = family(cheb_u, t, spec, require_valid=False)
+        dens = validate_parameter(cheb_u, t, spec)
         expct = 2 * (4 - 2 * t) * xs / (t * t + 4 * (1 - t) * xs * xs)
         np.testing.assert_allclose(reducer(dens, xs, spec), expct, atol=1e-9)
 
@@ -98,6 +99,26 @@ def test_validity_statuses(cheb_u, uniform, spec):
     assert validate_parameter(uniform, 1.5, spec).validity == "invalid"
     with pytest.raises(InvalidParameter):
         family(uniform, 1.5, spec)
+
+
+def test_screen_stops_at_a_root(spec):
+    # At t = 1.3 the root scan finds the uniform density's two roots, so
+    # the screen never builds rho_t's rule for the mass check; the mass is
+    # still there to read afterwards.
+    rho = Density(Interval(0.0, 1.0), lambda x: np.ones(np.shape(x)),
+                  EndpointExponents(), "uniform")
+    dens = validate_parameter(rho, 1.3, spec)
+    assert dens.validity == "invalid"
+    assert dens._rules == {}
+    assert abs(moment0_curve(rho, 1.3, spec) - 0.9799849175) < 1e-8
+
+
+def test_family_cache_is_bounded(spec):
+    rho = Density(Interval(0.0, 1.0), lambda x: np.ones(np.shape(x)),
+                  EndpointExponents(), "uniform")
+    for t in np.linspace(0.01, 1.0, 300):
+        assert validate_parameter(rho, float(t), spec).t == t
+    assert 0 < len(rho._family) <= _FAMILY_CACHE_SIZE < 300
 
 
 def test_root_scan_bracket(cheb_u, spec):

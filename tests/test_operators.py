@@ -7,8 +7,9 @@ from secmeasure import (IntegralEquationProblem, InvalidParameter, apply_T,
                         apply_V, apply_V_inverse, barycentric_check,
                         composition_check, family, inner_product,
                         isometry_check, make_context, mean_project,
-                        residual_check, solve_integral_equation,
-                        transform_relation_check, transformed_polys)
+                        reducer, residual_check, secondary_measure,
+                        solve_integral_equation, transform_relation_check,
+                        transformed_polys)
 
 
 def _poly3(x):
@@ -129,3 +130,29 @@ def test_scalar_shapes(cheb_u, spec):
     assert isinstance(apply_V(ctx, f, 0.3, spec), float)
     problem = IntegralEquationProblem(cheb_u, 0.25, lambda x: x)
     assert isinstance(solve_integral_equation(problem, 0.3, spec), float)
+
+
+@pytest.mark.parametrize("name", ["reducer", "mu", "mu0", "apply_T", "apply_V",
+                                  "apply_V_inverse", "solve_integral_equation"])
+def test_pointwise_shapes(name, cheb_u, spec):
+    # A 0-d x gives a Python float, a 2-d x an array of its shape; both
+    # equal the 1-d result at the same points.
+    ctx = make_context(cheb_u, 0.8, spec)
+    f = mean_project(_poly3, cheb_u, spec)
+    mu = secondary_measure(cheb_u, spec)
+    problem = IntegralEquationProblem(cheb_u, 0.25, _poly3)
+    fn = {"reducer": lambda x: reducer(cheb_u, x, spec),
+          "mu": mu.mu,
+          "mu0": mu.mu0,
+          "apply_T": lambda x: apply_T(cheb_u, f, x, spec),
+          "apply_V": lambda x: apply_V(ctx, f, x, spec),
+          "apply_V_inverse": lambda x: apply_V_inverse(ctx, f, x, spec),
+          "solve_integral_equation":
+              lambda x: solve_integral_equation(problem, x, spec)}[name]
+    xs = np.linspace(-0.7, 0.6, 6)
+    scalar = fn(np.array(0.3))
+    assert type(scalar) is float
+    np.testing.assert_allclose(scalar, fn(np.array([0.3]))[0], rtol=1e-14)
+    grid = fn(xs.reshape(2, 3))
+    assert grid.shape == (2, 3)
+    np.testing.assert_allclose(grid, fn(xs).reshape(2, 3), rtol=1e-14)

@@ -51,6 +51,32 @@ def test_transform_near_cut(cheb_u, spec):
                - _s_semicircle(z)) < 1e-9
 
 
+def test_transform_near_cut_against_mpmath(spec):
+    # Seeded Jacobi densities x^alpha (1-x)^beta p(x), exponents in
+    # (-0.6, 1.5), at z from 1.5e-3 widths off an end to mid-support and
+    # |Im z| from 1e-10 to 4.9e-2 widths; the reference is mpmath's
+    # tanh-sinh at 30 digits on [0, Re z] and [Re z, 1].
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    zs = np.array([1.5e-3 + 1e-10j, 0.37 - 2e-6j, 0.81 + 3e-4j,
+                   1.0 - 1.5e-3 - 4.9e-2j])
+    for k in range(3):
+        alpha, beta = rng.uniform(-0.6, 1.5, 2)
+        coef = rng.uniform(0.2, 1.0, 4)
+        rho = Density(Interval(0.0, 1.0),
+                      lambda x, c=coef: np.polynomial.polynomial.polyval(x, c),
+                      EndpointExponents(alpha, beta), f"j{k}")
+        got = stieltjes_transform(rho, zs, spec)
+        with mpmath.workdps(30):
+            al, be = mpmath.mpf(alpha), mpmath.mpf(beta)
+            cs = [mpmath.mpf(c) for c in coef[::-1]]
+            want = [complex(mpmath.quad(
+                lambda x, z=mpmath.mpc(z): (x ** al * (1 - x) ** be
+                                            * mpmath.polyval(cs, x) / (z - x)),
+                [0, z.real, 1])) for z in zs]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("name, closed_form, x0s", [
     ("cheb-u", _s_semicircle, (-0.9, -0.5, 0.0, 0.3, 0.8)),
     ("uniform", lambda z: np.log(z / (z - 1.0)), (0.05, 0.3, 0.5, 0.9)),
