@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import EvaluationFailure, ExprSyntaxError, UnknownFunction
+from .quadrature import _pointwise
 
 __all__ = ["Expr", "parse", "FUNCTIONS"]
 
@@ -188,11 +189,14 @@ class Expr:
         self.source = source
 
     def evaluate(self, x: Union[float, np.ndarray]):
-        scalar = np.isscalar(x)
-        arr = np.asarray(x, dtype=float)
+        """The expression at x: a Python float for a 0-d x, an array of
+        x's shape otherwise."""
+        return _pointwise(self._evaluate_flat, x)
+
+    def _evaluate_flat(self, xs: np.ndarray) -> np.ndarray:
         old = np.seterr(all="ignore")
         try:
-            vals = np.asarray(_eval(self.tree, arr), dtype=float)
+            vals = np.asarray(_eval(self.tree, xs), dtype=float)
         except ZeroDivisionError:
             raise EvaluationFailure(f"division by zero evaluating {self.source!r}")
         finally:
@@ -200,7 +204,7 @@ class Expr:
         if not np.all(np.isfinite(vals)):
             raise EvaluationFailure(
                 f"{self.source!r} is non-finite at some requested point")
-        return float(vals) if scalar else vals
+        return vals
 
     __call__ = evaluate
 

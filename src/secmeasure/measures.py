@@ -65,6 +65,7 @@ class BaseDensity:
         self._phi: dict = {}
         self._moments: dict = {}
         self._family: dict = {}
+        self._recurrence: dict = {}
 
     # -- pointwise evaluation --------------------------------------------
 

@@ -2,7 +2,9 @@
 
 The three-term recurrence (convention x P_n = b_{n+1} P_{n+1} + a_n P_n +
 b_n P_{n-1}) is built by the discretized Stieltjes procedure against the
-density's cached quadrature rule.  A polynomial sequence is stored as that
+density's cached quadrature rule and kept on the density, one checked
+recurrence per spec whose leading rows serve any smaller request; its
+arrays are read-only.  A polynomial sequence is stored as that
 recurrence with its first two members and evaluated by running it forward.
 Secondary polynomials Q_n share the recurrence with shifted initial
 conditions Q_0 = 0, Q_1 = 1/b_1 (b_1^2 = d_0 = c_2 - c_1^2), and agree
@@ -116,11 +118,20 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
     polynomials on the next-finer rule must stay within DRIFT_TOL of the
     identity.  That check evaluates the density only at the len(rule.x) - 1
     nodes the finer rule adds.
+
+    The density keeps, per spec, the checked recurrence with the most rows;
+    rows 0..N-1 do not depend on N, so a smaller N is served as its prefix,
+    bit for bit a fresh call, with no quadrature or density evaluation.  A
+    larger N recomputes and replaces it; a call that raises leaves it as it
+    was.  The returned arrays are read-only.
     """
     if N < 1:
         raise ValueError("need at least one recurrence row")
     if N > MAX_DEGREE:
         raise InstabilityDetected(f"degree cap is {MAX_DEGREE}")
+    cached = rho._recurrence.get(spec)
+    if cached is not None and N <= cached.n:
+        return RecurrenceCoefficients(cached.a[:N], cached.b[:N - 1])
     rule = rho.rule(spec, min_level=8)
     x, w = rule.x, rule.w
 
@@ -140,6 +151,7 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
             raise InstabilityDetected(f"b_{n + 1}^2 = {b2:.3e} <= 0")
         b[n] = np.sqrt(b2)
         p[n + 1] = q / b[n]
+    a.flags.writeable = b.flags.writeable = False
     coeffs = RecurrenceCoefficients(a, b)
 
     # The rule must resolve the polynomials: check their orthonormality on
@@ -152,6 +164,7 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
     if drift > DRIFT_TOL:
         raise InstabilityDetected(
             f"orthogonality drift {drift:.3e} exceeds {DRIFT_TOL:g}")
+    rho._recurrence[spec] = coeffs
     return coeffs
 
 

@@ -41,6 +41,16 @@ def test_vectorized_evaluation():
     np.testing.assert_allclose(got, xs ** 2 / (1 + xs), rtol=1e-15)
 
 
+def test_evaluation_keeps_the_shape_of_x():
+    e = parse("x^2/(1+x)")
+    xs = np.linspace(0.1, 2.0, 6)
+    flat = e.evaluate(xs)
+    scalar = e.evaluate(np.array(0.3))
+    assert type(scalar) is float and scalar == e.evaluate(np.array([0.3]))[0]
+    np.testing.assert_array_equal(e.evaluate(xs.reshape(2, 3)),
+                                  flat.reshape(2, 3))
+
+
 def test_canonical_round_trip():
     e = parse("2*x - 1/(x+3)")
     again = parse(e.canonical())

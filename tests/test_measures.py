@@ -80,6 +80,13 @@ def test_user_density_rejects_bad_mass(spec):
                      spec=spec)
 
 
+def test_user_density_rejects_mass_past_window(spec):
+    # 1.05 lies outside the 1e-2 renormalisation window, not a 1e-1 one.
+    with pytest.raises(InvalidDensity):
+        user_density(lambda x: 1.05 * np.ones_like(x), Interval(0.0, 1.0),
+                     spec=spec)
+
+
 def test_user_density_rejects_negative(spec):
     with pytest.raises(InvalidDensity):
         user_density(lambda x: np.asarray(x, dtype=float), Interval(-1.0, 1.0),

@@ -6,7 +6,7 @@ import pytest
 from secmeasure import (Density, IntegrationSpec, Interval, catalog, family,
                         moment)
 from secmeasure.errors import InstabilityDetected, NonConvergence
-from secmeasure.measures import CATALOG_NAMES
+from secmeasure.measures import CATALOG_NAMES, BaseDensity
 from secmeasure.orthopoly import (_KERNEL_ENTRIES, RecurrenceCoefficients,
                                   _t_against_rule, apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
@@ -49,16 +49,81 @@ def test_orthonormal_polys_are_orthonormal(linear2x, spec):
             assert abs(val - (1.0 if n == m else 0.0)) < 1e-10
 
 
+def _counted_density(counted):
+    h = counted(lambda x: 1.0 + x)
+    return Density(Interval(0.0, 1.0), h, EndpointExponents(0.5, 0.0), "h"), h
+
+
 def test_drift_check_evaluates_only_new_nodes(counted, spec):
     # The next-finer Gram matrix is half the rule's plus its odd-k nodes',
     # so a warm call evaluates the density at len(rule.x) - 1 points; on the
     # finer rule in full it took 2 len(rule.x) - 1.
-    h = counted(lambda x: 1.0 + x)
-    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(0.5, 0.0), "h")
+    rho, h = _counted_density(counted)
     rule = rho.rule(spec, min_level=8)
     h.args.clear()
     recurrence_coefficients(rho, 10, spec)
     assert sum(map(len, h.args)) == len(rule.x) - 1 == 4096
+
+
+def test_recurrence_prefix_served_from_cache(counted, spec):
+    rho, h = _counted_density(counted)
+    recurrence_coefficients(rho, 10, spec)
+    h.args.clear()
+    recurrence_coefficients(rho, 10, spec)
+    rc6 = recurrence_coefficients(rho, 6, spec)
+    assert h.args == []
+    fresh = recurrence_coefficients(_counted_density(counted)[0], 6, spec)
+    np.testing.assert_array_equal(rc6.a, fresh.a)
+    np.testing.assert_array_equal(rc6.b, fresh.b)
+
+
+def test_recurrence_grows_on_cached_rule(counted, spec):
+    # A longer recurrence reruns the procedure on the cached rule and pays
+    # only the drift check's new nodes; it then serves shorter requests.
+    rho, h = _counted_density(counted)
+    recurrence_coefficients(rho, 10, spec)
+    h.args.clear()
+    rc12 = recurrence_coefficients(rho, 12, spec)
+    assert sum(map(len, h.args)) == 4096
+    h.args.clear()
+    rc10 = recurrence_coefficients(rho, 10, spec)
+    assert h.args == [] and rho._recurrence[spec].n == 12
+    np.testing.assert_array_equal(rc10.a, rc12.a[:10])
+    np.testing.assert_array_equal(rc10.b, rc12.b[:9])
+
+
+def test_recurrence_arrays_are_read_only(counted, spec):
+    rho, _ = _counted_density(counted)
+    for n in (6, 5):  # computed, then served from the cache
+        rc = recurrence_coefficients(rho, n, spec)
+        with pytest.raises(ValueError):
+            rc.a[0] = 0.0
+        with pytest.raises(ValueError):
+            rc.b[0] = 0.0
+
+
+def test_drift_check_fires_and_keeps_cache(counted, spec, monkeypatch):
+    # Odd nodes of the finer rule weighted 1e-3 too heavily shift the Gram
+    # matrix by about 5e-4; a failed call leaves the 6-row entry in place.
+    rho, h = _counted_density(counted)
+    want = recurrence_coefficients(rho, 6, spec)
+    level = rho.rule(spec, min_level=8).level + 1
+    plain = BaseDensity._rule_at_level
+
+    def skewed(self, lvl, odd=False):
+        x, w = plain(self, lvl, odd)
+        return x, (w * (1.0 + 1e-3) if odd and lvl == level else w)
+
+    monkeypatch.setattr(BaseDensity, "_rule_at_level", skewed)
+    for _ in range(2):
+        with pytest.raises(InstabilityDetected,
+                           match="orthogonality drift 5.000e-04"):
+            recurrence_coefficients(rho, 10, spec)
+    h.args.clear()
+    got = recurrence_coefficients(rho, 6, spec)
+    assert h.args == []
+    np.testing.assert_array_equal(got.a, want.a)
+    np.testing.assert_array_equal(got.b, want.b)
 
 
 @pytest.mark.parametrize("name", ["uniform", "linear2x", "sqrt32"])

@@ -330,3 +330,19 @@ def test_perron_calls_S_once_on_the_whole_ladder(cheb_u, spec):
 def test_perron_divergence_on_pole():
     with pytest.raises(ExtrapolationDivergence):
         perron_invert(lambda z: 1.0 / (z - 0.4), 0.4)
+
+
+def test_perron_rejects_imaginary_residue(cheb_u, spec):
+    # A rotated transform leaves a cut jump with an imaginary part.
+    with pytest.raises(ExtrapolationDivergence,
+                       match="kept imaginary residue 6.073e-04"):
+        perron_invert(
+            lambda z: (1 + 1e-3j) * stieltjes_transform(cheb_u, z, spec), 0.3)
+
+
+def test_perron_rejects_nearby_pole(cheb_u, spec):
+    # A pole 1e-3 off x spoils the extrapolation without reaching x.
+    with pytest.raises(ExtrapolationDivergence,
+                       match=r"not Cauchy \(best gap 9.284e-05\)"):
+        perron_invert(lambda z: stieltjes_transform(cheb_u, z, spec)
+                      + 1e-3 / (z - 0.301), 0.3)
