@@ -34,6 +34,8 @@ FUNCTIONS = {
     "atan": np.arctan,
     "abs": np.abs,
 }
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+              "/": np.divide, "^": np.power}
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
@@ -139,30 +141,18 @@ class _Parser:
                               ("number", "x", "function", "("))
 
 
-def _eval(node, x):
+def _eval(node, x: np.ndarray) -> np.ndarray:
     tag = node[0]
     if tag == "num":
-        return node[1] * np.ones_like(x) if isinstance(x, np.ndarray) else node[1]
+        return np.full_like(x, node[1])
     if tag == "x":
         return x
     if tag == "neg":
         return -_eval(node[1], x)
     if tag == "call":
-        with np.errstate(all="ignore"):
-            return FUNCTIONS[node[1]](_eval(node[2], x))
+        return FUNCTIONS[node[1]](_eval(node[2], x))
     _, op, lhs, rhs = node
-    a = _eval(lhs, x)
-    b = _eval(rhs, x)
-    with np.errstate(all="ignore"):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
+    return _OPERATORS[op](_eval(lhs, x), _eval(rhs, x))
 
 
 def _print(node) -> str:
@@ -194,13 +184,8 @@ class Expr:
         return _pointwise(self._evaluate_flat, x)
 
     def _evaluate_flat(self, xs: np.ndarray) -> np.ndarray:
-        old = np.seterr(all="ignore")
-        try:
+        with np.errstate(all="ignore"):
             vals = np.asarray(_eval(self.tree, xs), dtype=float)
-        except ZeroDivisionError:
-            raise EvaluationFailure(f"division by zero evaluating {self.source!r}")
-        finally:
-            np.seterr(**old)
         if not np.all(np.isfinite(vals)):
             raise EvaluationFailure(
                 f"{self.source!r} is non-finite at some requested point")

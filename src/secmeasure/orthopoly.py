@@ -27,7 +27,8 @@ import numpy as np
 from .errors import InstabilityDetected
 from .measures import BaseDensity
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
-                         QUOTIENT_FALLBACK, derivative, finer_sum)
+                         QUOTIENT_FALLBACK, derivative, finer_sum,
+                         kernel_sums)
 
 __all__ = [
     "RecurrenceCoefficients",
@@ -182,11 +183,6 @@ def secondary_polys(coeffs: RecurrenceCoefficients) -> PolynomialSequence:
 # the secondary-polynomial operator T
 # ---------------------------------------------------------------------------
 
-# Entries of one block of the T kernel (rows x nodes), so that no temporary
-# grows with the number of points.
-_KERNEL_ENTRIES = 2 ** 16
-
-
 def _t_against_rule(f: Callable, xs: np.ndarray, fx: np.ndarray,
                     u: np.ndarray, w: np.ndarray, scale: float,
                     lo: float, hi: float) -> np.ndarray:
@@ -199,15 +195,14 @@ def _t_against_rule(f: Callable, xs: np.ndarray, fx: np.ndarray,
     dfx = np.zeros(len(xs), dtype=dtype)
     if fallback.any():
         dfx[fallback] = derivative(f, xs[fallback], fx[fallback], lo, hi, scale)
-    out = np.empty(len(xs), dtype=dtype)
-    rows = max(1, _KERNEL_ENTRIES // len(u))
-    for s in range(0, len(xs), rows):
-        blk = slice(s, s + rows)
+
+    def kernel(blk):
         den = u[None, :] - xs[blk, None]
         near = np.abs(den) < near_tol
         K = (fu[None, :] - fx[blk, None]) / np.where(near, 1.0, den)
-        out[blk] = np.where(near, dfx[blk, None], K) @ w
-    return out
+        return np.where(near, dfx[blk, None], K)
+
+    return kernel_sums(kernel, np.arange(len(xs)), w)
 
 
 def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],

@@ -10,6 +10,8 @@ module knows that.  Entry points:
 * ``refine_levels``   -- the one tanh-sinh level loop, through which every
                          integral in the package goes: a batch of integrals
                          refined together, each stopping on its own test.
+* ``kernel_sums``     -- every rows x nodes kernel sum, formed in blocks of
+                         at most KERNEL_ENTRIES entries.
 * ``tanh_sinh``       -- integral of ``fn(x, dist_left, dist_right)``; the
                          endpoint distances come without cancellation, so
                          endpoint singularities, and sharp features placed
@@ -143,6 +145,8 @@ def _pointwise(fn: Callable, x):
 _TS_TMAX = 4.0
 # Positions of the odd-k nodes, the ones level - 1 lacks, in a level's arrays.
 ODD = slice(1, None, 2)
+# Entries (rows x nodes) of one block of a kernel matrix (``kernel_sums``).
+KERNEL_ENTRIES = 2 ** 16
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +236,19 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     raise NonConvergence(
         f"{what} did not settle by level {level}: {len(act)} of {count} "
         f"unsettled, worst gap {gap[worst]:.3e} against tolerance {tol[worst]:.3e}")
+
+
+def kernel_sums(kernel: Callable, rows: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+    """``kernel(block) @ w`` over consecutive blocks of the index array
+    ``rows``, concatenated along the last axis.  ``kernel(block)`` puts the
+    block's rows on its second-last axis and the ``len(w)`` nodes on its
+    last; a block has at most KERNEL_ENTRIES // len(w) rows, and one at
+    least, so that no temporary grows with the number of rows.  ``rows``
+    must not be empty: the result's leading shape comes from the blocks."""
+    step = max(1, KERNEL_ENTRIES // len(w))
+    return np.concatenate([kernel(rows[s:s + step]) @ w
+                           for s in range(0, len(rows), step)], axis=-1)
 
 
 def tanh_sinh(fn: Callable, interval: Interval,

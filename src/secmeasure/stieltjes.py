@@ -3,8 +3,8 @@
 The transform S_rho(z) = int rho(t)/(z - t) dt is computed for a whole
 array of z at once: by tanh-sinh quadrature away from the support, and by
 singularity subtraction with an interval split at Re z when z approaches
-the cut, where the two pieces of every near z are the rows of one batched
-refinement.  The reducer
+the cut, closer to it than to either end of the support; the two pieces
+of every near z are the rows of one batched refinement.  The reducer
 
     phi(x) = 2 PV int rho(t)/(x - t) dt
 
@@ -30,7 +30,8 @@ from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
                      PointOnInterval)
 from .measures import BaseDensity, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
-                         _pointwise, refine_levels, tanh_sinh_nodes)
+                         _pointwise, kernel_sums, refine_levels,
+                         tanh_sinh_nodes)
 
 __all__ = [
     "SecondaryMeasure",
@@ -46,15 +47,12 @@ __all__ = [
 ONCUT_DISTANCE = 1e-12
 # The reducer is only served on [a + margin*w, b - margin*w].
 REDUCER_MARGIN = 1e-4
-# Below this distance (in interval widths) the transform switches to the
-# subtracted, split-interval evaluation.
+# A z closer than this many widths to the cut, and closer to the cut than
+# to either end, takes the subtracted, split-interval evaluation.
 NEAR_CUT_FRACTION = 5e-2
 
 _FAR_START_LEVEL = 3
 _PHI_START_LEVEL = 3
-# Rows of a point x node matrix formed at once, so that no temporary grows
-# with the number of points.
-_ROW_CHUNK = 64
 # Points closer than this (in widths) to an endpoint are clamped before the
 # reducer quadrature: below it the pole region is unresolvable at the level
 # cap, and every downstream weighted integral is insensitive to phi there.
@@ -95,9 +93,8 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
         u, dl, dr = mid + half * g, half * dp, half * dm
         ru = np.asarray(rho.value_at(u, dl, dr), dtype=float)
-        sums = np.empty((len(act), 2))
-        for s in range(0, len(act), _ROW_CHUNK):
-            sel = act[s:s + _ROW_CHUNK]
+
+        def kernel(sel):
             # x - u as a difference of distances to the nearer endpoint of
             # x; stays exact when x and u crowd the same endpoint.
             use_left = (dxl[sel] <= dxr[sel])[:, None]
@@ -112,22 +109,14 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
                     & interior[sel, None]) | exact
             if swap.any():
                 quot = np.where(swap, -deriv(sel)[:, None], quot)
-            sums[s:s + _ROW_CHUNK, 0] = half * (quot @ w)
-            sums[s:s + _ROW_CHUNK, 1] = half * (np.abs(quot) @ w)
-        return sums
+            return np.stack([quot, np.abs(quot)])
+
+        return half * kernel_sums(kernel, act, w).T
 
     def settle(act, sums):
         cur = sums[:, 0] + base[act]
         mag = sums[:, 1] + np.abs(base[act])
-        # Within the endpoint margin phi only enters downstream through
-        # phi^2/4 + pi^2 rho^2, which is rho^2-dominated exactly where the
-        # subtraction above is ill-conditioned (singular densities).  Accept
-        # any error that perturbs that combination below 1e-9.
-        rxa = np.abs(rx[act])
-        slack = np.where(interior[act], 0.0,
-                         1e-9 * (cur ** 2 + math.pi ** 2 * rxa ** 2)
-                         / (2.0 * np.abs(cur) + 1e-30))
-        return cur, np.maximum(100 * np.finfo(float).eps * mag, slack)
+        return cur, 100 * np.finfo(float).eps * mag
 
     return 2.0 * refine_levels(estimate, len(xs), spec, _PHI_START_LEVEL,
                                f"reducer quadrature of {rho.name!r}",
@@ -203,12 +192,12 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
     Subtracting rho at the projection x0 = Re z leaves a bounded integrand;
     the closed-form log carries the near-singular part.  Each z splits the
     support once, at x0, into [a, x0] and [x0, b], which are the rows of one
-    batched tanh-sinh refinement, so rho is evaluated once per level for all
-    rows.  Tanh-sinh clusters each piece's nodes at both of its ends: at a
-    or b, where rho may be singular, and at x0, where the integrand turns
-    over on the scale Im z.  There z - t is formed from each node's exact
-    distance to x0, without cancellation, and the distance to the far end
-    of the support is a sum of positives.
+    batched tanh-sinh refinement; rho is evaluated once per level and block
+    of rows (``kernel_sums``).  Tanh-sinh clusters each piece's nodes at
+    both of its ends: at a or b, where rho may be singular, and at x0, where
+    the integrand turns over on the scale Im z.  There z - t is formed from
+    each node's exact distance to x0, without cancellation, and the distance
+    to the far end of the support is a sum of positives.
     """
     a, b = rho.interval.a, rho.interval.b
     x0, y = zs.real, zs.imag
@@ -222,16 +211,19 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
 
     def estimate(level, act, odd):
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
-        h = half[act, None]
-        t = mid[act, None] + h * g
-        dl, dr = h * dp, h * dm
-        # t - a = (lo - a) + dl and b - t = (b - hi) + dr, sums of
-        # positives; x0 - t is dr on the left piece and -dl on the right.
-        da, db = (lo[act] - a)[:, None] + dl, (b - hi[act])[:, None] + dr
-        zt = np.where(left[act, None], dr, -dl) + iy[act, None]
-        vals = (rho.value_at(t.ravel(), da.ravel(), db.ravel())
-                .reshape(t.shape) - w0_row[act, None]) / zt
-        return half[act] * (vals @ w)
+
+        def kernel(sel):
+            h = half[sel, None]
+            t = mid[sel, None] + h * g
+            dl, dr = h * dp, h * dm
+            # t - a = (lo - a) + dl and b - t = (b - hi) + dr are sums of
+            # positives; x0 - t is dr on the left piece, -dl on the right.
+            da, db = (lo[sel] - a)[:, None] + dl, (b - hi[sel])[:, None] + dr
+            zt = np.where(left[sel, None], dr, -dl) + iy[sel, None]
+            return (rho.value_at(t.ravel(), da.ravel(), db.ravel())
+                    .reshape(t.shape) - w0_row[sel, None]) / zt
+
+        return half[act] * kernel_sums(kernel, act, w)
 
     rows = refine_levels(estimate, 2 * n, spec, 2,
                          f"near-cut transform of {rho.name!r}")
@@ -258,24 +250,32 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
         dl, dr = half * dp, half * dm
         vals = rho.value_at(mid + half * g, dl, dr)
-        cur = np.empty(len(act), dtype=complex)
-        for s in range(0, len(act), _ROW_CHUNK):
-            sel = act[s:s + _ROW_CHUNK]
+
+        def kernel(sel):
             # e - t is -dl on rows next to a and dr on rows next to b; a
             # batch on one side, the usual case, needs no per-row choice.
             if one_side:
                 e_t = -dl if left[0] else dr
             else:
                 e_t = np.where(left[sel, None], -dl, dr)
-            cur[s:s + _ROW_CHUNK] = half * ((vals / (ze[sel, None] + e_t)) @ w)
-        return cur
+            return vals / (ze[sel, None] + e_t)
+
+        return half * kernel_sums(kernel, act, w)
 
     return refine_levels(estimate, len(zs), spec, _FAR_START_LEVEL,
                          f"transform of {rho.name!r}")
 
 
 def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec) -> np.ndarray:
-    """int rho(t)/(z - t) dt elementwise over an array of z (any shape)."""
+    """int rho(t)/(z - t) dt elementwise over an array of z (any shape).
+
+    A z with |Im z| below NEAR_CUT_FRACTION widths and below both Re z - a
+    and b - Re z takes the near-cut path, however close Re z is to an end.
+    Nearer an end than the cut, rho(Re z) can exceed S by orders (at a
+    singular end), and the subtracted term would cancel against the rows;
+    such a z, like any other, takes the far path, which forms z - t exactly
+    next to an end.
+    """
     interval = rho.interval
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
@@ -285,9 +285,9 @@ def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec) -> np.ndarray:
         raise PointOnInterval(
             f"{flat[on_cut][0]} is within {ONCUT_DISTANCE:g} widths of "
             f"[{interval.a}, {interval.b}]")
-    margin = 1e-3 * interval.width
-    near = ((dist < NEAR_CUT_FRACTION * interval.width)
-            & (interval.a + margin < flat.real) & (flat.real < interval.b - margin))
+    near = np.abs(flat.imag) < np.minimum(
+        NEAR_CUT_FRACTION * interval.width,
+        np.minimum(flat.real - interval.a, interval.b - flat.real))
     out = np.empty(len(flat), dtype=complex)
     if not near.all():
         out[~near] = _cauchy_far(rho, flat[~near], spec)
@@ -302,8 +302,9 @@ def stieltjes_transform(rho: BaseDensity, z,
 
     A scalar z gives a ``complex``, an array a complex array of its shape.
     rho is evaluated once per level for all z away from the cut, and once
-    per level for all z near it (``_cauchy_near_cut``).  Any z on the
-    support raises PointOnInterval.
+    per level and block of at most KERNEL_ENTRIES kernel entries for the z
+    near it (``_cauchy_near_cut``).  Any z on the support raises
+    PointOnInterval.
     """
     s = _cauchy_integral(rho, z, spec)
     return complex(s) if s.ndim == 0 else s

@@ -77,6 +77,11 @@ def test_family_transform_denominator_zero(cheb_u, spec):
         family_transform(cheb_u, 3.0, np.array([2.0, root, 3.0 + 1j]), spec)
     assert np.all(np.isfinite(
         family_transform(cheb_u, 3.0, np.array([2.0, 3.0 + 1j]), spec)))
+    # 1e-7 off the root the denominator is 5.7e-7, far above its rounding
+    # error: served, and equal to the closed form.
+    z = root + 1e-7
+    expct = 2.0 / (3.0 * math.sqrt(z * z - 1.0) - z)
+    assert abs(family_transform(cheb_u, 3.0, z, spec) / expct - 1.0) < 1e-8
 
 
 def test_family_transform_rejects_bad_t(cheb_u, spec):
@@ -96,6 +101,10 @@ def test_moment0_curve_paper_values(uniform, sqrt32, linear2x, cheb_u, spec):
 def test_validity_statuses(cheb_u, uniform, spec):
     assert validate_parameter(cheb_u, 0.5, spec).validity == "proven"
     assert validate_parameter(cheb_u, 2.0, spec).validity == "empirical"
+    # Just past t = 2 the root lies about 1.25e-11 off an end, inside the
+    # gap the root scan leaves (it finds no root there); the unit-mass
+    # check (defect -1.0e-5) is what finds rho_t invalid.
+    assert validate_parameter(cheb_u, 2.00001, spec).validity == "invalid"
     assert validate_parameter(uniform, 1.5, spec).validity == "invalid"
     with pytest.raises(InvalidParameter):
         family(uniform, 1.5, spec)

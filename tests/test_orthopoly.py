@@ -7,11 +7,11 @@ from secmeasure import (Density, IntegrationSpec, Interval, catalog, family,
                         moment)
 from secmeasure.errors import InstabilityDetected, NonConvergence
 from secmeasure.measures import CATALOG_NAMES, BaseDensity
-from secmeasure.orthopoly import (_KERNEL_ENTRIES, RecurrenceCoefficients,
-                                  _t_against_rule, apply_T, orthonormal_polys,
+from secmeasure.orthopoly import (RecurrenceCoefficients, _t_against_rule,
+                                  apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
-from secmeasure.quadrature import (QUOTIENT_FALLBACK, EndpointExponents,
-                                   derivative)
+from secmeasure.quadrature import (KERNEL_ENTRIES, QUOTIENT_FALLBACK,
+                                   EndpointExponents, derivative)
 from secmeasure.stieltjes import secondary_measure
 
 
@@ -280,7 +280,7 @@ def test_apply_T_on_nodes_calls_f_a_few_times_per_level(name, counted, spec):
 def test_t_kernel_blocks_match_one_matrix(uniform):
     u, w = uniform._rule_at_level(9)
     xs = np.concatenate([np.linspace(0.01, 0.99, 200), u[5::len(u) // 100][:100]])
-    assert len(xs) * len(u) > 2 * _KERNEL_ENTRIES
+    assert len(xs) * len(u) > 2 * KERNEL_ENTRIES
     a, b, width = 0.0, 1.0, 1.0
     fx = np.exp(xs)
     got = _t_against_rule(np.exp, xs, fx, u, w, width, a, b)

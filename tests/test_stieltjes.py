@@ -9,7 +9,7 @@ from secmeasure import (CATALOG_NAMES, DegenerateMeasure, Density,
                         family, family_transform, lerch_phi_half, moment,
                         perron_invert, reducer, secondary_measure,
                         secondary_transform, stieltjes_transform)
-from secmeasure.quadrature import EndpointExponents
+from secmeasure.quadrature import KERNEL_ENTRIES, EndpointExponents
 
 
 def _s_semicircle(z):
@@ -77,6 +77,61 @@ def test_transform_near_cut_against_mpmath(spec):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
+def test_transform_near_an_end_is_served(uniform, spec):
+    # Re z inside the support but within 5e-4 widths of an end, |Im z| down
+    # to 1e-10: the far path did not settle for 12 of these z (Re z 1e-5,
+    # 5e-4 or 0.9995 with |Im z| 1e-8 or 1e-10), nor for any array that
+    # held one of them.  Those lie closer to the cut than to the end and
+    # take the near-cut path.
+    re = np.array([1e-8, 1e-5, 5e-4, 0.9995, 1.0 - 1e-9])
+    im = np.array([s * y for y in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+                   for s in (1, -1)])
+    zs = (re[:, None] + 1j * im[None, :]).ravel()
+    want = np.log(zs / (zs - 1.0))
+    np.testing.assert_allclose(stieltjes_transform(uniform, zs, spec), want,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose([stieltjes_transform(uniform, z, spec)
+                                for z in zs], want, rtol=1e-12, atol=0)
+
+
+def test_transform_near_an_end_against_mpmath(spec):
+    # x^-0.4 (1-x)^0.3, normalised, 5e-4 widths off each end at Im z =
+    # 1e-8; the far path did not settle at either z.  The reference is
+    # mpmath's tanh-sinh at 30 digits on [0, Re z] and [Re z, 1].
+    mpmath = pytest.importorskip("mpmath")
+    norm = math.gamma(1.9) / (math.gamma(0.6) * math.gamma(1.3))
+    rho = Density(Interval(0.0, 1.0), lambda x: np.full(np.shape(x), norm),
+                  EndpointExponents(-0.4, 0.3), "jacobi")
+    zs = np.array([5e-4 + 1e-8j, 0.9995 + 1e-8j])
+    got = stieltjes_transform(rho, zs, spec)
+    with mpmath.workdps(30):
+        c = 1 / mpmath.beta(mpmath.mpf("0.6"), mpmath.mpf("1.3"))
+        want = [complex(mpmath.quad(
+            lambda x, z=mpmath.mpc(z): (c * x ** mpmath.mpf("-0.4")
+                                        * (1 - x) ** mpmath.mpf("0.3")
+                                        / (z - x)),
+            [0, z.real, 1])) for z in zs]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_transform_nearer_an_end_than_the_cut_takes_the_far_path(spec):
+    # The arcsine density on [0, 1], S(z) = 1/(sqrt(z) sqrt(z - 1)).  Here
+    # Im z is far larger than the distance to the end, so rho(Re z), up to
+    # 1e150, dwarfs S: the subtracted near-cut form lost 2.5e-11 relative
+    # to cancellation at 1e-12 widths, and raised at 1e-300, where rho is
+    # infinite.  These z take the far path.
+    rho = Density(Interval(0.0, 1.0),
+                  lambda x: np.full(np.shape(x), 1.0 / math.pi),
+                  EndpointExponents(-0.5, -0.5), "arcsine")
+    zs = np.array([1e-12 + 1e-2j, 1e-12 - 1e-2j, 1e-300 + 1e-2j,
+                   1.0 - 1e-12 + 1e-2j, 1e-6 + 1e-3j])
+    want = 1.0 / (np.sqrt(zs) * np.sqrt(zs - 1.0))
+    np.testing.assert_allclose(stieltjes_transform(rho, zs, spec), want,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose([stieltjes_transform(rho, z, spec)
+                                for z in zs], want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("name, closed_form, x0s", [
     ("cheb-u", _s_semicircle, (-0.9, -0.5, 0.0, 0.3, 0.8)),
     ("uniform", lambda z: np.log(z / (z - 1.0)), (0.05, 0.3, 0.5, 0.9)),
@@ -131,6 +186,26 @@ def test_near_cut_batch_calls_h_once_per_level(counted_semicircle, spec):
     zs = 0.3 + 1j * np.array([1e-2, -1e-2, 1e-4, -1e-4, 1e-6, -1e-6])
     stieltjes_transform(rho, zs, spec)
     assert len(calls) <= spec.max_refinement_levels + 2
+
+
+def test_near_cut_blocks_bound_each_density_call(spec):
+    # 2,000 z at Im z = 1e-6 make 4,000 rows; one matrix of all of them
+    # handed h 512,000 points at once.  Blocked, no call exceeds the block
+    # bound, and a z's value does not depend on its block: every fifth z
+    # alone gives the same number.
+    calls = []
+
+    def h(x):
+        calls.append(np.size(x))
+        return 1.0 + 0.5 * x * x
+
+    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(-0.3, 0.4), "h")
+    zs = np.linspace(0.01, 0.99, 2000) + 1e-6j
+    got = stieltjes_transform(rho, zs, spec)
+    assert max(calls) <= KERNEL_ENTRIES
+    np.testing.assert_allclose([stieltjes_transform(rho, z, spec)
+                                for z in zs[::5]], got[::5], rtol=1e-14,
+                               atol=0)
 
 
 def test_transform_decay_at_infinity(cheb_u, spec):
@@ -189,6 +264,9 @@ def test_reducer_domain(cheb_u, spec):
         reducer(cheb_u, 1.0 - 1e-9, spec)
     with pytest.raises(DomainError):
         reducer(cheb_u, 2.0, spec)
+    # Served from 1e-4 widths inside: here at 2e-4 widths off each end.
+    x = np.array([-1.0 + 4e-4, 1.0 - 4e-4])
+    np.testing.assert_allclose(reducer(cheb_u, x, spec), 4.0 * x, atol=1e-10)
 
 
 def test_reducer_cache_is_bounded(counted_semicircle, spec, monkeypatch):

@@ -1,0 +1,107 @@
+"""One-constant mutation probe for the Tier-1 tests.
+
+Each mutant replaces one exact piece of text, which must occur once, in one
+file of the repository.  The probe first runs Tier-1 on an unchanged copy,
+then, for each mutant one after another, copies the repository into a
+temporary directory, applies the mutant there and runs Tier-1 with ``-x``.
+A mutant under which every test passes survives: no test can tell the
+mutated constant from the real one.  The repository itself is never
+written.  Run from its root:
+
+    python tools/mutants.py
+
+It prints one line per mutant and then the survivors.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, old text, new text).
+MUTANTS = [
+    ("src/secmeasure/stieltjes.py", "_PHI_CLAMP = 1e-9", "_PHI_CLAMP = 1e-6"),
+    ("src/secmeasure/stieltjes.py", "NEAR_CUT_FRACTION = 5e-2",
+     "NEAR_CUT_FRACTION = 5e-4"),
+    ("src/secmeasure/stieltjes.py", "REDUCER_MARGIN = 1e-4",
+     "REDUCER_MARGIN = 1e-3"),
+    ("src/secmeasure/quadrature.py", "_TS_TMAX = 4.0", "_TS_TMAX = 3.0"),
+    ("src/secmeasure/quadrature.py", "QUOTIENT_FALLBACK = 1e-8",
+     "QUOTIENT_FALLBACK = 1e-5"),
+    ("src/secmeasure/quadrature.py", "DERIVATIVE_STEP = 1e-6",
+     "DERIVATIVE_STEP = 1e-3"),
+    ("src/secmeasure/quadrature.py", "rel_tol: float = 1e-10",
+     "rel_tol: float = 1e-6"),
+    ("src/secmeasure/quadrature.py", "abs_tol: float = 1e-12",
+     "abs_tol: float = 1e-6"),
+    ("src/secmeasure/family.py", "_BRACKET_WIDTH = 1e-10",
+     "_BRACKET_WIDTH = 1e-6"),
+    ("src/secmeasure/family.py", "zero = np.abs(den) < 1e-12 *",
+     "zero = np.abs(den) < 1e-6 *"),
+    ("src/secmeasure/family.py", "_MASS_TOL = 1e-6", "_MASS_TOL = 1e-2"),
+    ("src/secmeasure/orthopoly.py", "DRIFT_TOL = 1e-6", "DRIFT_TOL = 1e-1"),
+    ("src/secmeasure/stieltjes.py",
+     "return cur, 100 * np.finfo(float).eps * mag",
+     "return cur, 1e-8 * mag"),
+    ("src/secmeasure/stieltjes.py", "diffs[j - 1] > 1e-5 * max(",
+     "diffs[j - 1] > 1e-1 * max("),
+    ("src/secmeasure/stieltjes.py", "abs(est.imag) > 1e-6",
+     "abs(est.imag) > 1e-1"),
+    ("src/secmeasure/measures.py", "if abs(m - 1.0) <= 1e-2:",
+     "if abs(m - 1.0) <= 1e-1:"),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+
+def tier1_passes(mutant=None) -> bool:
+    """Tier-1 on a temporary copy of the repository, with ``mutant``
+    applied when given; True when every test passes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench_tmp"))
+        if mutant is not None:
+            path, old, new = mutant
+            target = copy / path
+            target.write_text(target.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True,
+                              text=True)
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited with {proc.returncode}:\n"
+                         f"{proc.stdout}{proc.stderr}")
+    return proc.returncode == 0
+
+
+def main() -> int:
+    for path, old, _ in MUTANTS:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            raise SystemExit(f"{path}: {old!r} occurs {count} times, not once")
+    if not tier1_passes():
+        raise SystemExit("Tier-1 fails on the unchanged repository")
+    survivors = []
+    for mutant in MUTANTS:
+        path, old, new = mutant
+        survived = tier1_passes(mutant)
+        print(f"{'SURVIVED' if survived else 'caught  '}  {path}: "
+              f"{old!r} -> {new!r}", flush=True)
+        if survived:
+            survivors.append(mutant)
+    print(f"{len(survivors)} of {len(MUTANTS)} mutants survive")
+    for path, old, new in survivors:
+        print(f"  {path}: {old!r} -> {new!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
