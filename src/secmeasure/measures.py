@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -92,13 +92,11 @@ class BaseDensity:
         x = mid + half * g
         return x, half * w * self.value_at(x, half * dp, half * dm)
 
-    def rule(self, spec: IntegrationSpec = DEFAULT_SPEC,
-             min_level: int = 2) -> WeightedRule:
-        """The density-weighted rule, cached per (spec, min_level); each
-        level past ``min_level`` is ``finer_rule`` of the one before and
-        its odd-k nodes, bit for bit ``_rule_at_level``."""
-        key = (spec, min_level)
-        cached = self._rules.get(key)
+    def rule(self, spec: IntegrationSpec = DEFAULT_SPEC) -> WeightedRule:
+        """The density-weighted rule, cached per spec; each level past the
+        first is ``finer_rule`` of the one before and its odd-k nodes, bit
+        for bit ``_rule_at_level``."""
+        cached = self._rules.get(spec)
         if cached is not None:
             return cached
         x = w = top = None
@@ -110,34 +108,36 @@ class BaseDensity:
             top = level
             return wl.sum()[None]
 
-        refine_levels(estimate, 1, spec, min_level,
-                      f"weighted rule of {self.name!r}")
-        rule = self._rules[key] = WeightedRule(x, w, top)
+        refine_levels(estimate, 1, spec, 2, f"weighted rule of {self.name!r}")
+        rule = self._rules[spec] = WeightedRule(x, w, top)
         return rule
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
-                count: int = 1):
-        """``evaluate(x, w)``, ``count`` sums over the nodes x with weights
-        w stacked along the first axis, on the cached rule, each refined
-        until two levels agree (arrays compared in max-norm).  The first
-        level is the rule's coarser one in full; later levels pass only
-        their odd-k nodes, the rule's and then new ones up to the rule's
-        own cap, level 2 + max_refinement_levels."""
+                count: int = 1, settle: Optional[Callable] = None):
+        """``evaluate(x, w, g)``, ``count`` sums over the nodes x with
+        weights w stacked along the first axis, on the cached rule, each
+        refined until two levels agree (arrays compared in max-norm); g are
+        the nodes' exact coordinates on (-1, 1), x = midpoint + half width
+        g.  The first level is the rule's coarser one in full; later levels
+        pass only their odd-k nodes, the rule's and then new ones up to the
+        rule's own cap, level 2 + max_refinement_levels.  ``settle`` is
+        ``refine_levels``' hook: it maps the sums to the values compared."""
         rule = self.rule(spec)
 
         def estimate(level, act, odd):
             x, w = ((rule.x[::2], 2.0 * rule.w[::2]) if not odd
                     else (rule.x[ODD], rule.w[ODD]) if level == rule.level
                     else self._rule_at_level(level, odd))
-            return np.asarray(evaluate(x, w))[act]
+            g = tanh_sinh_nodes(level, odd)[0]
+            return np.asarray(evaluate(x, w, g))[act]
 
         return refine_levels(estimate, count, spec, 2,
                              f"{what} against {self.name!r}",
-                             first=rule.level - 1)
+                             first=rule.level - 1, settle=settle)
 
     def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
         """Integral of f against this density, refined until levels agree."""
-        return self._refine(lambda x, w: (w @ _call(f, x))[None], spec,
+        return self._refine(lambda x, w, _: (w @ _call(f, x))[None], spec,
                             "weighted integral")[0]
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
@@ -273,7 +273,7 @@ def _moments(rho: BaseDensity, orders, spec: IntegrationSpec) -> list:
     todo = [n for n in orders if (n, spec) not in rho._moments]
     if todo:
         p = np.array(todo)[:, None]
-        vals = rho._refine(lambda x, w: (x ** p) @ w, spec, "moments", len(todo))
+        vals = rho._refine(lambda x, w, _: (x ** p) @ w, spec, "moments", len(todo))
         rho._moments.update(zip([(n, spec) for n in todo], vals.tolist()))
     return [rho._moments[(n, spec)] for n in orders]
 

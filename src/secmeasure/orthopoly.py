@@ -1,11 +1,12 @@
 """Orthonormal polynomials of a density and their secondary companions.
 
 The three-term recurrence (convention x P_n = b_{n+1} P_{n+1} + a_n P_n +
-b_n P_{n-1}) is built by the discretized Stieltjes procedure against the
-density's cached quadrature rule and kept on the density, one checked
-recurrence per spec whose leading rows serve any smaller request; its
-arrays are read-only.  A polynomial sequence is stored as that
-recurrence with its first two members and evaluated by running it forward.
+b_n P_{n-1}) is built by the discretized Stieltjes procedure on the
+density's cached quadrature rule, refined like every density integral,
+and kept on the density, MAX_DEGREE rows per spec whose leading rows
+serve every request; its arrays are read-only.  A polynomial sequence is
+stored as that recurrence with its first two members and evaluated by
+running it forward.
 Secondary polynomials Q_n share the recurrence with shifted initial
 conditions Q_0 = 0, Q_1 = 1/b_1 (b_1^2 = d_0 = c_2 - c_1^2), and agree
 pointwise with the operator
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import InstabilityDetected
 from .measures import BaseDensity
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
-                         QUOTIENT_FALLBACK, derivative, finer_sum,
+                         QUOTIENT_FALLBACK, derivative, finer_rule,
                          kernel_sums)
 
 __all__ = [
@@ -39,10 +40,8 @@ __all__ = [
     "apply_T",
 ]
 
-# Highest recurrence row count served, and the largest deviation of the
-# Gram matrix from the identity on the next-finer rule.
+# Recurrence rows a density keeps, and the most served.
 MAX_DEGREE = 20
-DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,9 @@ class RecurrenceCoefficients:
     def __post_init__(self):
         if len(self.b) != len(self.a) - 1:
             raise ValueError("need one fewer off-diagonal than diagonal term")
-        if np.any(self.b <= 0):
-            raise InstabilityDetected("nonpositive off-diagonal recurrence term")
+        if not np.all(self.b > 0):
+            raise InstabilityDetected(
+                "nonpositive or NaN off-diagonal recurrence term")
 
     @property
     def n(self) -> int:
@@ -112,61 +112,64 @@ class PolynomialSequence:
 def recurrence_coefficients(rho: BaseDensity, N: int,
                             spec: IntegrationSpec = DEFAULT_SPEC
                             ) -> RecurrenceCoefficients:
-    """Stieltjes procedure for the first N recurrence rows of rho.
+    """The first N recurrence rows of rho, by the discretized Stieltjes
+    procedure (W. Gautschi, *Orthogonal Polynomials: Computation and
+    Approximation*, Oxford 2004, Section 2.2.3) on each level of the
+    density's cached rule, refined like every density integral until two
+    levels agree in max-norm.  The rows are formed in g, the nodes' exact
+    unit coordinate, so a support far from the origin loses no digits, and
+    mapped back as a = midpoint + half width alpha, b = half width beta.
+    Working on the nodes, not on moments, keeps a density concentrated on
+    a small part of its support accurate.  A nonpositive or NaN b_n raises
+    InstabilityDetected.
 
-    Inner products are discretized on the density's tanh-sinh rule
-    (``rule(spec, min_level=8)``); the Gram matrix of the resulting
-    polynomials on the next-finer rule must stay within DRIFT_TOL of the
-    identity.  That check evaluates the density only at the len(rule.x) - 1
-    nodes the finer rule adds.
-
-    The density keeps, per spec, the checked recurrence with the most rows;
-    rows 0..N-1 do not depend on N, so a smaller N is served as its prefix,
-    bit for bit a fresh call, with no quadrature or density evaluation.  A
-    larger N recomputes and replaces it; a call that raises leaves it as it
-    was.  The returned arrays are read-only.
+    The density keeps its MAX_DEGREE rows per spec and serves any N as
+    their prefix, bit for bit the same for every N, with no quadrature or
+    density evaluation after the first call; a call that raises caches
+    nothing.  The returned arrays are read-only.
     """
     if N < 1:
         raise ValueError("need at least one recurrence row")
     if N > MAX_DEGREE:
         raise InstabilityDetected(f"degree cap is {MAX_DEGREE}")
-    cached = rho._recurrence.get(spec)
-    if cached is not None and N <= cached.n:
-        return RecurrenceCoefficients(cached.a[:N], cached.b[:N - 1])
-    rule = rho.rule(spec, min_level=8)
-    x, w = rule.x, rule.w
+    rows = rho._recurrence.get(spec)
+    if rows is None:
+        rows = rho._recurrence[spec] = _stieltjes_rows(rho, spec)
+    return RecurrenceCoefficients(rows.a[:N], rows.b[:N - 1])
 
-    a = np.empty(N)
-    b = np.empty(max(N - 1, 0))
-    mass = w.sum()
-    # Row n is P_n / sqrt(mass) on the rule.
-    p = np.empty((N, len(x)))
-    p[0] = 1.0 / np.sqrt(mass)
-    for n in range(N):
-        a[n] = w @ (x * p[n] * p[n])
-        if n == N - 1:
-            break
-        q = (x - a[n]) * p[n] - (b[n - 1] * p[n - 1] if n else 0.0)
-        b2 = w @ (q * q)
-        if b2 <= 0:
-            raise InstabilityDetected(f"b_{n + 1}^2 = {b2:.3e} <= 0")
-        b[n] = np.sqrt(b2)
-        p[n + 1] = q / b[n]
+
+def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
+                    ) -> RecurrenceCoefficients:
+    """MAX_DEGREE recurrence rows of rho, refined on its rule."""
+    nodes = None
+
+    def collect(x, w, g):
+        # The level's (g, w), from the first level's and later odd-k nodes.
+        nonlocal nodes
+        nodes = finer_rule(*nodes, g, w) if nodes is not None else (g, w)
+        return w.sum()[None]
+
+    def stieltjes(act, sums):
+        # s_n = sqrt(w) P_n on the level's nodes, orthonormal in the dot
+        # product; its recurrence in g is the density's in unit coordinates.
+        g, w = nodes
+        s, prev, b = np.sqrt(w / w.sum()), 0.0, 0.0
+        alpha, beta = [], []
+        for n in range(MAX_DEGREE):
+            gs = g * s
+            alpha.append(gs @ s)
+            q = gs - alpha[n] * s - b * prev
+            b = math.sqrt(q @ q)
+            beta.append(b)
+            prev, s = s, q / b
+        return np.array(alpha + beta[:-1])[None], None
+
+    rows = rho._refine(collect, spec, "recurrence", settle=stieltjes)[0]
+    half = 0.5 * rho.interval.width
+    a = rho.interval.midpoint + half * rows[:MAX_DEGREE]
+    b = half * rows[MAX_DEGREE:]
     a.flags.writeable = b.flags.writeable = False
-    coeffs = RecurrenceCoefficients(a, b)
-
-    # The rule must resolve the polynomials: check their orthonormality on
-    # the next-finer rule, which the procedure above did not see.  Its Gram
-    # matrix is half the rule's plus that of the odd-k nodes it adds.
-    xf, wf = rho._rule_at_level(rule.level + 1, odd=True)
-    fine = orthonormal_polys(coeffs).values(xf) / np.sqrt(mass)
-    gram = finer_sum((p * w) @ p.T, (fine * wf) @ fine.T)
-    drift = np.max(np.abs(gram - np.eye(N)))
-    if drift > DRIFT_TOL:
-        raise InstabilityDetected(
-            f"orthogonality drift {drift:.3e} exceeds {DRIFT_TOL:g}")
-    rho._recurrence[spec] = coeffs
-    return coeffs
+    return RecurrenceCoefficients(a, b)
 
 
 def orthonormal_polys(coeffs: RecurrenceCoefficients) -> PolynomialSequence:
@@ -221,7 +224,7 @@ def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
     def T(xs):
         fx = _call(f, xs)
         return rho._refine(
-            lambda u, w: _t_against_rule(f, xs, fx, u, w, iv.width, iv.a,
-                                         iv.b)[None], spec, "T")[0]
+            lambda u, w, _: _t_against_rule(f, xs, fx, u, w, iv.width,
+                                            iv.a, iv.b)[None], spec, "T")[0]
 
     return _pointwise(T, x)

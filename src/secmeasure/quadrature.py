@@ -171,11 +171,6 @@ def tanh_sinh_nodes(level: int, odd: bool = False):
     return g, w, dm, dp
 
 
-def finer_sum(coarse, odd):
-    """Level L+1's sum from level L's and that over its odd-k nodes."""
-    return 0.5 * coarse + odd
-
-
 def finer_rule(x, w, x_odd, w_odd):
     """Level L+1's nodes and weights: level L's (x, w) at half the weight,
     interleaved with its odd-k nodes."""
@@ -213,7 +208,7 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
             if sums is None:
                 sums = new.copy()
             else:
-                new = sums[act] = finer_sum(sums[act], new)
+                new = sums[act] = 0.5 * sums[act] + new
             cur, floor = settle(act, new) if settle else (new, None)
             if not np.isfinite(cur).all():
                 raise EvaluationFailure(f"{what} is not finite at level {level}")
@@ -222,7 +217,7 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
                 continue
             gap, size = np.abs(cur - est[act]), np.abs(cur)
             if cur.ndim > 1:
-                gap, size = (v.reshape(len(act), -1).max(axis=1)
+                gap, size = (v.reshape(len(act), -1).max(axis=1, initial=0.0)
                              for v in (gap, size))
             tol = np.maximum(size * spec.rel_tol, spec.abs_tol)
             if floor is not None:
@@ -244,11 +239,12 @@ def kernel_sums(kernel: Callable, rows: np.ndarray,
     ``rows``, concatenated along the last axis.  ``kernel(block)`` puts the
     block's rows on its second-last axis and the ``len(w)`` nodes on its
     last; a block has at most KERNEL_ENTRIES // len(w) rows, and one at
-    least, so that no temporary grows with the number of rows.  ``rows``
-    must not be empty: the result's leading shape comes from the blocks."""
+    least, so that no temporary grows with the number of rows; an empty
+    ``rows`` is one empty block, which gives the result's leading shape."""
     step = max(1, KERNEL_ENTRIES // len(w))
     return np.concatenate([kernel(rows[s:s + step]) @ w
-                           for s in range(0, len(rows), step)], axis=-1)
+                           for s in range(0, max(len(rows), 1), step)],
+                          axis=-1)
 
 
 def tanh_sinh(fn: Callable, interval: Interval,

@@ -347,7 +347,7 @@ class SecondaryMeasure(BaseDensity):
         sum w (x - c_1)^2 refined on rho's rule: c_2 - c_1^2 would cancel on
         a support far from the origin.  DegenerateMeasure at 1e-12 or less."""
         c1 = moment(self.base, 1, self.spec)
-        d0 = float(self.base._refine(lambda x, w: (w @ (x - c1) ** 2)[None],
+        d0 = float(self.base._refine(lambda x, w, _: (w @ (x - c1) ** 2)[None],
                                      self.spec, "variance")[0])
         if d0 <= 1e-12:
             raise DegenerateMeasure(

@@ -150,8 +150,7 @@ def test_moments_make_one_engine_call(monkeypatch, spec):
         assert abs(ms[n] - moment(_quartic(), n, spec)) <= 1e-15 * ms[n]
 
 
-@pytest.mark.parametrize("min_level", [2, 8])
-def test_rule_equals_its_level_bit_for_bit(min_level):
+def test_rule_equals_its_level_bit_for_bit():
     # rule() builds each level from the one before and its new nodes; the
     # result is the level computed in full, and so is the coarser level
     # derived from it, x[::2] with weights 2 w[::2].
@@ -162,7 +161,7 @@ def test_rule_equals_its_level_bit_for_bit(min_level):
         rho = Density(Interval(0.0, 1.0),
                       lambda x, c=coef: np.polynomial.polynomial.polyval(x, c),
                       EndpointExponents(alpha, beta), "jacobi")
-        rule = rho.rule(min_level=min_level)
+        rule = rho.rule()
         coarse = (rule.x[::2], 2.0 * rule.w[::2])
         for (x, w), level in (((rule.x, rule.w), rule.level),
                               (coarse, rule.level - 1)):

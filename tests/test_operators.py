@@ -17,6 +17,29 @@ def _poly3(x):
     return x ** 3 - 2.0 / (x + 5.0) + 1.0 / (x * x + 3.0)
 
 
+_POINTWISE_OPERATORS = {
+    "apply_T": lambda ctx, x, spec: apply_T(ctx.base, np.cos, x, spec),
+    "apply_T complex": lambda ctx, x, spec: apply_T(
+        ctx.base, lambda u: 1.0 / (u - 2j), x, spec),
+    "apply_V": lambda ctx, x, spec: apply_V(ctx, np.cos, x, spec),
+    "apply_V_inverse": lambda ctx, x, spec: apply_V_inverse(ctx, np.cos, x,
+                                                            spec),
+    "solve_integral_equation": lambda ctx, x, spec: solve_integral_equation(
+        IntegralEquationProblem(ctx.base, 1.0, np.cos), x, spec),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE_OPERATORS))
+def test_empty_x_gives_empty_array(name, uniform, spec):
+    ctx = make_context(uniform, 0.5, spec)
+    for x in (np.array([]), np.empty((0, 3))):
+        got = _POINTWISE_OPERATORS[name](ctx, x, spec)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        # f is called on the empty array: the dtype is that of one point's.
+        one = _POINTWISE_OPERATORS[name](ctx, np.array([0.3]), spec)
+        assert got.dtype == one.dtype
+
+
 def test_isometry_reference_value(cheb_u, spec):
     ctx = make_context(cheb_u, 1.35, spec)
     rep = isometry_check(ctx, _poly3, spec)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (Density, IntegrationSpec, Interval, catalog, family,
-                        moment)
+from secmeasure import (DEFAULT_SPEC, Density, IntegrationSpec, Interval,
+                        catalog, family, moment, user_density)
 from secmeasure.errors import InstabilityDetected, NonConvergence
-from secmeasure.measures import CATALOG_NAMES, BaseDensity
+from secmeasure.measures import CATALOG_NAMES
 from secmeasure.orthopoly import (RecurrenceCoefficients, _t_against_rule,
                                   apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
@@ -34,6 +34,12 @@ def test_recurrence_rejects_shape():
         RecurrenceCoefficients(np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("b", [0.0, -1.0, np.nan])
+def test_recurrence_rejects_nonpositive_or_nan_b(b):
+    with pytest.raises(InstabilityDetected):
+        RecurrenceCoefficients(np.zeros(2), np.array([b]))
+
+
 def test_degree_cap(cheb_u, spec):
     with pytest.raises(InstabilityDetected):
         recurrence_coefficients(cheb_u, 25, spec)
@@ -54,42 +60,66 @@ def _counted_density(counted):
     return Density(Interval(0.0, 1.0), h, EndpointExponents(0.5, 0.0), "h"), h
 
 
-def test_drift_check_evaluates_only_new_nodes(counted, spec):
-    # The next-finer Gram matrix is half the rule's plus its odd-k nodes',
-    # so a warm call evaluates the density at len(rule.x) - 1 points; on the
-    # finer rule in full it took 2 len(rule.x) - 1.
-    rho, h = _counted_density(counted)
-    rule = rho.rule(spec, min_level=8)
-    h.args.clear()
-    recurrence_coefficients(rho, 10, spec)
-    assert sum(map(len, h.args)) == len(rule.x) - 1 == 4096
+def test_recurrence_far_from_origin(spec):
+    # Shifted Legendre rows on [1e8, 1e8 + 1]: the procedure takes the unit
+    # coordinate exact from the tanh-sinh nodes.  Forming it as
+    # (x - midpoint)/half width loses a_n to 2.2e-7 widths here.
+    rho = Density(Interval(1e8, 1e8 + 1.0), np.ones_like, EndpointExponents(),
+                  "far")
+    rc = recurrence_coefficients(rho, 20, spec)
+    n = np.arange(1, 20)
+    np.testing.assert_allclose(rc.a - 1e8, 0.5, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rc.b, n / (2.0 * np.sqrt(4.0 * n * n - 1.0)),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sigma", [0.025, 0.05])
+@pytest.mark.parametrize("N", [6, 20])
+def test_recurrence_of_concentrated_density(sigma, N, spec):
+    # A normalised Gaussian of width sigma on [0, 1]: the modified Chebyshev
+    # algorithm on moments over the whole support loses the high rows here
+    # (Gautschi 2004, Section 2.1.6).  The rows must give polynomials
+    # orthonormal on a finer rule.
+    c = 1.0 / (sigma * math.sqrt(2.0 * math.pi)
+               * math.erf(0.5 / (sigma * math.sqrt(2.0))))
+    rho = user_density(lambda x: c * np.exp(-0.5 * ((x - 0.5) / sigma) ** 2),
+                       Interval(0.0, 1.0))
+    polys = orthonormal_polys(recurrence_coefficients(rho, N, spec))
+    x, w = rho._rule_at_level(10)
+    rows = polys.values(x)
+    np.testing.assert_allclose((rows * w) @ rows.T, np.eye(N), rtol=0,
+                               atol=1e-12)
+
+
+def test_unsettled_recurrence_raises_and_caches_nothing(counted):
+    # The recurrence honours the spec's level cap.
+    rho, _ = _counted_density(counted)
+    with pytest.raises(NonConvergence, match="recurrence against"):
+        recurrence_coefficients(rho, 6,
+                                IntegrationSpec(max_refinement_levels=1))
+    assert rho._recurrence == {}
+    recurrence_coefficients(rho, 6)
+    assert list(rho._recurrence) == [DEFAULT_SPEC]
 
 
 def test_recurrence_prefix_served_from_cache(counted, spec):
+    # On a built rule the recurrence evaluates the density only at the odd
+    # nodes of the levels past it; every later N is served from the cache,
+    # bit for bit a fresh call.
     rho, h = _counted_density(counted)
-    recurrence_coefficients(rho, 10, spec)
+    rho.rule(spec)
     h.args.clear()
-    recurrence_coefficients(rho, 10, spec)
     rc6 = recurrence_coefficients(rho, 6, spec)
+    assert sum(map(len, h.args)) < 1000
+    h.args.clear()
+    rc20 = recurrence_coefficients(rho, 20, spec)
+    recurrence_coefficients(rho, 6, spec)
     assert h.args == []
+    np.testing.assert_array_equal(rc20.a[:6], rc6.a)
+    np.testing.assert_array_equal(rc20.b[:5], rc6.b)
     fresh = recurrence_coefficients(_counted_density(counted)[0], 6, spec)
     np.testing.assert_array_equal(rc6.a, fresh.a)
     np.testing.assert_array_equal(rc6.b, fresh.b)
-
-
-def test_recurrence_grows_on_cached_rule(counted, spec):
-    # A longer recurrence reruns the procedure on the cached rule and pays
-    # only the drift check's new nodes; it then serves shorter requests.
-    rho, h = _counted_density(counted)
-    recurrence_coefficients(rho, 10, spec)
-    h.args.clear()
-    rc12 = recurrence_coefficients(rho, 12, spec)
-    assert sum(map(len, h.args)) == 4096
-    h.args.clear()
-    rc10 = recurrence_coefficients(rho, 10, spec)
-    assert h.args == [] and rho._recurrence[spec].n == 12
-    np.testing.assert_array_equal(rc10.a, rc12.a[:10])
-    np.testing.assert_array_equal(rc10.b, rc12.b[:9])
 
 
 def test_recurrence_arrays_are_read_only(counted, spec):
@@ -102,36 +132,12 @@ def test_recurrence_arrays_are_read_only(counted, spec):
             rc.b[0] = 0.0
 
 
-def test_drift_check_fires_and_keeps_cache(counted, spec, monkeypatch):
-    # Odd nodes of the finer rule weighted 1e-3 too heavily shift the Gram
-    # matrix by about 5e-4; a failed call leaves the 6-row entry in place.
-    rho, h = _counted_density(counted)
-    want = recurrence_coefficients(rho, 6, spec)
-    level = rho.rule(spec, min_level=8).level + 1
-    plain = BaseDensity._rule_at_level
-
-    def skewed(self, lvl, odd=False):
-        x, w = plain(self, lvl, odd)
-        return x, (w * (1.0 + 1e-3) if odd and lvl == level else w)
-
-    monkeypatch.setattr(BaseDensity, "_rule_at_level", skewed)
-    for _ in range(2):
-        with pytest.raises(InstabilityDetected,
-                           match="orthogonality drift 5.000e-04"):
-            recurrence_coefficients(rho, 10, spec)
-    h.args.clear()
-    got = recurrence_coefficients(rho, 6, spec)
-    assert h.args == []
-    np.testing.assert_array_equal(got.a, want.a)
-    np.testing.assert_array_equal(got.b, want.b)
-
-
 @pytest.mark.parametrize("name", ["uniform", "linear2x", "sqrt32"])
 def test_orthonormal_at_degree_cap(name, spec):
     # Monomial coefficients lost 1.7e-3 to 3.0e-3 of orthonormality here.
     rho = catalog(name)
     polys = orthonormal_polys(recurrence_coefficients(rho, 20, spec))
-    x, w = rho._rule_at_level(rho.rule(spec, min_level=8).level + 1)
+    x, w = rho._rule_at_level(10)
     rows = np.array([polys.eval(n, x) for n in range(20)])
     np.testing.assert_allclose((rows * w) @ rows.T, np.eye(20), rtol=0,
                                atol=1e-12)

@@ -45,7 +45,8 @@ MUTANTS = [
     ("src/secmeasure/family.py", "zero = np.abs(den) < 1e-12 *",
      "zero = np.abs(den) < 1e-6 *"),
     ("src/secmeasure/family.py", "_MASS_TOL = 1e-6", "_MASS_TOL = 1e-2"),
-    ("src/secmeasure/orthopoly.py", "DRIFT_TOL = 1e-6", "DRIFT_TOL = 1e-1"),
+    ("src/secmeasure/orthopoly.py", "b = math.sqrt(q @ q)",
+     "b = math.sqrt(1.01 * q @ q)"),
     ("src/secmeasure/stieltjes.py",
      "return cur, 100 * np.finfo(float).eps * mag",
      "return cur, 1e-8 * mag"),
