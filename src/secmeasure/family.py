@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DenominatorZero, DomainError, InvalidParameter
-from .measures import BaseDensity, moment
+from .measures import BaseDensity, DerivedDensity, moment
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, _call
 from .report import VerificationReport, property_report, timer
 from .stieltjes import (_phi_values, reducer, secondary_measure,
@@ -65,7 +65,7 @@ _FAMILY_CACHE_SIZE = 256
 _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
 
-class FamilyDensity(BaseDensity):
+class FamilyDensity(DerivedDensity):
     """The density rho_t built pointwise from rho and its reducer.
 
     ``validity`` is "proven" for t <= 1; for t > 1 reading it runs the
@@ -78,10 +78,8 @@ class FamilyDensity(BaseDensity):
                  spec: IntegrationSpec = DEFAULT_SPEC):
         if t <= 0:
             raise InvalidParameter(f"family parameter must be positive, got {t}")
-        super().__init__(base.interval, f"{base.name}|t={t:g}")
-        self.base = base
+        super().__init__(base, f"{base.name}|t={t:g}", spec)
         self.t = t
-        self.spec = spec
         self.c1 = moment(base, 1, spec)
 
     @cached_property
@@ -92,12 +90,11 @@ class FamilyDensity(BaseDensity):
               and abs(self.mass(self.spec) - 1.0) < _MASS_TOL)
         return "empirical" if ok else "invalid"
 
-    def value_at(self, x, dleft, dright):
-        rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
+    def from_base(self, x, dleft, dright, rho):
         t = self.t
         if t == 1.0:
             return rho
-        phi = _phi_values(self.base, x, dleft, dright, self.spec)
+        phi = _phi_values(self.base, x, dleft, dright, self.spec, rho)
         shift = np.asarray(x, dtype=float) - self.c1
         bracket = 0.5 * (t - 1.0) * shift * phi.reshape(rho.shape) - t
         den = bracket ** 2 + (math.pi * rho * (t - 1.0) * shift) ** 2

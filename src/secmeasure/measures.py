@@ -6,9 +6,13 @@ module ships the catalog of worked examples (Chebyshev of both kinds,
 uniform, 2x, (3/2)sqrt(x)), moments, the weighted inner product, and mean
 projection onto the zero-mean hyperplane.
 
-Every density caches a converged tanh-sinh rule with the density values
-folded into the weights; downstream modules reuse that rule for all
-density-weighted integrals.
+Every density keeps its values at the nodes of the finest tanh-sinh level
+any integral on its interval has reached, one array whatever the spec,
+and every evaluation at those nodes reads it: the weighted rule (a
+converged rule with the density values folded into the weights, cached
+per spec and reused for all density-weighted integrals), the reducer's
+inner sums and the transform away from the cut.  A ``DerivedDensity``
+(mu, rho_t) forms its node values from its base's.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import InvalidDensity, UnknownDensity
 from .quadrature import (DEFAULT_SPEC, ODD, EndpointExponents,
                          IntegrationSpec, Interval, _call, derivative,
-                         finer_rule, refine_levels, tanh_sinh_nodes)
+                         refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -61,6 +65,8 @@ class BaseDensity:
     def __init__(self, interval: Interval, name: str):
         self.interval = interval
         self.name = name
+        self._nodes = None
+        self._node_level = 0
         self._rules: dict = {}
         self._phi: dict = {}
         self._moments: dict = {}
@@ -84,32 +90,60 @@ class BaseDensity:
         return derivative(self.value, x, self.value_at(x, dleft, dright),
                           iv.a, iv.b, iv.width)
 
+    # -- values at the tanh-sinh nodes -------------------------------------
+
+    def _node_values(self, level: int, odd: bool = False) -> np.ndarray:
+        """The density at a level's tanh-sinh nodes on its interval (with
+        ``odd`` at the odd-k ones), a strided view of the values kept at
+        the finest level reached.  A first call evaluates its level in full;
+        a finer level is reached one level at a time, each evaluating only
+        its odd-k nodes."""
+        vals, top = self._nodes, self._node_level
+        if vals is None:
+            vals, top = self._evaluate_nodes(level, False), level
+        while top < level:
+            top += 1
+            finer = np.empty(2 * len(vals) - 1)
+            finer[::2], finer[ODD] = vals, self._evaluate_nodes(top, True)
+            vals = finer
+        self._nodes, self._node_level = vals, top
+        step = 2 ** (top - level)
+        return vals[step::2 * step] if odd else vals[::step]
+
+    def _node_points(self, level: int, odd: bool = False) -> tuple:
+        """A level's nodes on the interval (with ``odd`` its odd-k ones) and
+        their exact distances to a and to b."""
+        half, mid = 0.5 * self.interval.width, self.interval.midpoint
+        g, _, dm, dp = tanh_sinh_nodes(level, odd)
+        return mid + half * g, half * dp, half * dm
+
+    def _evaluate_nodes(self, level: int, odd: bool) -> np.ndarray:
+        """``value_at`` at a level's nodes (``odd``: its odd-k ones)."""
+        return np.asarray(self.value_at(*self._node_points(level, odd)),
+                          dtype=float)
+
     # -- cached weighted rule --------------------------------------------
 
     def _rule_at_level(self, level: int, odd: bool = False) -> tuple:
         half, mid = 0.5 * self.interval.width, self.interval.midpoint
-        g, w, dm, dp = tanh_sinh_nodes(level, odd)
-        x = mid + half * g
-        return x, half * w * self.value_at(x, half * dp, half * dm)
+        g, w = tanh_sinh_nodes(level, odd)[:2]
+        return mid + half * g, half * w * self._node_values(level, odd)
 
     def rule(self, spec: IntegrationSpec = DEFAULT_SPEC) -> WeightedRule:
-        """The density-weighted rule, cached per spec; each level past the
-        first is ``finer_rule`` of the one before and its odd-k nodes, bit
-        for bit ``_rule_at_level``."""
+        """The density-weighted rule, cached per spec: ``_rule_at_level``
+        at the first level whose sum agrees with the one before."""
         cached = self._rules.get(spec)
         if cached is not None:
             return cached
-        x = w = top = None
+        top = None
 
         def estimate(level, act, odd):
-            nonlocal x, w, top
-            xl, wl = self._rule_at_level(level, odd)
-            x, w = finer_rule(x, w, xl, wl) if odd else (xl, wl)
+            nonlocal top
             top = level
-            return wl.sum()[None]
+            return self._rule_at_level(level, odd)[1].sum()[None]
 
         refine_levels(estimate, 1, spec, 2, f"weighted rule of {self.name!r}")
-        rule = self._rules[spec] = WeightedRule(x, w, top)
+        rule = self._rules[spec] = WeightedRule(*self._rule_at_level(top), top)
         return rule
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
@@ -120,7 +154,8 @@ class BaseDensity:
         the nodes' exact coordinates on (-1, 1), x = midpoint + half width
         g.  The first level is the rule's coarser one in full; later levels
         pass only their odd-k nodes, the rule's and then new ones up to the
-        rule's own cap, level 2 + max_refinement_levels.  ``settle`` is
+        rule's own cap, level 2 + max_refinement_levels, their density
+        values read from the node values.  ``settle`` is
         ``refine_levels``' hook: it maps the sums to the values compared."""
         rule = self.rule(spec)
 
@@ -143,6 +178,31 @@ class BaseDensity:
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
         """Total mass: the sum of the cached rule's weights."""
         return float(self.rule(spec).w.sum())
+
+
+class DerivedDensity(BaseDensity):
+    """A density formed pointwise from a base density on the same interval
+    by ``from_base``, whose integrals use ``spec``.  At the tanh-sinh nodes
+    it reads the base's node values, so the base is evaluated once per
+    node whatever reads it."""
+
+    def __init__(self, base: BaseDensity, name: str,
+                 spec: IntegrationSpec = DEFAULT_SPEC):
+        super().__init__(base.interval, name)
+        self.base = base
+        self.spec = spec
+
+    def from_base(self, x, dleft, dright, rho: np.ndarray) -> np.ndarray:
+        """The density at x, given the base's values rho there."""
+        raise NotImplementedError
+
+    def value_at(self, x, dleft, dright):
+        rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
+        return self.from_base(x, dleft, dright, rho)
+
+    def _evaluate_nodes(self, level: int, odd: bool) -> np.ndarray:
+        return self.from_base(*self._node_points(level, odd),
+                              self.base._node_values(level, odd))
 
 
 class Density(BaseDensity):

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import InstabilityDetected
 from .measures import BaseDensity
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
-                         QUOTIENT_FALLBACK, derivative, finer_rule,
-                         kernel_sums)
+                         QUOTIENT_FALLBACK, derivative, kernel_sums,
+                         tanh_sinh_nodes)
 
 __all__ = [
     "RecurrenceCoefficients",
@@ -46,7 +46,8 @@ MAX_DEGREE = 20
 
 @dataclass(frozen=True)
 class RecurrenceCoefficients:
-    """Diagonal a_0..a_{N-1} and off-diagonal b_1..b_{N-1} terms."""
+    """Diagonal a_0..a_{N-1} and off-diagonal b_1..b_{N-1} terms, all
+    finite and every b positive; InstabilityDetected otherwise."""
 
     a: np.ndarray
     b: np.ndarray
@@ -54,9 +55,11 @@ class RecurrenceCoefficients:
     def __post_init__(self):
         if len(self.b) != len(self.a) - 1:
             raise ValueError("need one fewer off-diagonal than diagonal term")
-        if not np.all(self.b > 0):
+        if not np.all((self.b > 0) & (self.b < np.inf)):
             raise InstabilityDetected(
-                "nonpositive or NaN off-diagonal recurrence term")
+                "nonpositive or non-finite off-diagonal recurrence term")
+        if not np.all(np.isfinite(self.a)):
+            raise InstabilityDetected("non-finite diagonal recurrence term")
 
     @property
     def n(self) -> int:
@@ -141,18 +144,18 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
 def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
                     ) -> RecurrenceCoefficients:
     """MAX_DEGREE recurrence rows of rho, refined on its rule."""
-    nodes = None
+    level = rho.rule(spec).level - 2
 
-    def collect(x, w, g):
-        # The level's (g, w), from the first level's and later odd-k nodes.
-        nonlocal nodes
-        nodes = finer_rule(*nodes, g, w) if nodes is not None else (g, w)
+    def next_level(x, w, g):
+        # _refine's levels run one at a time from the rule's coarser one.
+        nonlocal level
+        level += 1
         return w.sum()[None]
 
     def stieltjes(act, sums):
         # s_n = sqrt(w) P_n on the level's nodes, orthonormal in the dot
         # product; its recurrence in g is the density's in unit coordinates.
-        g, w = nodes
+        g, w = tanh_sinh_nodes(level)[0], rho._rule_at_level(level)[1]
         s, prev, b = np.sqrt(w / w.sum()), 0.0, 0.0
         alpha, beta = [], []
         for n in range(MAX_DEGREE):
@@ -164,7 +167,7 @@ def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
             prev, s = s, q / b
         return np.array(alpha + beta[:-1])[None], None
 
-    rows = rho._refine(collect, spec, "recurrence", settle=stieltjes)[0]
+    rows = rho._refine(next_level, spec, "recurrence", settle=stieltjes)[0]
     half = 0.5 * rho.interval.width
     a = rho.interval.midpoint + half * rows[:MAX_DEGREE]
     b = half * rows[MAX_DEGREE:]

@@ -4,8 +4,9 @@ Every integral here is a tanh-sinh (double exponential) rule refined until
 two levels agree.  Level L's nodes are the even-k nodes of level L+1, bit
 for bit, at half the weight, so (as in Takahasi and Mori's scheme, mpmath's
 ``TanhSinh.sum_next``) a refinement evaluates each later level only at the
-odd-k nodes it adds and adds half the previous level's sum; only this
-module knows that.  Entry points:
+odd-k nodes it adds and adds half the previous level's sum.  A density
+keeps its values at the nodes of the finest level reached (``measures``),
+every coarser level a strided view of them.  Entry points:
 
 * ``refine_levels``   -- the one tanh-sinh level loop, through which every
                          integral in the package goes: a batch of integrals
@@ -149,17 +150,22 @@ ODD = slice(1, None, 2)
 KERNEL_ENTRIES = 2 ** 16
 
 
-@lru_cache(maxsize=None)
 def tanh_sinh_nodes(level: int, odd: bool = False):
     """Unit tanh-sinh nodes on (-1, 1) at mesh h = 2^-level.
 
     Returns ``(g, w, dm, dp)`` where g are the abscissae, w the weights,
     and dm = 1 - g, dp = 1 + g computed without cancellation, at the
     8 * 2^level + 1 nodes t = k h, |k| <= 4/h; with ``odd`` at the odd-k
-    ones only (a view of the full arrays).
+    ones only (a view of the full arrays).  Each level is computed once,
+    however the arguments are passed.
     """
+    return _unit_nodes(level, bool(odd))
+
+
+@lru_cache(maxsize=None)
+def _unit_nodes(level: int, odd: bool):
     if odd:
-        return tuple(v[ODD] for v in tanh_sinh_nodes(level))
+        return tuple(v[ODD] for v in _unit_nodes(level, False))
     h = 2.0 ** (-level)
     k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
     t = k * h
@@ -169,14 +175,6 @@ def tanh_sinh_nodes(level: int, odd: bool = False):
     dm = 2.0 / (1.0 + np.exp(2.0 * u))   # 1 - g, exact near the right endpoint
     dp = 2.0 / (1.0 + np.exp(-2.0 * u))  # 1 + g
     return g, w, dm, dp
-
-
-def finer_rule(x, w, x_odd, w_odd):
-    """Level L+1's nodes and weights: level L's (x, w) at half the weight,
-    interleaved with its odd-k nodes."""
-    out = np.empty((2, 2 * len(x) - 1))
-    out[:, ::2], out[:, ODD] = (x, 0.5 * w), (x_odd, w_odd)
-    return out
 
 
 def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,

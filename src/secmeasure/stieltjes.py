@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
                      PointOnInterval)
-from .measures import BaseDensity, moment
+from .measures import BaseDensity, DerivedDensity, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
                          _pointwise, kernel_sums, refine_levels,
                          tanh_sinh_nodes)
@@ -65,8 +65,9 @@ _PHI_CACHE_SIZE = 2 ** 16
 # reducer
 # ---------------------------------------------------------------------------
 
-def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
-    """Reducer values by singularity subtraction on refining tanh-sinh rules.
+def _phi_batch(rho: BaseDensity, xs, dxl, dxr, rx, spec: IntegrationSpec):
+    """Reducer values by singularity subtraction on refining tanh-sinh rules,
+    given rx, rho at the points.
 
     phi(x)/2 = int (rho(u) - rho(x))/(x - u) du + rho(x) ln(dxl/dxr); the
     pole separation x - u is formed as a difference of endpoint distances,
@@ -74,10 +75,8 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
     sums the integral and its magnitude (for the rounding floor); ``settle``
     adds the log term to the nested sums.
     """
-    interval = rho.interval
-    half, mid = 0.5 * interval.width, interval.midpoint
-    scale = interval.width
-    rx = np.asarray(rho.value_at(xs, dxl, dxr), dtype=float)
+    half = 0.5 * rho.interval.width
+    scale = rho.interval.width
     base = rx * np.log(dxl / dxr)
     interior = (dxl > REDUCER_MARGIN * scale) & (dxr > REDUCER_MARGIN * scale)
     drx = np.full(len(xs), np.nan)
@@ -90,9 +89,9 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
         return drx[sel]
 
     def estimate(level, act, odd):
-        g, w, dm, dp = tanh_sinh_nodes(level, odd)
-        u, dl, dr = mid + half * g, half * dp, half * dm
-        ru = np.asarray(rho.value_at(u, dl, dr), dtype=float)
+        w = tanh_sinh_nodes(level, odd)[1]
+        dl, dr = rho._node_points(level, odd)[1:]
+        ru = rho._node_values(level, odd)
 
         def kernel(sel):
             # x - u as a difference of distances to the nearer endpoint of
@@ -124,9 +123,10 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, spec: IntegrationSpec):
 
 
 def _phi_values(rho: BaseDensity, xs, dxl, dxr,
-                spec: IntegrationSpec = DEFAULT_SPEC) -> np.ndarray:
+                spec: IntegrationSpec = DEFAULT_SPEC, rx=None) -> np.ndarray:
     """Cached reducer phi at points supplied with exact endpoint distances,
-    as a flat array."""
+    as a flat array; ``rx``, when given, is rho at the points, evaluated
+    again only at those the clamp moves."""
     interval = rho.interval
     clamp = _PHI_CLAMP * interval.width
     xs, dxl, dxr = (np.array(v, dtype=float).ravel() for v in (xs, dxl, dxr))
@@ -140,7 +140,14 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
     vals = [cache.get(x) for x in keys]
     todo = [i for i, v in enumerate(vals) if v is None]
     if todo:
-        new = _phi_batch(rho, xs[todo], dxl[todo], dxr[todo], spec)
+        xs, dxl, dxr = xs[todo], dxl[todo], dxr[todo]
+        # rho at the points: rx where the clamp left them, NaN to evaluate.
+        fx = (np.full(len(xs), np.nan) if rx is None
+              else np.where(low | high, np.nan, np.ravel(rx))[todo])
+        miss = np.isnan(fx)
+        if miss.any():
+            fx[miss] = rho.value_at(xs[miss], dxl[miss], dxr[miss])
+        new = _phi_batch(rho, xs, dxl, dxr, fx, spec)
         for i, v in zip(todo, new.tolist()):
             vals[i] = cache[keys[i]] = v
     return np.array(vals)
@@ -191,39 +198,45 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
 
     Subtracting rho at the projection x0 = Re z leaves a bounded integrand;
     the closed-form log carries the near-singular part.  Each z splits the
-    support once, at x0, into [a, x0] and [x0, b], which are the rows of one
-    batched tanh-sinh refinement; rho is evaluated once per level and block
-    of rows (``kernel_sums``).  Tanh-sinh clusters each piece's nodes at
-    both of its ends: at a or b, where rho may be singular, and at x0, where
-    the integrand turns over on the scale Im z.  There z - t is formed from
+    support once, at x0, into the pieces [a, x0] and [x0, b], which are the
+    rows of one batched tanh-sinh refinement.  z with the same x0 share
+    their pieces: rho is evaluated once per distinct x0, and once per level
+    on each piece that a block of rows (``kernel_sums``) holds, however
+    many rows hold it; while one block holds all the rows, Perron's ladder
+    at one x0 costs what its slowest z costs alone.  Tanh-sinh clusters each piece's nodes at both of
+    its ends: at a or b, where rho may be singular, and at x0, where the
+    integrand turns over on the scale Im z.  There z - t is formed from
     each node's exact distance to x0, without cancellation, and the distance
     to the far end of the support is a sum of positives.
     """
     a, b = rho.interval.a, rho.interval.b
-    x0, y = zs.real, zs.imag
-    w0 = rho.value_at(x0, x0 - a, b - x0)
-    # Row r is piece r // n (left [a, x0], right [x0, b]) of z number r % n.
-    n = len(zs)
-    left, x0_row = np.repeat([True, False], n), np.tile(x0, 2)
-    lo, hi = np.where(left, a, x0_row), np.where(left, x0_row, b)
+    cuts, of_z = np.unique(zs.real, return_inverse=True)
+    m, n = len(cuts), len(zs)
+    w0 = np.asarray(rho.value_at(cuts, cuts - a, b - cuts))[of_z]
+    # Piece p is [a, x0] for p < m and [x0, b] after, x0 = cuts[p % m]; row
+    # r is the left (r < n) or right piece of z number r % n.
+    left, x0 = np.repeat([True, False], m), np.tile(cuts, 2)
+    lo, hi = np.where(left, a, x0), np.where(left, x0, b)
     half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    iy, w0_row = np.tile(1j * y, 2), np.tile(w0, 2)
+    piece = np.concatenate([of_z, of_z + m])
+    iy, w0_row = np.tile(1j * zs.imag, 2), np.tile(w0, 2)
 
     def estimate(level, act, odd):
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
 
         def kernel(sel):
-            h = half[sel, None]
-            t = mid[sel, None] + h * g
+            p, of_row = np.unique(piece[sel], return_inverse=True)
+            h = half[p, None]
+            t = mid[p, None] + h * g
             dl, dr = h * dp, h * dm
             # t - a = (lo - a) + dl and b - t = (b - hi) + dr are sums of
             # positives; x0 - t is dr on the left piece, -dl on the right.
-            da, db = (lo[sel] - a)[:, None] + dl, (b - hi[sel])[:, None] + dr
-            zt = np.where(left[sel, None], dr, -dl) + iy[sel, None]
-            return (rho.value_at(t.ravel(), da.ravel(), db.ravel())
-                    .reshape(t.shape) - w0_row[sel, None]) / zt
+            da, db = (lo[p] - a)[:, None] + dl, (b - hi[p])[:, None] + dr
+            vals = rho.value_at(t.ravel(), da.ravel(), db.ravel())
+            zt = np.where(left[p, None], dr, -dl)[of_row] + iy[sel, None]
+            return (vals.reshape(t.shape)[of_row] - w0_row[sel, None]) / zt
 
-        return half[act] * kernel_sums(kernel, act, w)
+        return half[piece[act]] * kernel_sums(kernel, act, w)
 
     rows = refine_levels(estimate, 2 * n, spec, 2,
                          f"near-cut transform of {rho.name!r}")
@@ -234,22 +247,22 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
                 spec: IntegrationSpec) -> np.ndarray:
     """int rho(t)/(z - t) dt for a 1-d array of z away from the cut.
 
-    All z share one tanh-sinh level loop, so rho is evaluated once per level;
-    each z stops at the first level that agrees with the one before it.
+    All z share one tanh-sinh level loop on rho's node values; each z
+    stops at the first level that agrees with the one before it.
     z - t is formed as (z - e) + (e - t), e the endpoint nearer z and e - t
     the node's exact distance to it, so that it keeps its digits for z next
     to an endpoint, where the nodes crowd.
     """
     interval = rho.interval
-    half, mid = 0.5 * interval.width, interval.midpoint
-    left = zs.real < mid
+    half = 0.5 * interval.width
+    left = zs.real < interval.midpoint
     ze = zs - np.where(left, interval.a, interval.b)
     one_side = np.count_nonzero(left) in (0, len(zs))
 
     def estimate(level, act, odd):
-        g, w, dm, dp = tanh_sinh_nodes(level, odd)
-        dl, dr = half * dp, half * dm
-        vals = rho.value_at(mid + half * g, dl, dr)
+        w = tanh_sinh_nodes(level, odd)[1]
+        dl, dr = rho._node_points(level, odd)[1:]
+        vals = rho._node_values(level, odd)
 
         def kernel(sel):
             # e - t is -dl on rows next to a and dr on rows next to b; a
@@ -301,9 +314,11 @@ def stieltjes_transform(rho: BaseDensity, z,
     """S_rho(z) = int rho(t)/(z - t) dt for z off the support interval.
 
     A scalar z gives a ``complex``, an array a complex array of its shape.
-    rho is evaluated once per level for all z away from the cut, and once
-    per level and block of at most KERNEL_ENTRIES kernel entries for the z
-    near it (``_cauchy_near_cut``).  Any z on the support raises
+    The z away from the cut read rho's node values, so rho is evaluated
+    only at nodes finer than any an integral on it has reached; the z near
+    it evaluate rho once per distinct Re z and once per level on each
+    piece of the support a block of at most KERNEL_ENTRIES kernel entries
+    holds (``_cauchy_near_cut``).  Any z on the support raises
     PointOnInterval.
     """
     s = _cauchy_integral(rho, z, spec)
@@ -322,7 +337,7 @@ def secondary_transform(rho: BaseDensity, z,
 # secondary measure
 # ---------------------------------------------------------------------------
 
-class SecondaryMeasure(BaseDensity):
+class SecondaryMeasure(DerivedDensity):
     """Secondary measure mu of a density rho, itself a density.
 
     mu(x) = rho(x) / (phi^2(x)/4 + pi^2 rho^2(x)), phi the reducer of rho
@@ -331,13 +346,10 @@ class SecondaryMeasure(BaseDensity):
     """
 
     def __init__(self, base: BaseDensity, spec: IntegrationSpec = DEFAULT_SPEC):
-        super().__init__(base.interval, f"mu of {base.name}")
-        self.base = base
-        self.spec = spec
+        super().__init__(base, f"mu of {base.name}", spec)
 
-    def value_at(self, x, dleft, dright):
-        rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
-        phi = _phi_values(self.base, x, dleft, dright, self.spec)
+    def from_base(self, x, dleft, dright, rho):
+        phi = _phi_values(self.base, x, dleft, dright, self.spec, rho)
         phi = phi.reshape(rho.shape)
         return rho / (0.25 * phi ** 2 + math.pi ** 2 * rho ** 2)
 

@@ -4,7 +4,7 @@ secmeasure: set-up and the first ops of three workloads, seed 1.
 transform-scan runs its whole first pass of 40 inputs, so that a validity
 screen answer the oracle rejects fails here; the other two run three ops.
 The full benchmark tests (``python -m pytest perfbench``) take over a
-minute; this catches a broken call in a few seconds.  A second test bounds
+minute; this catches a broken call in a few seconds.  Two more tests bound
 the user points (the deterministic work count) of the first three ops.
 It only imports ``perfbench/`` and writes nothing there.
 """
@@ -56,3 +56,25 @@ def test_benchmark_ops_evaluate_only_new_nodes(perfbench, name):
     for i in range(3):
         wl.op(i)
     assert tracer.points - before <= 0.7 * _POINTS_ALL_NODES[name]
+
+
+# User points of ops 0-2, seed 1, after set-up, before a density kept its
+# values at the tanh-sinh nodes and near-cut rows at one Re z shared them.
+# Reading those values cut density-sweep to 3,252, transform-scan to 3,855
+# and operator-solve to 8,803; each bound fails on the count before.
+_POINTS_BEFORE_NODE_VALUES = {"density-sweep": (9002, 0.5),
+                              "transform-scan": (41843, 0.2),
+                              "operator-solve": (10918, 0.9)}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTS_BEFORE_NODE_VALUES))
+def test_benchmark_ops_read_kept_node_values(perfbench, name):
+    Tracer, WORKLOADS = perfbench
+    tracer = Tracer(False)
+    wl = WORKLOADS[name](tracer, 1)
+    wl.setup()
+    before = tracer.points
+    for i in range(3):
+        wl.op(i)
+    count, share = _POINTS_BEFORE_NODE_VALUES[name]
+    assert tracer.points - before <= share * count

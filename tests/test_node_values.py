@@ -1,0 +1,123 @@
+"""The density values a density keeps at the tanh-sinh nodes of its
+interval: every reader at those nodes shares them, and results are bit for
+bit those of a density that has kept nothing."""
+
+import numpy as np
+import pytest
+
+from secmeasure import Density, Interval
+from secmeasure.family import denominator_root_scan, moment0_curve
+from secmeasure.orthopoly import apply_T, recurrence_coefficients
+from secmeasure.quadrature import EndpointExponents
+from secmeasure.stieltjes import (_PERRON_EPS, perron_invert, reducer,
+                                  secondary_measure, stieltjes_transform)
+
+
+def _counted_density(counted):
+    h = counted(lambda x: 1.0 + x)
+    return Density(Interval(0.0, 1.0), h, EndpointExponents(0.5, 0.0), "h"), h
+
+
+def _distinct_nodes(rho, level):
+    """The nodes of ``level`` whose abscissa no other node of the finest
+    level reached shares (next to an end several nodes round to one x)."""
+    x, c = np.unique(rho._node_points(rho._node_level)[0], return_counts=True)
+    return np.intersect1d(rho._node_points(level)[0], x[c == 1])
+
+
+def test_node_values_are_views_of_the_finest_level(counted):
+    # A first level is evaluated in full, each finer one at its odd-k
+    # nodes; every level at or below the finest reached is then read
+    # without evaluating, equal to value_at at its nodes.
+    rho, h = _counted_density(counted)
+    plain, _ = _counted_density(counted)
+    rho._node_values(3)
+    rho._node_values(5, odd=True)
+    assert [len(a) for a in h.args] == [65, 64, 128]
+    assert rho._node_level == 5
+    for level in (2, 3, 4, 5):
+        for odd in (False, True):
+            np.testing.assert_array_equal(
+                rho._node_values(level, odd),
+                plain.value_at(*plain._node_points(level, odd)))
+    assert len(h.args) == 3
+
+
+def test_far_path_evaluates_no_cached_node(counted, spec):
+    # The far transform at real x and every round of a root scan read the
+    # levels the rule has reached and evaluate the density only at nodes
+    # finer than those, each once.
+    rho, h = _counted_density(counted)
+    rule_level = rho.rule(spec).level
+    h.args.clear()
+    stieltjes_transform(rho, 1.5, spec)
+    stieltjes_transform(rho, np.array([-0.5, 2.0, 1.0 + 1e-6]), spec)
+    brackets = denominator_root_scan(rho, 3.0, Interval(1.001, 11.0), spec)
+    assert len(brackets) == 1
+    seen = np.concatenate(h.args)
+    assert len(seen) > 0
+    assert not np.isin(seen, _distinct_nodes(rho, rule_level)).any()
+    on_node = seen[np.isin(seen, _distinct_nodes(rho, rho._node_level))]
+    assert len(np.unique(on_node)) == len(on_node)
+
+
+def test_secondary_and_family_evaluate_each_node_once(counted, spec):
+    # mu and rho_t form their node values from rho's and the reducer; the
+    # reducer takes rho at its points from them too.  So rho is evaluated
+    # at each node once, by whichever integral reaches it first.
+    rho, _ = _counted_density(counted)
+    calls = []
+    value_at = rho.value_at
+
+    def counted_value_at(x, dl, dr):
+        calls.append(np.array(x, dtype=float))
+        return value_at(x, dl, dr)
+
+    rho.value_at = counted_value_at
+    secondary_measure(rho, spec).mass()
+    moment0_curve(rho, 0.5, spec)
+    seen = np.concatenate(calls)
+    on_node = seen[np.isin(seen, _distinct_nodes(rho, rho._node_level))]
+    assert len(on_node) > 100
+    assert len(np.unique(on_node)) == len(on_node)
+
+
+def test_perron_ladder_costs_one_near_cut_point(counted, spec):
+    # The 18 points of the ladder share Re z, so they share the two pieces
+    # of the split support and rho's values on them.
+    x0 = 0.3
+    rho, h = _counted_density(counted)
+    perron_invert(lambda z: stieltjes_transform(rho, z, spec), x0)
+    one, h1 = _counted_density(counted)
+    stieltjes_transform(one, x0 - 1j * _PERRON_EPS[-1], spec)
+    assert sum(map(len, h.args)) == sum(map(len, h1.args)) > 0
+
+
+def _warmed(counted, spec):
+    """A density whose node values reach deep levels (a far transform next
+    to an end, the recurrence) and whose reducer cache is still empty."""
+    rho, _ = _counted_density(counted)
+    stieltjes_transform(rho, np.array([1.0 + 1e-7, -1e-6]), spec)
+    recurrence_coefficients(rho, 20, spec)
+    assert rho._node_level > rho.rule(spec).level + 2 and not rho._phi
+    return rho
+
+
+_GRID = np.linspace(0.05, 0.95, 7)
+_Z = np.array([1.5, -0.25 + 0.5j, 0.4 + 1e-3j, 0.7 - 1e-6j, 1.0 + 1e-4])
+
+
+@pytest.mark.parametrize("what", [
+    lambda rho, spec: np.concatenate([rho.rule(spec).x, rho.rule(spec).w]),
+    lambda rho, spec: reducer(rho, _GRID, spec),
+    lambda rho, spec: stieltjes_transform(rho, _Z, spec),
+    lambda rho, spec: secondary_measure(rho, spec).mass(),
+    lambda rho, spec: moment0_curve(rho, 0.5, spec),
+    lambda rho, spec: moment0_curve(rho, 2.5, spec),
+    lambda rho, spec: apply_T(rho, lambda x: np.sin(3.0 * x), _GRID, spec),
+], ids=["rule", "reducer", "transform", "mu-mass", "rho_t-mass",
+        "rho_t-mass-t>1", "apply_T"])
+def test_warm_density_gives_fresh_results_bit_for_bit(counted, spec, what):
+    fresh, _ = _counted_density(counted)
+    np.testing.assert_array_equal(what(_warmed(counted, spec), spec),
+                                  what(fresh, spec))

@@ -40,6 +40,16 @@ def test_recurrence_rejects_nonpositive_or_nan_b(b):
         RecurrenceCoefficients(np.zeros(2), np.array([b]))
 
 
+@pytest.mark.parametrize("a, b", [((np.nan, 0.0), (0.5,)),
+                                  ((0.0, np.inf), (0.5,)),
+                                  ((0.0, -np.inf), (0.5,)),
+                                  ((0.0, 0.0), (np.inf,)),
+                                  ((np.nan, 0.0), (np.inf,))])
+def test_recurrence_rejects_non_finite_terms(a, b):
+    with pytest.raises(InstabilityDetected):
+        RecurrenceCoefficients(np.array(a), np.array(b))
+
+
 def test_degree_cap(cheb_u, spec):
     with pytest.raises(InstabilityDetected):
         recurrence_coefficients(cheb_u, 25, spec)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from secmeasure import (CATALOG_NAMES, DegenerateMeasure, Density,
                         DomainError, ExtrapolationDivergence, IntegrationSpec,
@@ -241,6 +242,31 @@ def test_reducer_sqrt32_against_series(sqrt32, spec):
     for x in (0.2, 0.36, 0.7):
         assert abs(lerch_phi_half(x) - lerch_series(x)) < 1e-12
         assert abs(reducer(sqrt32, x, spec) - 3.0 * lerch_series(x)) < 1e-9
+
+
+def test_reducer_of_a_rough_density_to_its_tolerance(spec):
+    # h = 1 + |x - 0.3|^3 jumps in its third derivative, so the level sums
+    # of the reducer converge algebraically, 16 times per level, and only
+    # the relative tolerance stops them; a stop at 1e-8 of the integrand's
+    # magnitude leaves errors of 1e-8.  Each polynomial piece P on [lo, hi]
+    # has PV int P(t)/(x - t) dt = P(x) ln|(x - lo)/(x - hi)| +
+    # int (P(t) - P(x))/(x - t) dt, the last a polynomial integral.
+    c = 0.3
+    rho = Density(Interval(0.0, 1.0), lambda x: 1.0 + np.abs(x - c) ** 3,
+                  EndpointExponents(), "rough")
+    pieces = [(0.0, c, 1.0 + Polynomial([c, -1.0]) ** 3),
+              (c, 1.0, 1.0 + Polynomial([-c, 1.0]) ** 3)]
+    xs = np.array([0.1, 0.25, 0.5, 0.7, 0.9])
+    want = []
+    for x in xs:
+        pv = 0.0
+        for lo, hi, p in pieces:
+            q = (p - p(x)) // Polynomial([x, -1.0])
+            pv += p(x) * math.log(abs((x - lo) / (x - hi))) + q.integ()(hi) \
+                - q.integ()(lo)
+        want.append(2.0 * pv)
+    np.testing.assert_allclose(reducer(rho, xs, spec), want, rtol=1e-10,
+                               atol=0)
 
 
 def test_reducer_honours_level_cap(wiggly):

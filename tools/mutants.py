@@ -1,11 +1,11 @@
-"""One-constant mutation probe for the Tier-1 tests.
+"""Mutation probe for the Tier-1 tests.
 
 Each mutant replaces one exact piece of text, which must occur once, in one
 file of the repository.  The probe first runs Tier-1 on an unchanged copy,
 then, for each mutant one after another, copies the repository into a
 temporary directory, applies the mutant there and runs Tier-1 with ``-x``.
 A mutant under which every test passes survives: no test can tell the
-mutated constant from the real one.  The repository itself is never
+mutated text from the real one.  The repository itself is never
 written.  Run from its root:
 
     python tools/mutants.py
@@ -56,6 +56,10 @@ MUTANTS = [
      "abs(est.imag) > 1e-1"),
     ("src/secmeasure/measures.py", "if abs(m - 1.0) <= 1e-2:",
      "if abs(m - 1.0) <= 1e-1:"),
+    ("src/secmeasure/measures.py", "vals[step::2 * step] if odd",
+     "vals[-1 - step::-2 * step] if odd"),
+    ("src/secmeasure/stieltjes.py", "piece = np.concatenate([of_z, of_z + m])",
+     "piece = np.concatenate([of_z, of_z])"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
