@@ -1,24 +1,26 @@
 """The one-parameter family rho_t of densities equi-normal with rho.
 
 Every member shares the normalized secondary measure of rho (its own
-secondary measure is t*mu) and the mean c_1.  Pointwise,
+secondary measure is t*mu) and the mean c_1.  The Stieltjes transforms are
+related by the Möbius map S_t = S / (t + (1-t)(z-c_1) S), so rho_t is a
+``DerivedDensity`` with coefficients (1, 0, (1-t)(x-c_1), t); on the cut
+that gives, pointwise,
 
-    rho_t(x) = t rho(x) / ([(t-1)(x-c_1) phi(x)/2 - t]^2
-                           + pi^2 rho^2(x) (t-1)^2 (x-c_1)^2),
+    rho_t(x) = t rho(x) / ([(1-t)(x-c_1) phi(x)/2 + t]^2
+                           + pi^2 rho^2(x) (1-t)^2 (x-c_1)^2),
 
-and the Stieltjes transforms are related homographically,
-S_t = S / (t + (1-t)(z-c_1) S).  Whether rho_t is a probability density
-is a fact about rho_t, its ``validity``: parameters t in (0,1] always
-produce one ("proven"); larger t are screened empirically on first read.
-A real root of the transform denominator outside the support marks t
-"invalid" without further work; otherwise a mass defect of rho_t does, and
-a unit mass makes it "empirical".  The denominator has at most one real
-root on each side of the support, where (x - c_1) S(x) is monotone, and by
-Weyl's inequality for rho's Jacobi matrix with b_1 scaled by sqrt(t) none
-lies farther than |sqrt(t) - 1| b_1 from it; the root scan searches from a
-bracket width off the support out to that reach.  ``validate_parameter``
-returns the cached rho_t whatever its validity, ``family`` refuses an
-invalid one.
+and the reducer of rho_t as 2 Re S_t(x + i0).  Whether rho_t is a
+probability density is a fact about rho_t, its ``validity``: parameters t
+in (0,1] always produce one ("proven"); larger t are screened empirically
+on first read.  A real root of the transform denominator outside the
+support marks t "invalid" without further work; otherwise a mass defect
+of rho_t does, and a unit mass makes it "empirical".  The denominator has
+at most one real root on each side of the support, where (x - c_1) S(x)
+is monotone, and by Weyl's inequality for rho's Jacobi matrix with b_1
+scaled by sqrt(t) none lies farther than |sqrt(t) - 1| b_1 from it; the
+root scan searches from a bracket width off the support out to that
+reach.  ``validate_parameter`` returns the cached rho_t whatever its
+validity, ``family`` refuses an invalid one.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DenominatorZero, DomainError, InvalidParameter
-from .measures import BaseDensity, DerivedDensity, moment
+from .measures import BaseDensity, moment
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, _call
 from .report import VerificationReport, property_report, timer
-from .stieltjes import (_phi_values, reducer, secondary_measure,
+from .stieltjes import (DerivedDensity, reducer, secondary_measure,
                         stieltjes_transform)
 
 __all__ = [
@@ -66,7 +68,7 @@ _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
 
 class FamilyDensity(DerivedDensity):
-    """The density rho_t built pointwise from rho and its reducer.
+    """The density rho_t, whose transform is S/(t + (1-t)(z-c_1) S).
 
     ``validity`` is "proven" for t <= 1; for t > 1 reading it runs the
     screen once: the denominator root scan, then, only if it finds no root,
@@ -80,7 +82,6 @@ class FamilyDensity(DerivedDensity):
             raise InvalidParameter(f"family parameter must be positive, got {t}")
         super().__init__(base, f"{base.name}|t={t:g}", spec)
         self.t = t
-        self.c1 = moment(base, 1, spec)
 
     @cached_property
     def validity(self) -> str:
@@ -90,15 +91,8 @@ class FamilyDensity(DerivedDensity):
               and abs(self.mass(self.spec) - 1.0) < _MASS_TOL)
         return "empirical" if ok else "invalid"
 
-    def from_base(self, x, dleft, dright, rho):
-        t = self.t
-        if t == 1.0:
-            return rho
-        phi = _phi_values(self.base, x, dleft, dright, self.spec, rho)
-        shift = np.asarray(x, dtype=float) - self.c1
-        bracket = 0.5 * (t - 1.0) * shift * phi.reshape(rho.shape) - t
-        den = bracket ** 2 + (math.pi * rho * (t - 1.0) * shift) ** 2
-        return t * rho / den
+    def mobius(self, x) -> tuple:
+        return 1.0, 0.0, (1.0 - self.t) * (x - self.c1), self.t
 
     def __repr__(self):
         return f"FamilyDensity({self.base.name!r}, t={self.t:g})"
@@ -133,19 +127,18 @@ def family_density(rho: BaseDensity, t: float, x,
 
 def family_transform(rho: BaseDensity, t: float, z,
                      spec: IntegrationSpec = DEFAULT_SPEC):
-    """S_{rho_t}(z) = S(z) / (t + (1-t)(z-c_1) S(z)), elementwise over an
-    array of z; DenominatorZero if the denominator vanishes at any z."""
-    if t <= 0:
-        raise InvalidParameter(f"family parameter must be positive, got {t}")
+    """S_{rho_t}(z) = S(z) / (t + (1-t)(z-c_1) S(z)), the Möbius map of
+    rho_t (``validate_parameter``), elementwise over an array of z;
+    DenominatorZero if the denominator vanishes at any z."""
     zs = np.asarray(z, dtype=complex)
+    a, b, c, d = validate_parameter(rho, t, spec).mobius(zs)
     s = stieltjes_transform(rho, zs, spec)
-    c1 = moment(rho, 1, spec)
-    den = t + (1.0 - t) * (zs - c1) * s
+    den = c * s + d
     zero = np.abs(den) < 1e-12 * max(1.0, abs(t))
     if zero.any():
         raise DenominatorZero(
             f"transform denominator vanished at z={zs[zero][0]} for t={t:g}")
-    out = s / den
+    out = (a * s + b) / den
     return complex(out) if zs.ndim == 0 else out
 
 

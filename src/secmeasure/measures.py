@@ -11,8 +11,9 @@ any integral on its interval has reached, one array whatever the spec,
 and every evaluation at those nodes reads it: the weighted rule (a
 converged rule with the density values folded into the weights, cached
 per spec and reused for all density-weighted integrals), the reducer's
-inner sums and the transform away from the cut.  A ``DerivedDensity``
-(mu, rho_t) forms its node values from its base's.
+inner sums and the transform away from the cut.  A derived density (mu,
+rho_t, ``stieltjes.DerivedDensity``) forms its node values from its
+base's.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class BaseDensity:
         self._nodes = None
         self._node_level = 0
         self._rules: dict = {}
-        self._phi: dict = {}
         self._moments: dict = {}
         self._family: dict = {}
         self._recurrence: dict = {}
@@ -83,12 +83,6 @@ class BaseDensity:
         x = np.asarray(x, dtype=float)
         out = self.value_at(x, x - self.interval.a, self.interval.b - x)
         return float(out) if out.ndim == 0 else out
-
-    def derivative_at(self, x, dleft, dright):
-        """d(density)/dx, the reducer's difference-quotient fallback."""
-        iv = self.interval
-        return derivative(self.value, x, self.value_at(x, dleft, dright),
-                          iv.a, iv.b, iv.width)
 
     # -- values at the tanh-sinh nodes -------------------------------------
 
@@ -180,31 +174,6 @@ class BaseDensity:
         return float(self.rule(spec).w.sum())
 
 
-class DerivedDensity(BaseDensity):
-    """A density formed pointwise from a base density on the same interval
-    by ``from_base``, whose integrals use ``spec``.  At the tanh-sinh nodes
-    it reads the base's node values, so the base is evaluated once per
-    node whatever reads it."""
-
-    def __init__(self, base: BaseDensity, name: str,
-                 spec: IntegrationSpec = DEFAULT_SPEC):
-        super().__init__(base.interval, name)
-        self.base = base
-        self.spec = spec
-
-    def from_base(self, x, dleft, dright, rho: np.ndarray) -> np.ndarray:
-        """The density at x, given the base's values rho there."""
-        raise NotImplementedError
-
-    def value_at(self, x, dleft, dright):
-        rho = np.asarray(self.base.value_at(x, dleft, dright), dtype=float)
-        return self.from_base(x, dleft, dright, rho)
-
-    def _evaluate_nodes(self, level: int, odd: bool) -> np.ndarray:
-        return self.from_base(*self._node_points(level, odd),
-                              self.base._node_values(level, odd))
-
-
 class Density(BaseDensity):
     """Probability density (x-a)^alpha (b-x)^beta h(x) on [a, b]."""
 
@@ -213,6 +182,7 @@ class Density(BaseDensity):
         super().__init__(interval, name)
         self.smooth_part = smooth_part
         self.exps = exps
+        self._phi: dict = {}
 
     def value_at(self, x, dleft, dright):
         x = np.asarray(x, dtype=float)
@@ -223,18 +193,15 @@ class Density(BaseDensity):
             vals = vals * np.asarray(dright, dtype=float) ** self.exps.beta
         return vals
 
-    def derivative_at(self, x, dleft, dright):
+    def derivative_at(self, x, dl, dr, rx):
+        """d(density)/dx at arrays of points, given rx, the density there."""
         # rho = wt h with wt = dl^alpha dr^beta, so rho' = rho (alpha/dl -
         # beta/dr) + wt h'; the first term is what matters arbitrarily close
         # to an endpoint.
-        x = np.asarray(x, dtype=float)
-        dl = np.asarray(dleft, dtype=float)
-        dr = np.asarray(dright, dtype=float)
-        hx = np.asarray(_call(self.smooth_part, x), dtype=float)
-        wt = dl ** self.exps.alpha * dr ** self.exps.beta
-        iv = self.interval
-        return (hx * wt * (self.exps.alpha / dl - self.exps.beta / dr)
-                + wt * derivative(self.smooth_part, x, hx, iv.a, iv.b, iv.width))
+        al, be, iv = self.exps.alpha, self.exps.beta, self.interval
+        wt = dl ** al * dr ** be
+        return rx * (al / dl - be / dr) + wt * derivative(
+            self.smooth_part, x, rx / wt, iv.a, iv.b, iv.width)
 
     def __repr__(self):
         return f"Density({self.name!r} on [{self.interval.a}, {self.interval.b}])"

@@ -8,11 +8,12 @@ of every near z are the rows of one batched refinement.  The reducer
 
     phi(x) = 2 PV int rho(t)/(x - t) dt
 
-is the jump data of S across the cut and enters the closed form of the
-secondary measure, mu = rho / (phi^2/4 + pi^2 rho^2).  mu is itself a
-density (of mass d0, the variance of rho), so its transform is
-``stieltjes_transform`` of mu; the paper's homographic relation
-S_mu = z - c_1 - 1/S_rho is checked against it, not used to compute it.
+is the jump data of S across the cut: S(x + i0) = phi/2 - i pi rho.  The
+transforms of the secondary measure mu (of mass d0) and of the family
+members rho_t are Möbius maps of S, S_mu = z - c_1 - 1/S and
+S_t = S/(t + (1-t)(z - c_1) S), which on the cut give their values and
+reducers from rho's; only a ``Density`` runs the reducer quadrature.  S_mu
+is ``stieltjes_transform`` of mu; the homographic form is checked on it.
 Stieltjes-Perron inversion goes the other way: it recovers a density from
 an arbitrary transform evaluator by extrapolating
 (S(x - i eps) - S(x + i eps))/(2 i pi) to eps = 0.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
                      PointOnInterval)
-from .measures import BaseDensity, DerivedDensity, moment
+from .measures import BaseDensity, Density, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
                          _pointwise, kernel_sums, refine_levels,
                          tanh_sinh_nodes)
@@ -51,8 +52,7 @@ REDUCER_MARGIN = 1e-4
 # to either end, takes the subtracted, split-interval evaluation.
 NEAR_CUT_FRACTION = 5e-2
 
-_FAR_START_LEVEL = 3
-_PHI_START_LEVEL = 3
+_START_LEVEL = 3
 # Points closer than this (in widths) to an endpoint are clamped before the
 # reducer quadrature: below it the pole region is unresolvable at the level
 # cap, and every downstream weighted integral is insensitive to phi there.
@@ -65,7 +65,7 @@ _PHI_CACHE_SIZE = 2 ** 16
 # reducer
 # ---------------------------------------------------------------------------
 
-def _phi_batch(rho: BaseDensity, xs, dxl, dxr, rx, spec: IntegrationSpec):
+def _phi_batch(rho: Density, xs, dxl, dxr, rx, spec: IntegrationSpec):
     """Reducer values by singularity subtraction on refining tanh-sinh rules,
     given rx, rho at the points.
 
@@ -84,8 +84,7 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, rx, spec: IntegrationSpec):
     def deriv(sel):
         miss = sel[np.isnan(drx[sel])]
         if len(miss):
-            drx[miss] = np.asarray(
-                rho.derivative_at(xs[miss], dxl[miss], dxr[miss]), dtype=float)
+            drx[miss] = rho.derivative_at(*(v[miss] for v in (xs, dxl, dxr, rx)))
         return drx[sel]
 
     def estimate(level, act, odd):
@@ -117,16 +116,15 @@ def _phi_batch(rho: BaseDensity, xs, dxl, dxr, rx, spec: IntegrationSpec):
         mag = sums[:, 1] + np.abs(base[act])
         return cur, 100 * np.finfo(float).eps * mag
 
-    return 2.0 * refine_levels(estimate, len(xs), spec, _PHI_START_LEVEL,
+    return 2.0 * refine_levels(estimate, len(xs), spec, _START_LEVEL,
                                f"reducer quadrature of {rho.name!r}",
                                settle=settle)
 
 
-def _phi_values(rho: BaseDensity, xs, dxl, dxr,
-                spec: IntegrationSpec = DEFAULT_SPEC, rx=None) -> np.ndarray:
+def _phi_values(rho: Density, xs, dxl, dxr, spec: IntegrationSpec, rx=None):
     """Cached reducer phi at points supplied with exact endpoint distances,
-    as a flat array; ``rx``, when given, is rho at the points, evaluated
-    again only at those the clamp moves."""
+    as a flat array, computed once per distinct point; ``rx``, when given,
+    is rho at the points, evaluated again only at those the clamp moves."""
     interval = rho.interval
     clamp = _PHI_CLAMP * interval.width
     xs, dxl, dxr = (np.array(v, dtype=float).ravel() for v in (xs, dxl, dxr))
@@ -137,8 +135,7 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
     if len(cache) >= _PHI_CACHE_SIZE:
         cache.clear()
     keys = xs.tolist()
-    vals = [cache.get(x) for x in keys]
-    todo = [i for i, v in enumerate(vals) if v is None]
+    todo = list({x: i for i, x in enumerate(keys) if x not in cache}.values())
     if todo:
         xs, dxl, dxr = xs[todo], dxl[todo], dxr[todo]
         # rho at the points: rx where the clamp left them, NaN to evaluate.
@@ -147,10 +144,9 @@ def _phi_values(rho: BaseDensity, xs, dxl, dxr,
         miss = np.isnan(fx)
         if miss.any():
             fx[miss] = rho.value_at(xs[miss], dxl[miss], dxr[miss])
-        new = _phi_batch(rho, xs, dxl, dxr, fx, spec)
-        for i, v in zip(todo, new.tolist()):
-            vals[i] = cache[keys[i]] = v
-    return np.array(vals)
+        cache.update(zip(xs.tolist(),
+                         _phi_batch(rho, xs, dxl, dxr, fx, spec).tolist()))
+    return np.array([cache[x] for x in keys])
 
 
 def _served(rho: BaseDensity, x, what: str, fn: Callable):
@@ -167,13 +163,16 @@ def _served(rho: BaseDensity, x, what: str, fn: Callable):
 
 
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
-    """phi(x) = 2 PV int rho(t)/(x - t) dt at interior points.
+    """phi(x) = 2 PV int rho(t)/(x - t) dt at interior points; for a
+    derived density 2 Re S(x + i0) from its Möbius map (``_on_cut``).
 
     Points closer than 1e-4 interval widths to an endpoint are refused:
     phi can diverge there (logarithmically for the uniform density).
     """
-    return _served(rho, x, "reducer",
-                   lambda xs, dl, dr: _phi_values(rho, xs, dl, dr, spec))
+    if isinstance(rho, DerivedDensity):
+        return _served(rho, x, "reducer",
+                       lambda *p: 2.0 * _on_cut(rho, *p, spec)[0])
+    return _served(rho, x, "reducer", lambda *p: _phi_values(rho, *p, spec))
 
 
 def lerch_phi_half(x: float) -> float:
@@ -275,7 +274,7 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
 
         return half * kernel_sums(kernel, act, w)
 
-    return refine_levels(estimate, len(zs), spec, _FAR_START_LEVEL,
+    return refine_levels(estimate, len(zs), spec, _START_LEVEL,
                          f"transform of {rho.name!r}")
 
 
@@ -334,33 +333,73 @@ def secondary_transform(rho: BaseDensity, z,
 
 
 # ---------------------------------------------------------------------------
-# secondary measure
+# derived densities and the secondary measure
 # ---------------------------------------------------------------------------
+
+class DerivedDensity(BaseDensity):
+    """A density whose transform is a Möbius map of its base's, c1 the
+    base's mean; its integrals use ``spec``.  Its values come from the map
+    on the cut, at its nodes from the base's node values."""
+
+    def __init__(self, base: BaseDensity, name: str, spec: IntegrationSpec):
+        super().__init__(base.interval, name)
+        self.base = base
+        self.spec = spec
+        self.c1 = moment(base, 1, spec)
+
+    def mobius(self, x) -> tuple:
+        """(a, b, c, d) at x, the map being (a S_base + b)/(c S_base + d)."""
+        raise NotImplementedError
+
+    def value_at(self, x, dleft, dright):
+        return _on_cut(self, x, dleft, dright, self.spec, with_phi=False)[1]
+
+    def _evaluate_nodes(self, level: int, odd: bool) -> np.ndarray:
+        return _on_cut(self, *self._node_points(level, odd), self.spec,
+                       (level, odd), with_phi=False)[1]
+
+
+def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None,
+            with_phi=True):
+    """(phi/2, rho) at points x with exact endpoint distances, the nodes of
+    (level, odd) = ``node`` if given.  A derived density maps its base's
+    s = phi/2 - i pi rho by (a s + b)/(c s + d) to (ad - bc) rho / |c s + d|^2
+    and, ``with_phi``, half its reducer Re((a s + b) conj(c s + d)) over
+    |c s + d|^2, the sum of squares (c phi/2 + d)^2 + (c pi rho)^2."""
+    if not isinstance(rho, DerivedDensity):
+        r = rho._node_values(*node) if node else rho.value_at(x, dl, dr)
+        return 0.5 * _phi_values(rho, x, dl, dr, spec, r).reshape(r.shape), r
+    hp, r = _on_cut(rho.base, x, dl, dr, spec, node)
+    a, b, c, d = rho.mobius(x)
+    pr = math.pi * r
+    den = (c * hp + d) ** 2 + (c * pr) ** 2
+    half_phi = ((a * c * (hp ** 2 + pr ** 2) + (a * d + b * c) * hp + b * d)
+                / den if with_phi else None)
+    return half_phi, (a * d - b * c) * r / den
+
 
 class SecondaryMeasure(DerivedDensity):
     """Secondary measure mu of a density rho, itself a density.
 
-    mu(x) = rho(x) / (phi^2(x)/4 + pi^2 rho^2(x)), phi the reducer of rho
-    at ``spec``; its total mass is d0, the variance of rho, and
-    mu0 = mu/d0 is a probability density.
+    S_mu = z - c_1 - 1/S_rho, so mu(x) = rho(x) / (phi^2(x)/4 + pi^2
+    rho^2(x)), phi the reducer of rho at ``spec``; its total mass is d0,
+    the variance of rho, and mu0 = mu/d0 is a probability density.
     """
 
     def __init__(self, base: BaseDensity, spec: IntegrationSpec = DEFAULT_SPEC):
         super().__init__(base, f"mu of {base.name}", spec)
 
-    def from_base(self, x, dleft, dright, rho):
-        phi = _phi_values(self.base, x, dleft, dright, self.spec, rho)
-        phi = phi.reshape(rho.shape)
-        return rho / (0.25 * phi ** 2 + math.pi ** 2 * rho ** 2)
+    def mobius(self, x) -> tuple:
+        return x - self.c1, -1.0, 1.0, 0.0
 
     @cached_property
     def d0(self) -> float:
         """The variance of rho, as the centred second moment
         sum w (x - c_1)^2 refined on rho's rule: c_2 - c_1^2 would cancel on
         a support far from the origin.  DegenerateMeasure at 1e-12 or less."""
-        c1 = moment(self.base, 1, self.spec)
-        d0 = float(self.base._refine(lambda x, w, _: (w @ (x - c1) ** 2)[None],
-                                     self.spec, "variance")[0])
+        d0 = float(self.base._refine(
+            lambda x, w, _: (w @ (x - self.c1) ** 2)[None], self.spec,
+            "variance")[0])
         if d0 <= 1e-12:
             raise DegenerateMeasure(
                 f"{self.base.name!r} has variance {d0:.3e}; "

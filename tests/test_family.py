@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secmeasure import (DenominatorZero, Density, DomainError, Interval,
-                        InvalidParameter, denominator_root_scan,
+                        InvalidParameter, catalog, denominator_root_scan,
                         dirac_limit_check, equi_normality_check, family,
                         family_density, family_transform, moment,
                         moment0_curve, reducer, validate_parameter)
@@ -49,6 +49,19 @@ def test_family_reducer_cheb_u(cheb_u, spec):
         dens = validate_parameter(cheb_u, t, spec)
         expct = 2 * (4 - 2 * t) * xs / (t * t + 4 * (1 - t) * xs * xs)
         np.testing.assert_allclose(reducer(dens, xs, spec), expct, atol=1e-9)
+
+
+@pytest.mark.parametrize("name, t", [("uniform", 0.6), ("uniform", 1.5),
+                                     ("sqrt32", 2.0), ("cheb-u", 1.5)])
+def test_member_reducer_is_twice_the_real_part_of_its_transform(name, t, spec):
+    # phi_t(x) = 2 Re S_t(x + i0), for an invalid t too (uniform at 1.5,
+    # sqrt32 at 2), where it includes the principal parts of rho_t's
+    # point masses off the support.
+    rho = catalog(name)
+    xs = rho.interval.interior_grid(9, 0.05)
+    want = 2.0 * family_transform(rho, t, xs + 1e-9j, spec).real
+    got = reducer(validate_parameter(rho, t, spec), xs, spec)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
 
 
 def test_family_transform_closed_form(cheb_u, spec):

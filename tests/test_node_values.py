@@ -9,8 +9,9 @@ from secmeasure import Density, Interval
 from secmeasure.family import denominator_root_scan, moment0_curve
 from secmeasure.orthopoly import apply_T, recurrence_coefficients
 from secmeasure.quadrature import EndpointExponents
-from secmeasure.stieltjes import (_PERRON_EPS, perron_invert, reducer,
-                                  secondary_measure, stieltjes_transform)
+from secmeasure.stieltjes import (_PERRON_EPS, _PHI_CLAMP, perron_invert,
+                                  reducer, secondary_measure,
+                                  stieltjes_transform)
 
 
 def _counted_density(counted):
@@ -63,23 +64,29 @@ def test_far_path_evaluates_no_cached_node(counted, spec):
 
 def test_secondary_and_family_evaluate_each_node_once(counted, spec):
     # mu and rho_t form their node values from rho's and the reducer; the
-    # reducer takes rho at its points from them too.  So rho is evaluated
-    # at each node once, by whichever integral reaches it first.
-    rho, _ = _counted_density(counted)
-    calls = []
-    value_at = rho.value_at
-
-    def counted_value_at(x, dl, dr):
-        calls.append(np.array(x, dtype=float))
-        return value_at(x, dl, dr)
-
-    rho.value_at = counted_value_at
+    # reducer takes rho at its points from them too, and its derivative
+    # fallback calls h at the difference points only.  So h sees each node
+    # once, by whichever integral reaches it first.
+    rho, h = _counted_density(counted)
     secondary_measure(rho, spec).mass()
     moment0_curve(rho, 0.5, spec)
-    seen = np.concatenate(calls)
+    seen = np.concatenate(h.args)
     on_node = seen[np.isin(seen, _distinct_nodes(rho, rho._node_level))]
     assert len(on_node) > 100
     assert len(np.unique(on_node)) == len(on_node)
+
+
+def test_reducer_evaluates_each_clamp_point_once(counted, spec):
+    # The reducer moves points within _PHI_CLAMP widths of an end onto one
+    # clamp point per end; each is one reducer row, and h sees it once.
+    h = counted(lambda x: 1.0 + 0.5 * x)
+    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(0.3, -0.2), "h")
+    secondary_measure(rho, spec).mass()
+    moment0_curve(rho, 0.5, spec)
+    seen = np.concatenate(h.args)
+    clamp = _PHI_CLAMP * rho.interval.width
+    for x in (rho.interval.a + clamp, rho.interval.b - clamp):
+        assert np.count_nonzero(seen == x) == 1
 
 
 def test_perron_ladder_costs_one_near_cut_point(counted, spec):

@@ -8,7 +8,7 @@ from secmeasure import (CATALOG_NAMES, DegenerateMeasure, Density,
                         DomainError, ExtrapolationDivergence, IntegrationSpec,
                         Interval, NonConvergence, PointOnInterval, catalog,
                         family, family_transform, lerch_phi_half, moment,
-                        perron_invert, reducer, secondary_measure,
+                        moment0_curve, perron_invert, reducer, secondary_measure,
                         secondary_transform, stieltjes_transform)
 from secmeasure.quadrature import KERNEL_ENTRIES, EndpointExponents
 
@@ -411,6 +411,22 @@ def test_family_transform_is_homographic(relation_densities, spec):
             family_transform(rho, t, z, spec),
             stieltjes_transform(family(rho, t, spec), z, spec),
             rtol=1e-8, atol=0)
+
+
+def test_second_generation_constructions(relation_densities, spec):
+    # mu and rho_s of a member rho_t: the mass of mu_t is t d0, rho_t's
+    # members have unit mass for s <= 1, and (rho_t)_s = rho_{ts} (the
+    # co-dilations compose), checked on the second moment.
+    rng = np.random.default_rng(2028)
+    for rho in relation_densities:
+        t, s = rng.uniform(0.2, 1.0, 2)
+        rho_t = family(rho, t, spec)
+        d0 = secondary_measure(rho, spec).d0
+        mu_t = secondary_measure(rho_t, spec)
+        assert abs(mu_t.mass() - t * d0) <= 1e-9 * t * d0
+        assert abs(moment0_curve(rho_t, s, spec) - 1.0) <= 1e-9
+        assert abs(moment(family(rho_t, s, spec), 2, spec)
+                   - moment(family(rho, t * s, spec), 2, spec)) <= 1e-9
 
 
 def test_perron_recovers_density(cheb_u, uniform, spec):

@@ -60,6 +60,12 @@ MUTANTS = [
      "vals[-1 - step::-2 * step] if odd"),
     ("src/secmeasure/stieltjes.py", "piece = np.concatenate([of_z, of_z + m])",
      "piece = np.concatenate([of_z, of_z])"),
+    ("src/secmeasure/family.py", "(1.0 - self.t) * (x - self.c1)",
+     "(1.0 - self.t) * (x + self.c1)"),
+    ("src/secmeasure/stieltjes.py", "(a * d - b * c) * r / den",
+     "(a * d + b * c) * r / den"),
+    ("src/secmeasure/stieltjes.py", "a * c * (hp ** 2 + pr ** 2)",
+     "a * c * hp ** 2"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
