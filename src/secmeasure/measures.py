@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InvalidDensity, UnknownDensity
 from .quadrature import (DEFAULT_SPEC, ODD, EndpointExponents,
-                         IntegrationSpec, Interval, _call, derivative,
-                         refine_levels, tanh_sinh_nodes)
+                         IntegrationSpec, Interval, _call, refine_levels,
+                         tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -192,16 +192,6 @@ class Density(BaseDensity):
         if self.exps.beta != 0.0:
             vals = vals * np.asarray(dright, dtype=float) ** self.exps.beta
         return vals
-
-    def derivative_at(self, x, dl, dr, rx):
-        """d(density)/dx at arrays of points, given rx, the density there."""
-        # rho = wt h with wt = dl^alpha dr^beta, so rho' = rho (alpha/dl -
-        # beta/dr) + wt h'; the first term is what matters arbitrarily close
-        # to an endpoint.
-        al, be, iv = self.exps.alpha, self.exps.beta, self.interval
-        wt = dl ** al * dr ** be
-        return rx * (al / dl - be / dr) + wt * derivative(
-            self.smooth_part, x, rx / wt, iv.a, iv.b, iv.width)
 
     def __repr__(self):
         return f"Density({self.name!r} on [{self.interval.a}, {self.interval.b}])"

@@ -144,15 +144,7 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
 def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
                     ) -> RecurrenceCoefficients:
     """MAX_DEGREE recurrence rows of rho, refined on its rule."""
-    level = rho.rule(spec).level - 2
-
-    def next_level(x, w, g):
-        # _refine's levels run one at a time from the rule's coarser one.
-        nonlocal level
-        level += 1
-        return w.sum()[None]
-
-    def stieltjes(act, sums):
+    def stieltjes(level, act, sums, odd):
         # s_n = sqrt(w) P_n on the level's nodes, orthonormal in the dot
         # product; its recurrence in g is the density's in unit coordinates.
         g, w = tanh_sinh_nodes(level)[0], rho._rule_at_level(level)[1]
@@ -167,7 +159,8 @@ def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
             prev, s = s, q / b
         return np.array(alpha + beta[:-1])[None], None
 
-    rows = rho._refine(next_level, spec, "recurrence", settle=stieltjes)[0]
+    rows = rho._refine(lambda x, w, g: w.sum()[None], spec, "recurrence",
+                       settle=stieltjes)[0]
     half = 0.5 * rho.interval.width
     a = rho.interval.midpoint + half * rows[:MAX_DEGREE]
     b = half * rows[MAX_DEGREE:]

@@ -19,8 +19,9 @@ every coarser level a strided view of them.  Entry points:
                          at an endpoint, are resolved.
 * ``derivative``      -- finite-difference derivatives at an array of points,
                          centered where the interval allows and one-sided
-                         near its ends; the fallback of every difference
-                         quotient (u - x) -> 0.
+                         near its ends; the fallback of the operator T's
+                         difference quotient as (u - x) -> 0, and of no
+                         other (the reducer needs none: ``stieltjes``).
 
 Integrands map an ndarray of abscissae to an ndarray of values, one per
 abscissa; a user callable that returns another shape raises TypeError.
@@ -188,12 +189,15 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     max-norm) over all of the level's nodes at the first level, and after
     it (``odd``) over its odd-k nodes, to which the loop adds half the
     previous level's sums.  The estimates are the sums, or the first of
-    ``settle(act, sums)``, which also returns a per-element ``floor``.  An
-    element settles at the first level where max|cur - prev| <=
-    max(abs_tol, rel_tol max|cur|, floor).  Levels run from ``first``
-    (default ``start``) to start + max_refinement_levels; ``what`` names
-    the integrals in NonConvergence, and in the EvaluationFailure raised
-    at the first level whose estimates are not all finite.
+    ``settle(level, act, sums, odd)``, which also returns a per-element
+    ``floor``; ``odd`` are the level's sums over its odd-k nodes: at the
+    first level the second of a pair (sums, odd sums) that ``estimate``
+    returns, else the sums.  An element settles at the first level where
+    max|cur - prev| <= max(abs_tol, rel_tol max|cur|, floor).  Levels run
+    from ``first`` (default ``start``) to start + max_refinement_levels;
+    ``what`` names the integrals in NonConvergence, and in the
+    EvaluationFailure raised at the first level whose estimates are not
+    all finite.
     """
     act = np.arange(count)
     sums = est = None
@@ -202,12 +206,15 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     with np.errstate(invalid="ignore", divide="ignore"):
         for level in range(start if first is None else first,
                            start + spec.max_refinement_levels + 1):
-            new = estimate(level, act, sums is not None)
+            new = odd = estimate(level, act, sums is not None)
             if sums is None:
+                if isinstance(new, tuple):
+                    new, odd = new
                 sums = new.copy()
             else:
                 new = sums[act] = 0.5 * sums[act] + new
-            cur, floor = settle(act, new) if settle else (new, None)
+            cur, floor = (settle(level, act, new, odd) if settle
+                          else (new, None))
             if not np.isfinite(cur).all():
                 raise EvaluationFailure(f"{what} is not finite at level {level}")
             if est is None:
@@ -234,15 +241,17 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
 def kernel_sums(kernel: Callable, rows: np.ndarray,
                 w: np.ndarray) -> np.ndarray:
     """``kernel(block) @ w`` over consecutive blocks of the index array
-    ``rows``, concatenated along the last axis.  ``kernel(block)`` puts the
-    block's rows on its second-last axis and the ``len(w)`` nodes on its
-    last; a block has at most KERNEL_ENTRIES // len(w) rows, and one at
-    least, so that no temporary grows with the number of rows; an empty
-    ``rows`` is one empty block, which gives the result's leading shape."""
+    ``rows``, concatenated along the rows axis: the last, or the
+    second-last for a ``w`` of several columns, one sum per column.
+    ``kernel(block)`` puts the block's rows on its second-last axis and the
+    ``len(w)`` nodes on its last; a block has at most
+    KERNEL_ENTRIES // len(w) rows, and one at least, so that no temporary
+    grows with the number of rows; an empty ``rows`` is one empty block,
+    which gives the result's leading shape."""
     step = max(1, KERNEL_ENTRIES // len(w))
     return np.concatenate([kernel(rows[s:s + step]) @ w
                            for s in range(0, max(len(rows), 1), step)],
-                          axis=-1)
+                          axis=-np.ndim(w))
 
 
 def tanh_sinh(fn: Callable, interval: Interval,
@@ -269,7 +278,7 @@ def tanh_sinh(fn: Callable, interval: Interval,
 # derivatives
 # ---------------------------------------------------------------------------
 
-# Difference quotients (f(u)-f(x))/(u-x) are 0/0 at u = x; below this
+# T's difference quotients (f(u)-f(x))/(u-x) are 0/0 at u = x; below this
 # relative separation they are replaced by a numerical derivative.
 QUOTIENT_FALLBACK = 1e-8
 DERIVATIVE_STEP = 1e-6

@@ -30,9 +30,8 @@ import numpy as np
 from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
                      PointOnInterval)
 from .measures import BaseDensity, Density, moment
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, QUOTIENT_FALLBACK,
-                         _pointwise, kernel_sums, refine_levels,
-                         tanh_sinh_nodes)
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _pointwise,
+                         kernel_sums, refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "SecondaryMeasure",
@@ -59,33 +58,40 @@ _START_LEVEL = 3
 _PHI_CLAMP = 1e-9
 # A density's reducer cache for one spec is emptied at this many points.
 _PHI_CACHE_SIZE = 2 ** 16
+# A reducer row settles once two levels differ by no more than this many
+# times the sum of its terms' magnitudes: below it the gap is rounding.
+_ROUNDING_FLOOR = 100 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
 # reducer
 # ---------------------------------------------------------------------------
 
-def _phi_batch(rho: Density, xs, dxl, dxr, rx, spec: IntegrationSpec):
-    """Reducer values by singularity subtraction on refining tanh-sinh rules,
-    given rx, rho at the points.
+def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
+    """Reducer values by singularity subtraction on refining tanh-sinh rules
+    at points given by their endpoint distances, rx being rho at them.
 
     phi(x)/2 = int (rho(u) - rho(x))/(x - u) du + rho(x) ln(dxl/dxr); the
     pole separation x - u is formed as a difference of endpoint distances,
-    which stays exact when both points crowd the same endpoint.  Each row
-    sums the integral and its magnitude (for the rounding floor); ``settle``
-    adds the log term to the nested sums.
+    which stays exact when both points crowd the same endpoint.  Node k's
+    term carries Stenger's Sinc factor 1 - cos(pi (sigma - k h)/h) (F.
+    Stenger, Numerical Methods Based on Sinc and Analytic Functions, 1993),
+    sigma = asinh(ln(dxl/dxr)/pi) being x's own tanh-sinh coordinate.  It
+    vanishes to second order where a node meets x: the quotient's
+    cancellation next to x is damped, and a node at x, where it is 0/0,
+    drops out.  At mesh h = 2^-L it is 1 - c_L on the even-k nodes and
+    1 + c_L on the odd-k ones, c_L = cos(pi sigma 2^L), so the level-L
+    estimate is F_L = (1 - c_L) R_L + 2 c_L O_L + rho(x) ln(dxl/dxr), R_L
+    the nested sum over the level's nodes and O_L its part over the odd-k
+    nodes, the sum a refinement adds.  Each row sums the integral and its
+    magnitude, factored alike, for the rounding floor.
     """
     half = 0.5 * rho.interval.width
-    scale = rho.interval.width
-    base = rx * np.log(dxl / dxr)
-    interior = (dxl > REDUCER_MARGIN * scale) & (dxr > REDUCER_MARGIN * scale)
-    drx = np.full(len(xs), np.nan)
-
-    def deriv(sel):
-        miss = sel[np.isnan(drx[sel])]
-        if len(miss):
-            drx[miss] = rho.derivative_at(*(v[miss] for v in (xs, dxl, dxr, rx)))
-        return drx[sel]
+    ratio = np.log(dxl / dxr)
+    sigma = np.arcsinh(ratio / math.pi)
+    # The log term and its magnitude, added to each row's two sums.
+    log_term = rx * ratio
+    base = np.stack([log_term, np.abs(log_term)], axis=1)
 
     def estimate(level, act, odd):
         w = tanh_sinh_nodes(level, odd)[1]
@@ -96,27 +102,28 @@ def _phi_batch(rho: Density, xs, dxl, dxr, rx, spec: IntegrationSpec):
             # x - u as a difference of distances to the nearer endpoint of
             # x; stays exact when x and u crowd the same endpoint.
             use_left = (dxl[sel] <= dxr[sel])[:, None]
-            den = np.where(use_left, dxl[sel, None] - dl[None, :],
-                           dr[None, :] - dxr[sel, None])
-            exact = den == 0.0
-            quot = (ru[None, :] - rx[sel, None]) / np.where(exact, 1.0, den)
-            # Derivative fallback only where both x and the node sit well
-            # inside the interval; near an endpoint the raw quotient is the
-            # accurate one (den is an exact difference of tiny distances).
-            swap = ((np.abs(den) < QUOTIENT_FALLBACK * scale)
-                    & interior[sel, None]) | exact
-            if swap.any():
-                quot = np.where(swap, -deriv(sel)[:, None], quot)
-            return np.stack([quot, np.abs(quot)])
+            den = np.where(use_left, dxl[sel, None] - dl, dr - dxr[sel, None])
+            # quot and |quot| are written in place: stacking copies both.
+            out = np.empty((2, len(sel), len(ru)))
+            quot = np.subtract(ru, rx[sel, None], out=out[0])
+            quot /= den
+            quot[den == 0.0] = 0.0  # a node at x, whose factor is 0
+            np.abs(quot, out=out[1])
+            return out
 
-        return half * kernel_sums(kernel, act, w).T
+        if odd:
+            return half * kernel_sums(kernel, act, w).T
+        # The first level's sums over all its nodes and over the odd-k ones.
+        both = half * kernel_sums(
+            kernel, act, np.stack([w, w * (np.arange(len(w)) % 2)], axis=1))
+        return both[..., 0].T, both[..., 1].T
 
-    def settle(act, sums):
-        cur = sums[:, 0] + base[act]
-        mag = sums[:, 1] + np.abs(base[act])
-        return cur, 100 * np.finfo(float).eps * mag
+    def settle(level, act, sums, odd):
+        c = np.cos(math.pi * 2.0 ** level * sigma[act])[:, None]
+        f = (1.0 - c) * sums + 2 * c * odd + base[act]
+        return f[:, 0], _ROUNDING_FLOOR * f[:, 1]
 
-    return 2.0 * refine_levels(estimate, len(xs), spec, _START_LEVEL,
+    return 2.0 * refine_levels(estimate, len(rx), spec, _START_LEVEL,
                                f"reducer quadrature of {rho.name!r}",
                                settle=settle)
 
@@ -145,7 +152,7 @@ def _phi_values(rho: Density, xs, dxl, dxr, spec: IntegrationSpec, rx=None):
         if miss.any():
             fx[miss] = rho.value_at(xs[miss], dxl[miss], dxr[miss])
         cache.update(zip(xs.tolist(),
-                         _phi_batch(rho, xs, dxl, dxr, fx, spec).tolist()))
+                         _phi_batch(rho, dxl, dxr, fx, spec).tolist()))
     return np.array([cache[x] for x in keys])
 
 

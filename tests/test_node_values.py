@@ -64,13 +64,16 @@ def test_far_path_evaluates_no_cached_node(counted, spec):
 
 def test_secondary_and_family_evaluate_each_node_once(counted, spec):
     # mu and rho_t form their node values from rho's and the reducer; the
-    # reducer takes rho at its points from them too, and its derivative
-    # fallback calls h at the difference points only.  So h sees each node
-    # once, by whichever integral reaches it first.
+    # reducer takes rho at its points from them too, and its sums read
+    # only node values.  So h sees nothing but nodes and the two clamp
+    # points, and each node once, by whichever integral reaches it first.
     rho, h = _counted_density(counted)
     secondary_measure(rho, spec).mass()
     moment0_curve(rho, 0.5, spec)
     seen = np.concatenate(h.args)
+    iv, clamp = rho.interval, _PHI_CLAMP * rho.interval.width
+    assert np.isin(seen, np.append(rho._node_points(rho._node_level)[0],
+                                   [iv.a + clamp, iv.b - clamp])).all()
     on_node = seen[np.isin(seen, _distinct_nodes(rho, rho._node_level))]
     assert len(on_node) > 100
     assert len(np.unique(on_node)) == len(on_node)

@@ -355,18 +355,16 @@ def test_degenerate_measure_raises_on_reading_d0(spec):
 
 def _jacobi_densities(count, seed, spec):
     """Probability densities x^alpha (1-x)^beta p(x) on [0, 1], exponents
-    in (-0.5, 1.5) and p a cubic with coefficients in (0.2, 1)."""
+    in (-0.5, 1.5) and p a cubic with coefficients in (0.2, 1), the
+    ``Polynomial`` p their smooth part."""
     rng = np.random.default_rng(seed)
-    polyval = np.polynomial.polynomial.polyval
     out = []
     for k in range(count):
         exps = EndpointExponents(*rng.uniform(-0.5, 1.5, 2))
-        coef = rng.uniform(0.2, 1.0, 4)
-        raw = Density(Interval(0.0, 1.0), lambda x, c=coef: polyval(x, c),
-                      exps, "raw")
-        coef = coef / raw.mass(spec)
-        out.append(Density(Interval(0.0, 1.0),
-                           lambda x, c=coef: polyval(x, c), exps, f"j{k}"))
+        p = Polynomial(rng.uniform(0.2, 1.0, 4))
+        raw = Density(Interval(0.0, 1.0), p, exps, "raw")
+        out.append(Density(Interval(0.0, 1.0), p / raw.mass(spec), exps,
+                           f"j{k}"))
     return out
 
 
@@ -374,6 +372,40 @@ def _jacobi_densities(count, seed, spec):
 def relation_densities(spec):
     return ([catalog(name) for name in CATALOG_NAMES]
             + _jacobi_densities(20, 2026, spec))
+
+
+def test_reducer_at_and_next_to_rule_nodes_against_mpmath(spec):
+    # The reducer at the rule's nodes in (1e-3, 1 - 1e-3) and at points
+    # 1e-9 widths off them.  A finite difference of h in place of the
+    # quotient next to a node left the off-node points of 3 of these
+    # densities unsettled, and missed the mpmath values at the points
+    # below by up to 1.8e-11 at nodes and 1.0e-10 off them; the factored
+    # sum misses by 6.2e-15 and 1.3e-15.  The reference is phi(x)/2 = int
+    # (rho(u) - rho(x))/(x - u) du + rho(x) ln(x/(1 - x)), the integral
+    # split at x, in mpmath at 30 digits, at one node and one off-node
+    # point per density.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2029)
+    for rho in _jacobi_densities(20, 2026, spec):
+        x = rho.rule(spec).x
+        x = x[(x > 1e-3) & (x < 1.0 - 1e-3)]
+        pts = np.concatenate([x, x + 1e-9])
+        got = reducer(rho, pts, spec)
+        pick = rng.integers(len(x), size=2) + [0, len(x)]
+        with mpmath.workdps(30):
+            al, be = (mpmath.mpf(e) for e in (rho.exps.alpha, rho.exps.beta))
+            cs = [mpmath.mpf(c) for c in rho.smooth_part.coef[::-1]]
+
+            def r(u):
+                return u ** al * (1 - u) ** be * mpmath.polyval(cs, u)
+
+            want = []
+            for v in map(mpmath.mpf, pts[pick]):
+                rv = r(v)
+                want.append(float(2 * (mpmath.quad(
+                    lambda u: (r(u) - rv) / (v - u), [0, v, 1])
+                    + rv * mpmath.log(v / (1 - v)))))
+        np.testing.assert_allclose(got[pick], want, rtol=1e-12, atol=0)
 
 
 def _relation_points(rho):

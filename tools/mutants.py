@@ -48,8 +48,8 @@ MUTANTS = [
     ("src/secmeasure/orthopoly.py", "b = math.sqrt(q @ q)",
      "b = math.sqrt(1.01 * q @ q)"),
     ("src/secmeasure/stieltjes.py",
-     "return cur, 100 * np.finfo(float).eps * mag",
-     "return cur, 1e-8 * mag"),
+     "_ROUNDING_FLOOR = 100 * np.finfo(float).eps",
+     "_ROUNDING_FLOOR = 1e-8"),
     ("src/secmeasure/stieltjes.py", "diffs[j - 1] > 1e-5 * max(",
      "diffs[j - 1] > 1e-1 * max("),
     ("src/secmeasure/stieltjes.py", "abs(est.imag) > 1e-6",
@@ -66,6 +66,11 @@ MUTANTS = [
      "(a * d + b * c) * r / den"),
     ("src/secmeasure/stieltjes.py", "a * c * (hp ** 2 + pr ** 2)",
      "a * c * hp ** 2"),
+    ("src/secmeasure/stieltjes.py", "c = np.cos(math.pi * 2.0 ** level",
+     "c = -np.cos(math.pi * 2.0 ** level"),
+    ("src/secmeasure/stieltjes.py", "sigma = np.arcsinh(ratio / math.pi)",
+     "sigma = ratio / math.pi"),
+    ("src/secmeasure/stieltjes.py", "2 * c * odd", "c * odd"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
