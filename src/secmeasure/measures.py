@@ -297,8 +297,10 @@ def _moments(rho: BaseDensity, orders, spec: IntegrationSpec) -> list:
 
 def inner_product(f: Callable, g: Callable, rho: BaseDensity,
                   spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-    """Weighted inner product <f, g> = int f g rho."""
-    return float(rho.weighted_integral(lambda x: _call(f, x) * _call(g, x), spec))
+    """Weighted inner product <f, g> = int f g rho; <f, f> calls f once."""
+    fg = ((lambda x: _call(f, x) ** 2) if g is f
+          else (lambda x: _call(f, x) * _call(g, x)))
+    return float(rho.weighted_integral(fg, spec))
 
 
 def mean_project(f: Callable, rho: BaseDensity,

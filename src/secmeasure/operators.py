@@ -24,8 +24,8 @@ import numpy as np
 from .errors import InvalidParameter
 from .family import FamilyDensity, family, family_transform
 from .measures import BaseDensity, inner_product, mean_project, moment
-from .orthopoly import (apply_T, orthonormal_polys, recurrence_coefficients,
-                        secondary_polys)
+from .orthopoly import (_apply_T, apply_T, orthonormal_polys,
+                        recurrence_coefficients, secondary_polys)
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, _call, _pointwise
 from .report import VerificationReport, numeric_report, property_report, timer
 
@@ -54,12 +54,14 @@ def make_context(rho: BaseDensity, t: float,
 
 def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
               x, spec: IntegrationSpec):
-    """a f(x) + b (x-c_1) T_rho(f)(x) in x's shape (``_pointwise``); T is
-    not evaluated when b == 0."""
+    """a f(x) + b (x-c_1) T_rho(f)(x) in x's shape (``_pointwise``), f(x)
+    from T's calls of f; T is not evaluated when b == 0."""
 
     def fT(xs):
-        out = a * np.asarray(_call(f, xs), dtype=float)
-        return out + b * (xs - c1) * apply_T(rho, f, xs, spec) if b else out
+        if not b:
+            return a * _call(f, xs)
+        Tf, fx = _apply_T(rho, f, xs, spec)
+        return a * fx + b * (xs - c1) * Tf
 
     return _pointwise(fT, x)
 
@@ -154,7 +156,7 @@ def shift_multiply(f: Callable, c1: float) -> Callable:
 
     def shifted(x):
         x = np.asarray(x, dtype=float)
-        return (x - c1) * np.asarray(_call(f, x), dtype=float)
+        return (x - c1) * _call(f, x)
 
     return shifted
 

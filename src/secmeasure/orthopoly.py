@@ -182,18 +182,11 @@ def secondary_polys(coeffs: RecurrenceCoefficients) -> PolynomialSequence:
 # the secondary-polynomial operator T
 # ---------------------------------------------------------------------------
 
-def _t_against_rule(f: Callable, xs: np.ndarray, fx: np.ndarray,
-                    u: np.ndarray, w: np.ndarray, scale: float,
-                    lo: float, hi: float) -> np.ndarray:
-    fu = np.asarray(_call(f, u))
-    near_tol = QUOTIENT_FALLBACK * scale
-    # u ascends, so the node nearest each x is one of its two neighbours.
-    j = np.clip(np.searchsorted(u, xs), 1, len(u) - 1)
-    fallback = np.minimum(np.abs(u[j] - xs), np.abs(u[j - 1] - xs)) < near_tol
-    dtype = np.result_type(fu, fx, float)
-    dfx = np.zeros(len(xs), dtype=dtype)
-    if fallback.any():
-        dfx[fallback] = derivative(f, xs[fallback], fx[fallback], lo, hi, scale)
+def _t_against_rule(xs: np.ndarray, fx: np.ndarray, dfx: np.ndarray,
+                    u: np.ndarray, fu: np.ndarray, w: np.ndarray,
+                    near_tol: float) -> np.ndarray:
+    """A level's sums of f's difference quotients, f(x) = fx and f(u) = fu,
+    the derivative dfx in the place of those with |u - x| < near_tol."""
 
     def kernel(blk):
         den = u[None, :] - xs[blk, None]
@@ -204,6 +197,42 @@ def _t_against_rule(f: Callable, xs: np.ndarray, fx: np.ndarray,
     return kernel_sums(kernel, np.arange(len(xs)), w)
 
 
+def _apply_T(rho: BaseDensity, f: Callable, xs: np.ndarray,
+             spec: IntegrationSpec) -> tuple:
+    """(T(f)(xs), f(xs)) for a flat array xs.  f's one call per level holds
+    the xs off the first level's nodes, the new nodes and new rows' offsets."""
+    iv = rho.interval
+    near_tol = QUOTIENT_FALLBACK * iv.width
+    fx = dfx = None
+    todo = np.ones(len(xs), dtype=bool)
+
+    def level(u, w, _):
+        nonlocal fx, dfx
+        # u ascends, so the node nearest each x is one of its two neighbours.
+        j = np.clip(np.searchsorted(u, xs), 1, len(u) - 1)
+        left, right = np.abs(xs - u[j - 1]), np.abs(u[j] - xs)
+        gap = np.minimum(left, right)
+        rows = np.flatnonzero(todo & (gap < near_tol))
+        todo[rows] = False
+        off_nodes = xs[gap != 0] if fx is None else xs[:0]
+        parts = [off_nodes, u]
+        if len(rows):
+            offsets, finish = derivative(xs[rows], iv.a, iv.b, iv.width)
+            parts.append(offsets)
+        vals = _call(f, np.concatenate(parts))
+        n = len(off_nodes)
+        fu = vals[n:n + len(u)]
+        if fx is None:
+            fx = fu[j - (left <= right)]
+            fx[gap != 0] = vals[:n]
+            dfx = np.zeros(len(xs), dtype=np.result_type(vals, float))
+        if len(rows):
+            dfx[rows] = finish(fx[rows], vals[n + len(u):])
+        return _t_against_rule(xs, fx, dfx, u, fu, w, near_tol)[None]
+
+    return rho._refine(level, spec, "T")[0], fx
+
+
 def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
             spec: IntegrationSpec = DEFAULT_SPEC):
     """T(f)(x) = int (f(u) - f(x))/(u - x) rho(u) du at one or many points.
@@ -211,16 +240,9 @@ def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
     The difference quotient is evaluated on the density's cached rule and
     refined with it until two levels agree (NonConvergence past the rule's
     level cap); where a node falls within 1e-8 interval widths of x, the
-    derivative of f takes the quotient's place.  Works for complex-valued
-    f (e.g. resolvent kernels).  A 0-d x gives a Python scalar, any other
-    x an array of its shape.
+    derivative of f takes the quotient's place.  Each level calls f once,
+    on its new nodes, the x off the first level's nodes and the difference
+    offsets of the x that first fall back.  Works for complex f (e.g.
+    resolvent kernels).  A 0-d x gives a Python scalar, else x's shape.
     """
-    iv = rho.interval
-
-    def T(xs):
-        fx = _call(f, xs)
-        return rho._refine(
-            lambda u, w, _: _t_against_rule(f, xs, fx, u, w, iv.width,
-                                            iv.a, iv.b)[None], spec, "T")[0]
-
-    return _pointwise(T, x)
+    return _pointwise(lambda xs: _apply_T(rho, f, xs, spec)[0], x)

@@ -19,8 +19,9 @@ every coarser level a strided view of them.  Entry points:
                          at an endpoint, are resolved.
 * ``derivative``      -- finite-difference derivatives at an array of points,
                          centered where the interval allows and one-sided
-                         near its ends; the fallback of the operator T's
-                         difference quotient as (u - x) -> 0, and of no
+                         near its ends, in two steps (the offset points,
+                         then the differences); the fallback of the operator
+                         T's difference quotient as (u - x) -> 0, and of no
                          other (the reducer needs none: ``stieltjes``).
 
 Integrands map an ndarray of abscissae to an ndarray of values, one per
@@ -284,21 +285,24 @@ QUOTIENT_FALLBACK = 1e-8
 DERIVATIVE_STEP = 1e-6
 
 
-def derivative(f: Callable, x: np.ndarray, fx: np.ndarray, lo: float,
-               hi: float, scale: float) -> np.ndarray:
-    """Derivative estimates of f at the points x, where fx = f(x).
+def derivative(x: np.ndarray, lo: float, hi: float, scale: float):
+    """Derivative estimates of f at the points x, in two steps: returns the
+    points where f is needed and ``finish(fx, vals)``, the estimates from
+    fx = f(x) and f's values ``vals`` at those points.
 
     The step is DERIVATIVE_STEP * scale.  Each point gets a centered
     difference where x - step and x + step lie inside (lo, hi), and a
     one-sided difference with the same step, towards the far end of the
-    interval, otherwise.  f is called once, on all the offset points.
+    interval, otherwise.
     """
-    x = np.asarray(x, dtype=float)
     h = DERIVATIVE_STEP * scale
     centered = (x - h > lo) & (x + h < hi)
     step = np.where(centered | (x <= 0.5 * (lo + hi)), h, -h)
-    vals = _call(f, np.concatenate([x + step, x[centered] - h]))
-    ahead, behind = vals[:len(x)], vals[len(x):]
-    out = (ahead - fx) / step
-    out[centered] = (ahead[centered] - behind) / (2.0 * h)
-    return out
+
+    def finish(fx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        ahead, behind = vals[:len(x)], vals[len(x):]
+        out = (ahead - fx) / step
+        out[centered] = (ahead[centered] - behind) / (2.0 * h)
+        return out
+
+    return np.concatenate([x + step, x[centered] - h]), finish

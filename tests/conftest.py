@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import secmeasure.measures as measures
 from secmeasure import DEFAULT_SPEC, Density, Interval, catalog
-from secmeasure.quadrature import EndpointExponents
+from secmeasure.quadrature import EndpointExponents, tanh_sinh_nodes
 
 _acceptance_lines = []
 
@@ -97,3 +98,38 @@ def counted():
         return g
 
     return wrap
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Records every level of each refinement on a density's rule, as a
+    list of (what, level, odd), one entry per level in the order run;
+    ``what`` is the name the refinement gives in its errors."""
+    seen = []
+    real = measures.refine_levels
+
+    def spy(estimate, count, spec, start, what, **kwargs):
+        def recorded(level, act, odd):
+            seen.append((what, level, odd))
+            return estimate(level, act, odd)
+
+        return real(recorded, count, spec, start, what, **kwargs)
+
+    monkeypatch.setattr(measures, "refine_levels", spy)
+    return seen
+
+
+def assert_one_call_per_level(args, levels, interval, what="T against"):
+    """The arguments ``args`` of a counted callable are one per level of
+    the recorded ``levels`` whose name starts with ``what``, and each holds
+    the nodes its level adds on ``interval``, in order, as one run."""
+    ran = [(level, odd) for name, level, odd in levels
+           if name.startswith(what)]
+    assert len(ran) >= 1
+    assert len(args) == len(ran)
+    half, mid = 0.5 * interval.width, interval.midpoint
+    for arg, (level, odd) in zip(args, ran):
+        nodes = mid + half * tanh_sinh_nodes(level, odd)[0]
+        starts = np.flatnonzero(arg == nodes[0])
+        assert any(np.array_equal(arg[s:s + len(nodes)], nodes)
+                   for s in starts), (level, odd)

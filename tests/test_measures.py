@@ -9,6 +9,8 @@ from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, Density, IntegrationSpec,
                         measures, moment, moments, user_density)
 from secmeasure.quadrature import EndpointExponents, refine_levels
 
+from conftest import assert_one_call_per_level
+
 
 def test_catalog_names_and_unknown():
     assert set(CATALOG_NAMES) == {"cheb-u", "cheb-t", "uniform", "linear2x",
@@ -107,6 +109,16 @@ def test_inner_product_orthogonality(cheb_u, spec):
     u2 = lambda x: 4.0 * np.asarray(x, dtype=float) ** 2 - 1.0
     assert abs(inner_product(u1, u1, cheb_u, spec) - 1.0) < 1e-12
     assert abs(inner_product(u1, u2, cheb_u, spec)) < 1e-12
+
+
+def test_inner_product_of_f_with_itself_calls_f_once_per_level(
+        uniform, counted, spec, levels):
+    f = counted(np.cos)
+    val = inner_product(f, f, uniform, spec)
+    assert_one_call_per_level(f.args, levels, uniform.interval,
+                              "weighted integral")
+    # int_0^1 cos^2 = 1/2 + sin(2)/4
+    assert abs(val - (0.5 + 0.25 * math.sin(2.0))) < 1e-12
 
 
 def test_mean_project(uniform, spec):

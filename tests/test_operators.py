@@ -10,6 +10,9 @@ from secmeasure import (IntegralEquationProblem, InvalidParameter, apply_T,
                         reducer, residual_check, secondary_measure,
                         solve_integral_equation, transform_relation_check,
                         transformed_polys)
+from secmeasure.operators import shift_multiply
+
+from conftest import assert_one_call_per_level
 
 
 def _poly3(x):
@@ -46,6 +49,53 @@ def test_isometry_reference_value(cheb_u, spec):
     assert rep.passed
     assert abs(float(rep.expected) - 0.1010020264) < 1e-9
     assert abs(rep.computed - 0.1010020264) < 1e-7
+
+
+def test_V_and_multiplication_keep_a_complex_f(cheb_u, spec):
+    # A cast of f(x) to float dropped the imaginary part of a complex f.
+    ctx = make_context(cheb_u, 0.5, spec)
+    f = lambda x: 1.0 / (np.asarray(x) - 2j)
+    xs = cheb_u.interval.interior_grid(9, 2e-3)
+    want = 0.5 * f(xs) + 0.5 * (xs - ctx.c1) * apply_T(cheb_u, f, xs, spec)
+    np.testing.assert_allclose(apply_V(ctx, f, xs, spec), want,
+                               rtol=1e-14, atol=0)
+    assert abs(apply_V(ctx, f, 0.1, spec).imag - 0.2488) < 1e-4
+    np.testing.assert_array_equal(shift_multiply(f, ctx.c1)(xs),
+                                  (xs - ctx.c1) * f(xs))
+
+
+_F_PLUS_T = {
+    "apply_V": lambda ctx, f, x, spec: apply_V(ctx, f, x, spec),
+    "apply_V_inverse": lambda ctx, f, x, spec: apply_V_inverse(ctx, f, x,
+                                                               spec),
+    "solve_integral_equation": lambda ctx, f, x, spec: solve_integral_equation(
+        IntegralEquationProblem(ctx.base, 1.0 / ctx.t - 1.0, f), x, spec),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_F_PLUS_T))
+def test_operators_call_f_once_per_level_of_T(name, cheb_u, counted, spec,
+                                              levels):
+    # f(x) comes from T's own calls, one per level, the first holding x.
+    ctx = make_context(cheb_u, 0.5, spec)
+    xs = cheb_u.interval.interior_grid(30, 2e-3)
+    f = counted(_poly3)
+    got = _F_PLUS_T[name](ctx, f, xs, spec)
+    assert_one_call_per_level(f.args, levels, cheb_u.interval)
+    assert np.isin(xs, f.args[0]).all()
+    np.testing.assert_array_equal(got, _F_PLUS_T[name](ctx, _poly3, xs, spec))
+
+
+def test_isometry_check_call_count(cheb_u, counted, spec):
+    # The mean, the left side's inner product, and one call per level of T
+    # for each level of rho_t's rule on the right: 11 calls, where calling
+    # f at x apart from the nodes, for V apart from T, twice per level for
+    # the inner product and again for each level's difference offsets made
+    # 24.
+    ctx = make_context(cheb_u, 1.35, spec)
+    f = counted(lambda x: x ** 3 - 0.5 * x + 0.25)
+    assert isometry_check(ctx, f, spec).passed
+    assert len(f.args) <= 11
 
 
 def test_isometry_random_polynomials(cheb_u, uniform, spec, rng):

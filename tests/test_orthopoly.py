@@ -11,8 +11,11 @@ from secmeasure.orthopoly import (RecurrenceCoefficients, _t_against_rule,
                                   apply_T, orthonormal_polys,
                                   recurrence_coefficients, secondary_polys)
 from secmeasure.quadrature import (KERNEL_ENTRIES, QUOTIENT_FALLBACK,
-                                   EndpointExponents, derivative)
+                                   EndpointExponents, derivative,
+                                   tanh_sinh_nodes)
 from secmeasure.stieltjes import secondary_measure
+
+from conftest import assert_one_call_per_level
 
 
 def test_recurrence_cheb_u(cheb_u, spec):
@@ -280,17 +283,27 @@ def test_unresolved_integrals_raise(uniform):
 
 
 @pytest.mark.parametrize("name", ["cheb-u", "uniform", "sqrt32"])
-def test_apply_T_on_nodes_calls_f_a_few_times_per_level(name, counted, spec):
+def test_apply_T_on_nodes_calls_f_a_few_times_per_level(name, counted, spec,
+                                                        levels):
+    # f is called once per level of T, on the level's new nodes together
+    # with the points x that the first level's nodes lack and the
+    # difference offsets of each x, taken once at the first level with a
+    # node next to it.
     rho = catalog(name)
+    iv = rho.interval
     x = rho.rule(spec).x
     f = counted(np.cos)
     got = apply_T(rho, f, x, spec)
     assert np.all(np.isfinite(got))
-    levels = sum(any(len(a) == len(u) and np.array_equal(a, u)
-                     for a in f.args)
-                 for u in (rho._rule_at_level(k)[0] for k in range(2, 15)))
-    assert levels >= 2
-    assert len(f.args) <= 1 + 3 * levels
+    assert_one_call_per_level(f.args, levels, iv)
+    assert len(f.args) >= 2
+    nodes = sum(len(tanh_sinh_nodes(level, odd)[0])
+                for what, level, odd in levels if what.startswith("T "))
+    offsets = len(derivative(x, iv.a, iv.b, iv.width)[0])
+    # Near an end the nodes round onto each other, so x[1::2] holds some of
+    # x[::2]'s values.
+    lacking = np.count_nonzero(~np.isin(x, x[::2]))
+    assert sum(map(len, f.args)) == nodes + lacking + offsets
 
 
 def test_t_kernel_blocks_match_one_matrix(uniform):
@@ -299,12 +312,15 @@ def test_t_kernel_blocks_match_one_matrix(uniform):
     assert len(xs) * len(u) > 2 * KERNEL_ENTRIES
     a, b, width = 0.0, 1.0, 1.0
     fx = np.exp(xs)
-    got = _t_against_rule(np.exp, xs, fx, u, w, width, a, b)
+    points, finish = derivative(xs, a, b, width)
+    dfx = finish(fx, np.exp(points))
+    got = _t_against_rule(xs, fx, dfx, u, np.exp(u), w,
+                          QUOTIENT_FALLBACK * width)
     den = u[None, :] - xs[:, None]
     near = np.abs(den) < QUOTIENT_FALLBACK * width
     assert near.any(axis=1).sum() == 100
     K = (np.exp(u)[None, :] - fx[:, None]) / np.where(near, 1.0, den)
-    K = np.where(near, derivative(np.exp, xs, fx, a, b, width)[:, None], K)
+    K = np.where(near, dfx[:, None], K)
     # Equal to rounding: BLAS may sum a row in another order depending on
     # its place in the matrix (up to 5 ulps seen here).
     np.testing.assert_allclose(got, K @ w, rtol=8 * np.finfo(float).eps, atol=0)

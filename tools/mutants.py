@@ -71,6 +71,9 @@ MUTANTS = [
     ("src/secmeasure/stieltjes.py", "sigma = np.arcsinh(ratio / math.pi)",
      "sigma = ratio / math.pi"),
     ("src/secmeasure/stieltjes.py", "2 * c * odd", "c * odd"),
+    ("src/secmeasure/orthopoly.py", "fx[gap != 0] = vals[:n]",
+     "fx[gap != 0] = vals[1:n + 1]"),
+    ("src/secmeasure/orthopoly.py", "todo[rows] = False", "todo[:] = False"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
