@@ -29,7 +29,7 @@ from .family import denominator_root_scan, family_density, moment0_curve
 from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
                        user_density)
 from .operators import IntegralEquationProblem, solve_integral_equation
-from .orthopoly import apply_T, recurrence_coefficients
+from .orthopoly import _apply_T, recurrence_coefficients
 from .quadrature import EndpointExponents, IntegrationSpec, Interval
 from .report import OutputTable
 from .stieltjes import reducer, secondary_measure
@@ -299,16 +299,14 @@ def cmd_solve(args, spec) -> int:
     expr = parse_expr(args.g)
     problem = IntegralEquationProblem(rho, args.lam, expr.evaluate)
     xs = rho.interval.interior_grid(args.grid, 2e-3)
-    f_vals = solve_integral_equation(problem, xs, spec)
 
     def f(u):
         return solve_integral_equation(problem, u, spec)
 
+    # f on the grid comes from T's calls of f, which hold the grid.
+    Tf, f_vals = _apply_T(rho, f, xs, spec) if args.lam else (0.0, f(xs))
     c1 = moment(rho, 1, spec)
-    lhs = f_vals.copy()
-    if args.lam != 0.0:
-        lhs = lhs + args.lam * (xs - c1) * apply_T(rho, f, xs, spec)
-    residual = lhs - expr.evaluate(xs)
+    residual = f_vals + args.lam * (xs - c1) * Tf - expr.evaluate(xs)
     table = OutputTable(
         ["x", "f", "residual"],
         list(zip(xs.tolist(), f_vals.tolist(), residual.tolist())),

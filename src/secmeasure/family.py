@@ -12,9 +12,10 @@ that gives, pointwise,
 and the reducer of rho_t as 2 Re S_t(x + i0).  Whether rho_t is a
 probability density is a fact about rho_t, its ``validity``: parameters t
 in (0,1] always produce one ("proven"); larger t are screened empirically
-on first read.  A real root of the transform denominator outside the
-support marks t "invalid" without further work; otherwise a mass defect
-of rho_t does, and a unit mass makes it "empirical".  The denominator has
+on first read.  A side of the support at whose ends the transform
+denominator takes opposite signs holds a real root and marks t "invalid",
+with no root narrowed and no further work; otherwise a mass defect of
+rho_t does, and a unit mass makes it "empirical".  The denominator has
 at most one real root on each side of the support, where (x - c_1) S(x)
 is monotone, and by Weyl's inequality for rho's Jacobi matrix with b_1
 scaled by sqrt(t) none lies farther than |sqrt(t) - 1| b_1 from it; the
@@ -71,9 +72,9 @@ class FamilyDensity(DerivedDensity):
     """The density rho_t, whose transform is S/(t + (1-t)(z-c_1) S).
 
     ``validity`` is "proven" for t <= 1; for t > 1 reading it runs the
-    screen once: the denominator root scan, then, only if it finds no root,
-    the unit-mass check.  Either failing gives "invalid", passing both
-    "empirical".
+    screen once: the root scan's sign test, D at the ends of both sides,
+    then, only if neither side changes sign, the unit-mass check.  Either
+    failing gives "invalid", passing both "empirical".
     """
 
     def __init__(self, base: BaseDensity, t: float,
@@ -87,8 +88,8 @@ class FamilyDensity(DerivedDensity):
     def validity(self) -> str:
         if self.t <= 1.0:
             return "proven"
-        ok = (not denominator_root_scan(self.base, self.t, None, self.spec)
-              and abs(self.mass(self.spec) - 1.0) < _MASS_TOL)
+        lo = _changing_sides(self.base, self.t, None, self.spec)[0]
+        ok = not len(lo) and abs(self.mass(self.spec) - 1.0) < _MASS_TOL
         return "empirical" if ok else "invalid"
 
     def mobius(self, x) -> tuple:
@@ -148,20 +149,11 @@ def moment0_curve(rho: BaseDensity, t: float,
     return validate_parameter(rho, t, spec).mass(spec)
 
 
-def denominator_root_scan(rho: BaseDensity, t: float,
-                          search: Optional[Interval] = None,
-                          spec: IntegrationSpec = DEFAULT_SPEC):
-    """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
-    support [a, b], left of it first; D has at most one on each side.
-
-    ``search`` None searches both sides from eps off the support out to the
-    Weyl reach |sqrt(t) - 1| sqrt(d0), d0 the centred second moment on the
-    cached rule; otherwise ``search`` is the one side.  A side whose ends give D the
-    same sign has no root; the others narrow by k-section, D at the 15
-    interior points of 16 equal sections in one array call, to eps, the
-    larger of 1e-10 w (w = b - a) and 8 float spacings at the endpoint
-    farther from 0, or until a round leaves every bracket as it was.
-    """
+def _changing_sides(rho: BaseDensity, t: float, search: Optional[Interval],
+                    spec: IntegrationSpec):
+    """The root scan's sign test: (lo, hi, sign of D at lo, D, eps) for the
+    sides (``denominator_root_scan``) whose ends give D opposite signs, D
+    called once on the ends of every side."""
     interval = rho.interval
     a, b, w = interval.a, interval.b, interval.width
     if search is not None and not (search.b <= a or search.a >= b):
@@ -171,18 +163,35 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     if search is None:
         rule = rho.rule(spec)
         reach = abs(math.sqrt(t) - 1.0) * math.sqrt(rule.w @ (rule.x - c1) ** 2)
-        if reach <= eps:
-            return []
-        lo, hi = np.array([a - reach, b + eps]), np.array([a - eps, b + reach])
+        sides = [(a - reach, a - eps), (b + eps, b + reach)] if reach > eps else []
     else:
-        lo, hi = np.array([search.a]), np.array([search.b])
+        sides = [(search.a, search.b)]
 
     def D(x):
         return t + (1.0 - t) * (x - c1) * stieltjes_transform(rho, x, spec).real
 
-    sign = np.sign(D(np.concatenate([lo, hi]))).reshape(2, -1)
+    ends = np.array(sides).reshape(-1, 2).T
+    sign = np.sign(D(ends)) if sides else ends
     root = sign[0] != sign[1]
-    lo, hi, sign = lo[root], hi[root], sign[0, root]
+    return ends[0, root], ends[1, root], sign[0, root], D, eps
+
+
+def denominator_root_scan(rho: BaseDensity, t: float,
+                          search: Optional[Interval] = None,
+                          spec: IntegrationSpec = DEFAULT_SPEC):
+    """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
+    support [a, b], left of it first; D has at most one on each side.
+
+    ``search`` None searches both sides from eps off the support out to the
+    Weyl reach |sqrt(t) - 1| sqrt(d0), d0 the centred second moment on the
+    cached rule; otherwise ``search`` is the one side.  A side whose ends
+    give D the same sign has no root (the sign test, all that ``validity``
+    reads); the others narrow by k-section, D at the 15 interior points of
+    16 equal sections in one array call, to eps, the larger of 1e-10 w
+    (w = b - a) and 8 float spacings at the endpoint farther from 0, or
+    until a round leaves every bracket as it was.
+    """
+    lo, hi, sign, D, eps = _changing_sides(rho, t, search, spec)
     rows = np.arange(len(lo))
     while np.any(hi - lo > eps):
         xs = np.linspace(lo, hi, _SECTIONS + 1, axis=1)

@@ -144,7 +144,7 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
 def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
                     ) -> RecurrenceCoefficients:
     """MAX_DEGREE recurrence rows of rho, refined on its rule."""
-    def stieltjes(level, act, sums, odd):
+    def stieltjes(level, act, sums):
         # s_n = sqrt(w) P_n on the level's nodes, orthonormal in the dot
         # product; its recurrence in g is the density's in unit coordinates.
         g, w = tanh_sinh_nodes(level)[0], rho._rule_at_level(level)[1]

@@ -190,15 +190,13 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     max-norm) over all of the level's nodes at the first level, and after
     it (``odd``) over its odd-k nodes, to which the loop adds half the
     previous level's sums.  The estimates are the sums, or the first of
-    ``settle(level, act, sums, odd)``, which also returns a per-element
-    ``floor``; ``odd`` are the level's sums over its odd-k nodes: at the
-    first level the second of a pair (sums, odd sums) that ``estimate``
-    returns, else the sums.  An element settles at the first level where
-    max|cur - prev| <= max(abs_tol, rel_tol max|cur|, floor).  Levels run
-    from ``first`` (default ``start``) to start + max_refinement_levels;
-    ``what`` names the integrals in NonConvergence, and in the
-    EvaluationFailure raised at the first level whose estimates are not
-    all finite.
+    ``settle(level, act, sums)``, run right after the level's ``estimate``,
+    whose second is a per-element ``floor``.  An element settles at the
+    first level where max|cur - prev| <= max(abs_tol, rel_tol max|cur|,
+    floor).  Levels run from ``first`` (default ``start``) to
+    start + max_refinement_levels; ``what`` names the integrals in
+    NonConvergence, and in the EvaluationFailure raised at the first level
+    whose estimates are not all finite.
     """
     act = np.arange(count)
     sums = est = None
@@ -207,15 +205,12 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     with np.errstate(invalid="ignore", divide="ignore"):
         for level in range(start if first is None else first,
                            start + spec.max_refinement_levels + 1):
-            new = odd = estimate(level, act, sums is not None)
+            new = estimate(level, act, sums is not None)
             if sums is None:
-                if isinstance(new, tuple):
-                    new, odd = new
                 sums = new.copy()
             else:
                 new = sums[act] = 0.5 * sums[act] + new
-            cur, floor = (settle(level, act, new, odd) if settle
-                          else (new, None))
+            cur, floor = settle(level, act, new) if settle else (new, None)
             if not np.isfinite(cur).all():
                 raise EvaluationFailure(f"{what} is not finite at level {level}")
             if est is None:

@@ -83,8 +83,9 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     1 + c_L on the odd-k ones, c_L = cos(pi sigma 2^L), so the level-L
     estimate is F_L = (1 - c_L) R_L + 2 c_L O_L + rho(x) ln(dxl/dxr), R_L
     the nested sum over the level's nodes and O_L its part over the odd-k
-    nodes, the sum a refinement adds.  Each row sums the integral and its
-    magnitude, factored alike, for the rounding floor.
+    nodes, which ``estimate`` keeps for ``settle``: the first level's second
+    column, then each later level's sums.  Each row sums the integral and
+    its magnitude, factored alike, for the rounding floor.
     """
     half = 0.5 * rho.interval.width
     ratio = np.log(dxl / dxr)
@@ -92,8 +93,10 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     # The log term and its magnitude, added to each row's two sums.
     log_term = rx * ratio
     base = np.stack([log_term, np.abs(log_term)], axis=1)
+    odd_sums = None
 
     def estimate(level, act, odd):
+        nonlocal odd_sums
         w = tanh_sinh_nodes(level, odd)[1]
         dl, dr = rho._node_points(level, odd)[1:]
         ru = rho._node_values(level, odd)
@@ -112,15 +115,17 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
             return out
 
         if odd:
-            return half * kernel_sums(kernel, act, w).T
+            odd_sums = half * kernel_sums(kernel, act, w).T
+            return odd_sums
         # The first level's sums over all its nodes and over the odd-k ones.
         both = half * kernel_sums(
             kernel, act, np.stack([w, w * (np.arange(len(w)) % 2)], axis=1))
-        return both[..., 0].T, both[..., 1].T
+        odd_sums = both[..., 1].T
+        return both[..., 0].T
 
-    def settle(level, act, sums, odd):
+    def settle(level, act, sums):
         c = np.cos(math.pi * 2.0 ** level * sigma[act])[:, None]
-        f = (1.0 - c) * sums + 2 * c * odd + base[act]
+        f = (1.0 - c) * sums + 2 * c * odd_sums + base[act]
         return f[:, 0], _ROUNDING_FLOOR * f[:, 1]
 
     return 2.0 * refine_levels(estimate, len(rx), spec, _START_LEVEL,
@@ -128,32 +133,31 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
                                settle=settle)
 
 
-def _phi_values(rho: Density, xs, dxl, dxr, spec: IntegrationSpec, rx=None):
-    """Cached reducer phi at points supplied with exact endpoint distances,
-    as a flat array, computed once per distinct point; ``rx``, when given,
-    is rho at the points, evaluated again only at those the clamp moves."""
-    interval = rho.interval
-    clamp = _PHI_CLAMP * interval.width
-    xs, dxl, dxr = (np.array(v, dtype=float).ravel() for v in (xs, dxl, dxr))
+def _phi_values(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
+    """Cached reducer phi, as a flat array, at points given by their exact
+    endpoint distances, rx being rho at them; computed once per point, each
+    point named by its signed distance to the nearer end, -dxr nearer b.
+    The clamp moves only distances: rho at a clamp point, a + dxl, is
+    evaluated when its phi is computed."""
+    width = rho.interval.width
+    clamp = _PHI_CLAMP * width
+    dxl, dxr, rx = (np.array(v, dtype=float).ravel() for v in (dxl, dxr, rx))
     low, high = dxl < clamp, dxr < clamp
-    xs[low], dxl[low], dxr[low] = interval.a + clamp, clamp, interval.width - clamp
-    xs[high], dxl[high], dxr[high] = interval.b - clamp, interval.width - clamp, clamp
+    dxl[low], dxr[low] = clamp, width - clamp
+    dxl[high], dxr[high] = width - clamp, clamp
     cache = rho._phi.setdefault(spec, {})
     if len(cache) >= _PHI_CACHE_SIZE:
         cache.clear()
-    keys = xs.tolist()
-    todo = list({x: i for i, x in enumerate(keys) if x not in cache}.values())
+    keys = np.where(dxl <= dxr, dxl, -dxr).tolist()
+    todo = list({k: i for i, k in enumerate(keys) if k not in cache}.values())
     if todo:
-        xs, dxl, dxr = xs[todo], dxl[todo], dxr[todo]
-        # rho at the points: rx where the clamp left them, NaN to evaluate.
-        fx = (np.full(len(xs), np.nan) if rx is None
-              else np.where(low | high, np.nan, np.ravel(rx))[todo])
-        miss = np.isnan(fx)
-        if miss.any():
-            fx[miss] = rho.value_at(xs[miss], dxl[miss], dxr[miss])
-        cache.update(zip(xs.tolist(),
-                         _phi_batch(rho, dxl, dxr, fx, spec).tolist()))
-    return np.array([cache[x] for x in keys])
+        dxl, dxr, rx, moved = dxl[todo], dxr[todo], rx[todo], (low | high)[todo]
+        if moved.any():
+            rx[moved] = rho.value_at(rho.interval.a + dxl[moved], dxl[moved],
+                                     dxr[moved])
+        cache.update(zip([keys[i] for i in todo],
+                         _phi_batch(rho, dxl, dxr, rx, spec).tolist()))
+    return np.array([cache[k] for k in keys])
 
 
 def _served(rho: BaseDensity, x, what: str, fn: Callable):
@@ -170,16 +174,14 @@ def _served(rho: BaseDensity, x, what: str, fn: Callable):
 
 
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
-    """phi(x) = 2 PV int rho(t)/(x - t) dt at interior points; for a
-    derived density 2 Re S(x + i0) from its Möbius map (``_on_cut``).
+    """phi(x) = 2 PV int rho(t)/(x - t) dt at interior points, twice the
+    first of ``_on_cut``: a Density's cached quadrature, a derived one's map.
 
     Points closer than 1e-4 interval widths to an endpoint are refused:
     phi can diverge there (logarithmically for the uniform density).
     """
-    if isinstance(rho, DerivedDensity):
-        return _served(rho, x, "reducer",
-                       lambda *p: 2.0 * _on_cut(rho, *p, spec)[0])
-    return _served(rho, x, "reducer", lambda *p: _phi_values(rho, *p, spec))
+    return _served(rho, x, "reducer",
+                   lambda *p: 2.0 * _on_cut(rho, *p, spec)[0])
 
 
 def lerch_phi_half(x: float) -> float:
@@ -263,7 +265,6 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
     half = 0.5 * interval.width
     left = zs.real < interval.midpoint
     ze = zs - np.where(left, interval.a, interval.b)
-    one_side = np.count_nonzero(left) in (0, len(zs))
 
     def estimate(level, act, odd):
         w = tanh_sinh_nodes(level, odd)[1]
@@ -271,13 +272,8 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
         vals = rho._node_values(level, odd)
 
         def kernel(sel):
-            # e - t is -dl on rows next to a and dr on rows next to b; a
-            # batch on one side, the usual case, needs no per-row choice.
-            if one_side:
-                e_t = -dl if left[0] else dr
-            else:
-                e_t = np.where(left[sel, None], -dl, dr)
-            return vals / (ze[sel, None] + e_t)
+            # e - t is -dl on rows next to a and dr on rows next to b.
+            return vals / (ze[sel, None] + np.where(left[sel, None], -dl, dr))
 
         return half * kernel_sums(kernel, act, w)
 
@@ -369,13 +365,14 @@ class DerivedDensity(BaseDensity):
 def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None,
             with_phi=True):
     """(phi/2, rho) at points x with exact endpoint distances, the nodes of
-    (level, odd) = ``node`` if given.  A derived density maps its base's
+    (level, odd) = ``node`` if given; a Density reads phi from
+    ``_phi_values`` at those distances.  A derived density maps its base's
     s = phi/2 - i pi rho by (a s + b)/(c s + d) to (ad - bc) rho / |c s + d|^2
     and, ``with_phi``, half its reducer Re((a s + b) conj(c s + d)) over
     |c s + d|^2, the sum of squares (c phi/2 + d)^2 + (c pi rho)^2."""
     if not isinstance(rho, DerivedDensity):
         r = rho._node_values(*node) if node else rho.value_at(x, dl, dr)
-        return 0.5 * _phi_values(rho, x, dl, dr, spec, r).reshape(r.shape), r
+        return 0.5 * _phi_values(rho, dl, dr, r, spec).reshape(r.shape), r
     hp, r = _on_cut(rho.base, x, dl, dr, spec, node)
     a, b, c, d = rho.mobius(x)
     pr = math.pi * r

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import xml.dom.minidom
 
+import numpy as np
+
 
 def run(*args, **kw):
     return subprocess.run([sys.executable, "-m", "secmeasure.cli", *args],
@@ -80,6 +82,26 @@ def test_solve_exit_zero():
     assert r.returncode == 0
     for line in r.stdout.strip().split("\n")[1:]:
         assert abs(float(line.split(",")[2])) < 1e-5
+
+
+def test_solve_reads_f_on_the_grid_from_T(monkeypatch, capsys):
+    # In process: f on the grid comes from T's first call of the solver,
+    # which holds the grid; the solver never runs on the grid alone.
+    from secmeasure import Interval, cli
+    seen = []
+    real = cli.solve_integral_equation
+
+    def spy(problem, x, spec):
+        seen.append(np.array(x))
+        return real(problem, x, spec)
+
+    monkeypatch.setattr(cli, "solve_integral_equation", spy)
+    assert cli.main(["solve", "--density", "cheb-u", "--lam", "-0.5",
+                     "--g", "1/(1+x^2)", "--grid", "5"]) == 0
+    grid = Interval(-1.0, 1.0).interior_grid(5, 2e-3)
+    assert np.isin(grid, seen[0]).all()
+    assert not any(np.array_equal(x, grid) for x in seen)
+    assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
 
 def test_custom_density_expression():

@@ -8,6 +8,8 @@ from secmeasure import (DenominatorZero, Density, DomainError, Interval,
                         dirac_limit_check, equi_normality_check, family,
                         family_density, family_transform, moment,
                         moment0_curve, reducer, validate_parameter)
+import secmeasure.measures as measures
+import secmeasure.stieltjes as stieltjes
 from secmeasure.family import _FAMILY_CACHE_SIZE
 from secmeasure.quadrature import EndpointExponents
 
@@ -133,6 +135,30 @@ def test_screen_stops_at_a_root(spec):
     assert dens.validity == "invalid"
     assert dens._rules == {}
     assert abs(moment0_curve(rho, 1.3, spec) - 0.9799849175) < 1e-8
+
+
+@pytest.mark.parametrize("name, t, validity, runs", [
+    ("cheb-u", 3.0, "invalid", 3), ("uniform", 1.3, "invalid", 3),
+    ("sqrt32", 2.0, "invalid", 3), ("cheb-u", 2.0, "empirical", 7)])
+def test_screen_reads_only_the_sign_test(monkeypatch, spec, name, t,
+                                         validity, runs):
+    # The screen calls D once, at the ends of both sides, and narrows no
+    # bracket: one far-transform refinement beside rho's rule and c_1.  A
+    # valid t adds rho_t's rule and the reducer rows of its mass.  With the
+    # brackets narrowed, an invalid screen ran 9 transforms, 11 in all.
+    # sqrt32 at t = 2 has one root, right of the support.
+    seen = []
+    for module in (measures, stieltjes):
+        def spy(estimate, count, spec, start, what, real=module.refine_levels,
+                **kwargs):
+            seen.append(what)
+            return real(estimate, count, spec, start, what, **kwargs)
+
+        monkeypatch.setattr(module, "refine_levels", spy)
+    rho = Density(*measures._CATALOG_SPECS[name], name)
+    assert validate_parameter(rho, t, spec).validity == validity
+    assert len(seen) == runs
+    assert sum(w.startswith("transform") for w in seen) == 1
 
 
 def test_family_cache_is_bounded(spec):

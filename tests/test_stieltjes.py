@@ -11,6 +11,7 @@ from secmeasure import (CATALOG_NAMES, DegenerateMeasure, Density,
                         moment0_curve, perron_invert, reducer, secondary_measure,
                         secondary_transform, stieltjes_transform)
 from secmeasure.quadrature import KERNEL_ENTRIES, EndpointExponents
+from secmeasure.stieltjes import _PHI_CLAMP, _on_cut, _phi_batch
 
 
 def _s_semicircle(z):
@@ -35,7 +36,7 @@ def test_transform_uniform_closed_form(uniform, spec):
 def test_transform_next_to_an_endpoint(uniform, sqrt32, linear2x, spec):
     # Real z 1e-10 widths off either end; z - t formed by subtraction lost
     # every digit of the node's distance and never settled.
-    # One z per call takes the one-sided path, the pair the per-row one.
+    # One z per call and the pair, one z next to each end, agree.
     z = np.array([1.0 + 1e-10, -1e-10])
     want = np.log(z / (z - 1.0))
     np.testing.assert_allclose([stieltjes_transform(uniform, v, spec)
@@ -304,6 +305,50 @@ def test_reducer_cache_is_bounded(counted_semicircle, spec, monkeypatch):
         reducer(rho, np.linspace(x, x + 0.1, 5), spec)
         sizes.append(len(rho._phi[spec]))
     assert sizes == [5, 10, 5, 10, 5]
+
+
+def test_reducer_cache_names_each_node_by_its_exact_distance(spec):
+    # On [1e8, 1e8 + 1] floats are 1.5e-8 widths apart, so next to an end
+    # many nodes round to one x.  After these calls the reducer keeps phi
+    # at every node of the finest level reached, and each node's is the
+    # one _phi_batch gives at that point alone; keyed by x, 122 of 1,325
+    # nodes read another node's phi, off by up to 3.9.
+    a = 1e8
+    rho = Density(Interval(a, a + 1.0), lambda x: np.ones(np.shape(x)),
+                  EndpointExponents(), "far uniform")
+    secondary_measure(rho, spec).mass()
+    moment0_curve(rho, 0.7, spec)
+    moment0_curve(rho, 1.5, spec)
+    x, dl, dr = rho._node_points(rho._node_level)
+    kept = len(rho._phi[spec])
+    phi = 2.0 * _on_cut(rho, x, dl, dr, spec)[0]
+    assert len(rho._phi[spec]) == kept > 1000
+    clamp = _PHI_CLAMP * rho.interval.width
+    dl, dr = np.clip(dl, clamp, 1.0 - clamp), np.clip(dr, clamp, 1.0 - clamp)
+    nodes = np.unique(np.where(dl <= dr, dl, -dr), return_index=True)[1]
+    assert len(np.unique(x[nodes])) < len(nodes) - 100
+    alone = [_phi_batch(rho, dl[i:i + 1], dr[i:i + 1], np.ones(1), spec)[0]
+             for i in nodes]
+    np.testing.assert_allclose(phi[nodes], alone, rtol=1e-13, atol=1e-13)
+
+
+def test_reducer_settles_on_its_first_two_levels():
+    # The first level's factored sum, its odd-k part the second column of
+    # the level's kernel product, already agrees with the second level's
+    # on these smooth reducers; with the full sums in the odd part's
+    # place it was off by 0.59 on cheb-u and needed a third level.
+    two = IntegrationSpec(max_refinement_levels=1)
+    x = np.linspace(0.1, 0.9, 9)
+    semi = Density(Interval(-1.0, 1.0),
+                   lambda x: np.full(np.shape(x), 2.0 / math.pi),
+                   EndpointExponents(0.5, 0.5), "cheb-u")
+    np.testing.assert_allclose(reducer(semi, 2.0 * x - 1.0, two),
+                               4.0 * (2.0 * x - 1.0), rtol=0, atol=1e-12)
+    lin = Density(Interval(0.0, 1.0), lambda x: 2.0 * np.asarray(x),
+                  EndpointExponents(), "linear2x")
+    np.testing.assert_allclose(reducer(lin, x, two),
+                               4.0 * (x * np.log(x / (1.0 - x)) - 1.0),
+                               rtol=0, atol=1e-12)
 
 
 def test_secondary_measure_cheb_u(cheb_u, spec):

@@ -70,7 +70,15 @@ MUTANTS = [
      "c = -np.cos(math.pi * 2.0 ** level"),
     ("src/secmeasure/stieltjes.py", "sigma = np.arcsinh(ratio / math.pi)",
      "sigma = ratio / math.pi"),
-    ("src/secmeasure/stieltjes.py", "2 * c * odd", "c * odd"),
+    ("src/secmeasure/stieltjes.py", "2 * c * odd_sums", "c * odd_sums"),
+    ("src/secmeasure/stieltjes.py", "np.where(dxl <= dxr, dxl, -dxr)",
+     "np.where(dxl <= dxr, dxl, dxr)"),
+    ("src/secmeasure/stieltjes.py", "odd_sums = both[..., 1].T",
+     "odd_sums = both[..., 0].T"),
+    ("src/secmeasure/family.py",
+     "lo = _changing_sides(self.base, self.t, None, self.spec)[0]",
+     "lo = _changing_sides(self.base, self.t, None, self.spec)[0]; "
+     "lo = lo[lo < self.base.interval.a]"),
     ("src/secmeasure/orthopoly.py", "fx[gap != 0] = vals[:n]",
      "fx[gap != 0] = vals[1:n + 1]"),
     ("src/secmeasure/orthopoly.py", "todo[rows] = False", "todo[:] = False"),
