@@ -251,8 +251,6 @@ def cmd_secondary(args, spec) -> int:
 
 def cmd_family_density(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    if args.t <= 0:
-        raise UsageError("--t must be positive")
     xs = rho.interval.interior_grid(args.grid, 2e-3)
     vals = family_density(rho, args.t, xs, spec)
     table = OutputTable(["x", "rho_t"], list(zip(xs.tolist(), vals.tolist())),
@@ -283,8 +281,6 @@ def cmd_family_scan(args, spec) -> int:
 
 def cmd_roots(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    if args.t <= 0:
-        raise UsageError("--t must be positive")
     search = None if args.search is None else Interval(*args.search)
     brackets = denominator_root_scan(rho, args.t, search, spec)
     table = OutputTable(["lo", "hi"], brackets,

@@ -10,15 +10,18 @@ that gives, pointwise,
                            + pi^2 rho^2(x) (1-t)^2 (x-c_1)^2),
 
 and the reducer of rho_t as 2 Re S_t(x + i0).  Whether rho_t is a
-probability density is a fact about rho_t, its ``validity``: parameters t
-in (0,1] always produce one ("proven"); larger t are screened empirically
-on first read.  A side of the support at whose ends the transform
-denominator takes opposite signs holds a real root and marks t "invalid",
-with no root narrowed and no further work; otherwise a mass defect of
-rho_t does, and a unit mass makes it "empirical".  The denominator has
-at most one real root on each side of the support, where (x - c_1) S(x)
-is monotone, and by Weyl's inequality for rho's Jacobi matrix with b_1
-scaled by sqrt(t) none lies farther than |sqrt(t) - 1| b_1 from it; the
+probability density is a fact about rho_t, its ``validity``.  By
+co-dilation (rho_t's Jacobi matrix is rho's with b_1 scaled by sqrt(t)),
+S_t is the transform of a probability measure whose part on the support
+is rho_t dx; it has a point mass at each real root of the denominator
+D(x) = t + (1-t)(x-c_1) S(x) off the support.  Parameters t in (0,1]
+always give a density ("proven").  For t > 1, (x - c_1) S(x) is monotone
+on each side of the support, so D has at most one root there, and has one
+exactly when D is negative at that end of the support: D at the ends
+decides validity, "invalid" or "empirical", with no root looked for.  A
+root too close to the end for ``denominator_root_scan`` to bracket still
+makes t invalid.  By Weyl's inequality for the Jacobi matrix with b_1
+scaled, no root lies farther than |sqrt(t) - 1| b_1 from the support; the
 root scan searches from a bracket width off the support out to that
 reach.  ``validate_parameter`` returns the cached rho_t whatever its
 validity, ``family`` refuses an invalid one.
@@ -37,8 +40,8 @@ from .errors import DenominatorZero, DomainError, InvalidParameter
 from .measures import BaseDensity, moment
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, _call
 from .report import VerificationReport, property_report, timer
-from .stieltjes import (DerivedDensity, reducer, secondary_measure,
-                        stieltjes_transform)
+from .stieltjes import (DerivedDensity, _end_transforms, reducer,
+                        secondary_measure, stieltjes_transform)
 
 __all__ = [
     "FamilyDensity",
@@ -52,9 +55,6 @@ __all__ = [
     "dirac_limit_check",
 ]
 
-# Empirical screen for t > 1: a real-axis root scan on both sides of the
-# support, then, when it finds no root, a unit-mass check to this tolerance.
-_MASS_TOL = 1e-6
 # The root scan narrows its brackets to this many widths, or to this many
 # float spacings of the endpoints where that is wider, by k-section into
 # this many sections; a root closer than a bracket width to the support is
@@ -68,19 +68,28 @@ _FAMILY_CACHE_SIZE = 256
 _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
 
-class FamilyDensity(DerivedDensity):
-    """The density rho_t, whose transform is S/(t + (1-t)(z-c_1) S).
+def _check_parameter(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise InvalidParameter(
+            f"family parameter must be a positive real, got {t}")
 
-    ``validity`` is "proven" for t <= 1; for t > 1 reading it runs the
-    screen once: the root scan's sign test, D at the ends of both sides,
-    then, only if neither side changes sign, the unit-mass check.  Either
-    failing gives "invalid", passing both "empirical".
+
+class FamilyDensity(DerivedDensity):
+    """The density rho_t, whose transform is S/(t + (1-t)(z-c_1) S), for
+    0 < t < inf (InvalidParameter otherwise).
+
+    ``validity`` is "proven" for t <= 1.  For t > 1 its first read takes
+    rho_t's own end transforms S_t = S/D, D = t + (1-t)(x-c_1) S, at the
+    ends a and b of the support: "invalid" when D < 0 at either end, seen
+    as S_t(a) > 0 or S_t(b) < 0, "empirical" otherwise.  A D that vanishes
+    to within rel_tol of its terms t and (1-t)(x-c_1) S makes S_t infinite
+    and of the valid sign, so the boundary case D = 0 (cheb-u at t = 2)
+    stays valid whatever the rounding.
     """
 
     def __init__(self, base: BaseDensity, t: float,
                  spec: IntegrationSpec = DEFAULT_SPEC):
-        if t <= 0:
-            raise InvalidParameter(f"family parameter must be positive, got {t}")
+        _check_parameter(t)
         super().__init__(base, f"{base.name}|t={t:g}", spec)
         self.t = t
 
@@ -88,9 +97,8 @@ class FamilyDensity(DerivedDensity):
     def validity(self) -> str:
         if self.t <= 1.0:
             return "proven"
-        lo = _changing_sides(self.base, self.t, None, self.spec)[0]
-        ok = not len(lo) and abs(self.mass(self.spec) - 1.0) < _MASS_TOL
-        return "empirical" if ok else "invalid"
+        sa, sb = _end_transforms(self, self.spec)
+        return "invalid" if sa > 0.0 or sb < 0.0 else "empirical"
 
     def mobius(self, x) -> tuple:
         return 1.0, 0.0, (1.0 - self.t) * (x - self.c1), self.t
@@ -102,7 +110,7 @@ class FamilyDensity(DerivedDensity):
 def validate_parameter(rho: BaseDensity, t: float,
                        spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
     """rho_t, cached on rho per (t, spec) and not refused whatever its
-    ``validity``; InvalidParameter for t <= 0."""
+    ``validity``; InvalidParameter unless 0 < t < inf."""
     if (t, spec) not in rho._family:
         if len(rho._family) >= _FAMILY_CACHE_SIZE:
             rho._family.clear()
@@ -116,7 +124,7 @@ def family(rho: BaseDensity, t: float,
     dens = validate_parameter(rho, t, spec)
     if dens.validity == "invalid":
         raise InvalidParameter(
-            f"t={t:g} fails the validity screen for {rho.name!r}")
+            f"t={t:g} is not a valid parameter for {rho.name!r}")
     return dens
 
 
@@ -149,11 +157,25 @@ def moment0_curve(rho: BaseDensity, t: float,
     return validate_parameter(rho, t, spec).mass(spec)
 
 
-def _changing_sides(rho: BaseDensity, t: float, search: Optional[Interval],
-                    spec: IntegrationSpec):
-    """The root scan's sign test: (lo, hi, sign of D at lo, D, eps) for the
-    sides (``denominator_root_scan``) whose ends give D opposite signs, D
-    called once on the ends of every side."""
+def denominator_root_scan(rho: BaseDensity, t: float,
+                          search: Optional[Interval] = None,
+                          spec: IntegrationSpec = DEFAULT_SPEC):
+    """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
+    support [a, b], left of it first; D has at most one on each side.
+    InvalidParameter unless 0 < t < inf.
+
+    ``search`` None searches both sides from eps off the support out to the
+    Weyl reach |sqrt(t) - 1| sqrt(d0), d0 the centred second moment on the
+    cached rule; otherwise ``search`` is the one side.  A side whose ends
+    give D the same sign has no root; the others narrow by k-section, D at
+    the 15 interior points of 16 equal sections in one array call, to eps,
+    the larger of 1e-10 w (w = b - a) and 8 float spacings at the endpoint
+    farther from 0, or until a round leaves every bracket as it was.  A
+    root closer than eps to the support is not found, though it makes t
+    invalid (``FamilyDensity.validity``): for the uniform density at
+    t = 1.0001 the scan returns no bracket.
+    """
+    _check_parameter(t)
     interval = rho.interval
     a, b, w = interval.a, interval.b, interval.width
     if search is not None and not (search.b <= a or search.a >= b):
@@ -173,25 +195,7 @@ def _changing_sides(rho: BaseDensity, t: float, search: Optional[Interval],
     ends = np.array(sides).reshape(-1, 2).T
     sign = np.sign(D(ends)) if sides else ends
     root = sign[0] != sign[1]
-    return ends[0, root], ends[1, root], sign[0, root], D, eps
-
-
-def denominator_root_scan(rho: BaseDensity, t: float,
-                          search: Optional[Interval] = None,
-                          spec: IntegrationSpec = DEFAULT_SPEC):
-    """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
-    support [a, b], left of it first; D has at most one on each side.
-
-    ``search`` None searches both sides from eps off the support out to the
-    Weyl reach |sqrt(t) - 1| sqrt(d0), d0 the centred second moment on the
-    cached rule; otherwise ``search`` is the one side.  A side whose ends
-    give D the same sign has no root (the sign test, all that ``validity``
-    reads); the others narrow by k-section, D at the 15 interior points of
-    16 equal sections in one array call, to eps, the larger of 1e-10 w
-    (w = b - a) and 8 float spacings at the endpoint farther from 0, or
-    until a round leaves every bracket as it was.
-    """
-    lo, hi, sign, D, eps = _changing_sides(rho, t, search, spec)
+    lo, hi, sign = ends[0, root], ends[1, root], sign[0, root]
     rows = np.arange(len(lo))
     while np.any(hi - lo > eps):
         xs = np.linspace(lo, hi, _SECTIONS + 1, axis=1)

@@ -14,6 +14,8 @@ members rho_t are Möbius maps of S, S_mu = z - c_1 - 1/S and
 S_t = S/(t + (1-t)(z - c_1) S), which on the cut give their values and
 reducers from rho's; only a ``Density`` runs the reducer quadrature.  S_mu
 is ``stieltjes_transform`` of mu; the homographic form is checked on it.
+The limits of S at the ends of the support, from outside, are mapped the
+same way from rho's; they decide the validity of rho_t (``family``).
 Stieltjes-Perron inversion goes the other way: it recovers a density from
 an arbitrary transform evaluator by extrapolating
 (S(x - i eps) - S(x + i eps))/(2 i pi) to eps = 0.
@@ -27,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DegenerateMeasure, DomainError, ExtrapolationDivergence,
-                     PointOnInterval)
+from .errors import (DegenerateMeasure, DomainError, EvaluationFailure,
+                     ExtrapolationDivergence, PointOnInterval)
 from .measures import BaseDensity, Density, moment
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _pointwise,
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
                          kernel_sums, refine_levels, tanh_sinh_nodes)
 
 __all__ = [
@@ -380,6 +382,88 @@ def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None,
     half_phi = ((a * c * (hp ** 2 + pr ** 2) + (a * d + b * c) * hp + b * d)
                 / den if with_phi else None)
     return half_phi, (a * d - b * c) * r / den
+
+
+def _smooth_scale(rho: Density) -> float:
+    """The largest |h| at rho's nodes of the start level, h read off the
+    node values as rho / (dist_a^alpha dist_b^beta)."""
+    _, da, db = rho._node_points(_START_LEVEL)
+    with np.errstate(all="ignore"):
+        h = np.abs(rho._node_values(_START_LEVEL)
+                   / (da ** rho.exps.alpha * db ** rho.exps.beta))
+    return float(np.max(h, where=np.isfinite(h), initial=0.0))
+
+
+def _end_transforms(rho: BaseDensity, spec: IntegrationSpec) -> list:
+    """[S(a), S(b)], the limits of rho's transform at the ends of its
+    support, S(a) = -int rho(u)/(u - a) du and S(b) = int rho(u)/(b - u) du.
+
+    For a ``Density``, h is called once at the two ends; it must be finite
+    there, as rho's outermost nodes round to the ends.  An end whose
+    exponent p is <= 0 gives -inf at a and +inf at b unless h vanishes
+    there, to within rel_tol of its largest value at rho's nodes (a
+    non-finite h(e) does not vanish).  Every other end is a row of one
+    refinement on rho's node values.  Next to the end rho is g dist^p,
+    with g = w^q h(e), q the other end's exponent and w the width; the row
+    integrates (rho - g dist^p)/dist, which is bounded, and adds back
+    g w^p / p, the integral of the term taken out (for p <= 0, g = 0).  An
+    h not finite at an end with p > 0 raises EvaluationFailure.
+    A derived density maps its base's end values by its ``mobius`` at the
+    end: an infinite value to its limit a/c (s a/d where c = 0, as at
+    t = 1), and a value where c s + d vanishes to within rel_tol of its
+    terms to -inf at a and +inf at b.
+    """
+    ends = (rho.interval.a, rho.interval.b)
+    if isinstance(rho, DerivedDensity):
+        out = []
+        base = _end_transforms(rho.base, spec)
+        for e, sign, s in zip(ends, (-1.0, 1.0), base):
+            a, b, c, d = rho.mobius(e)
+            if math.isinf(s):
+                out.append(a / c if c else s * a / d)
+            elif abs(c * s + d) <= spec.rel_tol * (abs(c * s) + abs(d)):
+                out.append(sign * math.inf)
+            else:
+                out.append((a * s + b) / (c * s + d))
+        return out
+    w = rho.interval.width
+    with np.errstate(all="ignore"):
+        h = np.asarray(_call(rho.smooth_part, np.array(ends)), dtype=float)
+    exps = (rho.exps.alpha, rho.exps.beta)
+    vanish = spec.rel_tol * _smooth_scale(rho) if min(exps) <= 0 else 0.0
+    out = [-math.inf, math.inf]
+    # (end, p, g, g w^p / p) for each end with a finite transform.
+    rows = []
+    for k in (0, 1):
+        p, g = exps[k], w ** exps[1 - k] * h[k]
+        if p > 0:
+            if not math.isfinite(h[k]):
+                raise EvaluationFailure(
+                    f"the smooth part of {rho.name!r} is not finite at "
+                    f"{ends[k]}, an end with exponent {p:g} > 0")
+            rows.append((k, p, g, g * w ** p / p))
+        elif abs(h[k]) <= vanish:
+            rows.append((k, p, 0.0, 0.0))
+    if not rows:
+        return out
+    k, p, g, back = (np.array(v) for v in zip(*rows))
+
+    def estimate(level, act, odd):
+        wts = tanh_sinh_nodes(level, odd)[1]
+        dist = np.stack(rho._node_points(level, odd)[1:])
+        vals = rho._node_values(level, odd)
+
+        def kernel(sel):
+            d = dist[k[sel]]
+            return (vals - g[sel, None] * d ** p[sel, None]) / d
+
+        return 0.5 * w * kernel_sums(kernel, act, wts)
+
+    sums = refine_levels(estimate, len(rows), spec, _START_LEVEL,
+                         f"end transforms of {rho.name!r}")
+    for end, s in zip(k, sums + back):
+        out[end] = float(s if end else -s)
+    return out
 
 
 class SecondaryMeasure(DerivedDensity):

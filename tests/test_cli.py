@@ -140,6 +140,18 @@ def test_usage_errors_exit_two():
                "1").returncode == 2  # mass far from 1
 
 
+def test_non_finite_parameters_exit_two():
+    # nan and inf used to print a column of NaN, or an empty table, and
+    # exit 0.
+    for t in ("nan", "inf"):
+        assert run("family", "density", "--density", "cheb-u", "--t", t,
+                   "--grid", "3").returncode == 2
+    assert run("roots", "--density", "cheb-u", "--t", "nan").returncode == 2
+    assert run("roots", "--density", "cheb-u", "--t", "-1").returncode == 2
+    assert run("solve", "--density", "cheb-u", "--lam", "nan",
+               "--g", "1").returncode == 2
+
+
 def test_numerical_failure_exit_three():
     r = run("--quad-levels", "3", "--tol", "1e-14", "family", "scan",
             "--density", "sqrt32", "--t-min", "1.2", "--t-max", "1.8",

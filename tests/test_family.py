@@ -1,27 +1,35 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secmeasure import (DenominatorZero, Density, DomainError, Interval,
-                        InvalidParameter, catalog, denominator_root_scan,
-                        dirac_limit_check, equi_normality_check, family,
+from secmeasure import (DenominatorZero, Density, DomainError,
+                        EvaluationFailure, Interval, InvalidParameter,
+                        catalog, denominator_root_scan, dirac_limit_check,
+                        equi_normality_check, family,
                         family_density, family_transform, moment,
                         moment0_curve, reducer, validate_parameter)
 import secmeasure.measures as measures
 import secmeasure.stieltjes as stieltjes
 from secmeasure.family import _FAMILY_CACHE_SIZE
 from secmeasure.quadrature import EndpointExponents
+from secmeasure.stieltjes import _end_transforms
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_parameter_validation(uniform, spec):
-    for t in (0.0, -2.0):
+    for t in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             family(uniform, t, spec)
         with pytest.raises(InvalidParameter):
             family_density(uniform, t, 0.5, spec)
         with pytest.raises(InvalidParameter):
             validate_parameter(uniform, t, spec)
+        with pytest.raises(InvalidParameter):
+            denominator_root_scan(uniform, t, None, spec)
 
 
 def test_t_equals_one_is_identity(uniform, spec):
@@ -116,9 +124,9 @@ def test_moment0_curve_paper_values(uniform, sqrt32, linear2x, cheb_u, spec):
 def test_validity_statuses(cheb_u, uniform, spec):
     assert validate_parameter(cheb_u, 0.5, spec).validity == "proven"
     assert validate_parameter(cheb_u, 2.0, spec).validity == "empirical"
-    # Just past t = 2 the root lies about 1.25e-11 off an end, inside the
-    # gap the root scan leaves (it finds no root there); the unit-mass
-    # check (defect -1.0e-5) is what finds rho_t invalid.
+    # Just past t = 2 the root lies about 1.25e-11 off an end, closer than
+    # the root scan brackets (it finds no root there); the denominator at
+    # the ends, -1.0e-5, finds rho_t invalid.
     assert validate_parameter(cheb_u, 2.00001, spec).validity == "invalid"
     assert validate_parameter(uniform, 1.5, spec).validity == "invalid"
     with pytest.raises(InvalidParameter):
@@ -126,9 +134,9 @@ def test_validity_statuses(cheb_u, uniform, spec):
 
 
 def test_screen_stops_at_a_root(spec):
-    # At t = 1.3 the root scan finds the uniform density's two roots, so
-    # the screen never builds rho_t's rule for the mass check; the mass is
-    # still there to read afterwards.
+    # At t = 1.3 the uniform density's denominator has a root on each
+    # side; the screen finds them from the ends without building rho_t's
+    # rule, and the mass is still there to read afterwards.
     rho = Density(Interval(0.0, 1.0), lambda x: np.ones(np.shape(x)),
                   EndpointExponents(), "uniform")
     dens = validate_parameter(rho, 1.3, spec)
@@ -138,15 +146,16 @@ def test_screen_stops_at_a_root(spec):
 
 
 @pytest.mark.parametrize("name, t, validity, runs", [
-    ("cheb-u", 3.0, "invalid", 3), ("uniform", 1.3, "invalid", 3),
-    ("sqrt32", 2.0, "invalid", 3), ("cheb-u", 2.0, "empirical", 7)])
+    ("cheb-u", 3.0, "invalid", 3), ("uniform", 1.3, "invalid", 2),
+    ("sqrt32", 2.0, "invalid", 3), ("cheb-u", 2.0, "empirical", 3)])
 def test_screen_reads_only_the_sign_test(monkeypatch, spec, name, t,
                                          validity, runs):
-    # The screen calls D once, at the ends of both sides, and narrows no
-    # bracket: one far-transform refinement beside rho's rule and c_1.  A
-    # valid t adds rho_t's rule and the reducer rows of its mass.  With the
-    # brackets narrowed, an invalid screen ran 9 transforms, 11 in all.
-    # sqrt32 at t = 2 has one root, right of the support.
+    # The screen reads the sign of the denominator at the two ends of the
+    # support: beside rho's rule and c_1, one refinement of the end
+    # transforms, none where both ends diverge (uniform), no transform off
+    # the support and no rule of rho_t.  Through the root scan's sign test
+    # and a unit-mass check, cheb-u at t = 2 ran 7 refinements and uniform
+    # at t = 1.3 ran 3.  sqrt32 at t = 2 has one root, right of the support.
     seen = []
     for module in (measures, stieltjes):
         def spy(estimate, count, spec, start, what, real=module.refine_levels,
@@ -156,9 +165,130 @@ def test_screen_reads_only_the_sign_test(monkeypatch, spec, name, t,
 
         monkeypatch.setattr(module, "refine_levels", spy)
     rho = Density(*measures._CATALOG_SPECS[name], name)
-    assert validate_parameter(rho, t, spec).validity == validity
+    dens = validate_parameter(rho, t, spec)
+    assert dens.validity == validity
     assert len(seen) == runs
-    assert sum(w.startswith("transform") for w in seen) == 1
+    assert not any(w.startswith("transform") for w in seen)
+    assert dens._rules == {}
+
+
+@pytest.mark.parametrize("name", ["uniform", "linear2x", "sqrt32"])
+@pytest.mark.parametrize("t", [1.0001, 1.01, 1.05])
+def test_exponent_zero_end_is_invalid_for_every_t_above_one(name, t, spec):
+    # Each has exponent 0 at an end where rho does not vanish, so S
+    # diverges there and D has a root on that side for every t > 1.  The
+    # roots lie closer to the support than the root scan brackets (about
+    # e^-20000 widths for uniform at 1.0001) and rho_t's mass defect is
+    # below 1e-6: a root scan with a unit-mass check read all nine as
+    # "empirical".
+    assert validate_parameter(catalog(name), t, spec).validity == "invalid"
+
+
+@pytest.fixture(scope="module")
+def oracle(request):
+    mp = pytest.MonkeyPatch()
+    mp.syspath_prepend(str(PERFBENCH))
+    mp.setattr(sys, "dont_write_bytecode", True)
+    request.addfinalizer(mp.undo)
+    import oracle
+    return oracle
+
+
+def test_validity_matches_the_oracle_on_jacobi_densities(oracle, spec):
+    # 40 Jacobi densities on [0, 1], exponents in (-1/2, 3/2) with one in
+    # each of 40 strata per axis; the oracle decides from Beta-function
+    # limits of (x - c_1) S(x) at the ends.
+    rng = np.random.default_rng(19)
+    n = 40
+    exps = [-0.5 + 2.0 * (rng.permutation(n) + rng.random(n)) / n
+            for _ in range(2)]
+    for k, (alpha, beta) in enumerate(zip(*exps)):
+        oj = oracle.JacobiDensity(0.0, 1.0, alpha, beta,
+                                  rng.uniform(0.2, 1.0, rng.integers(1, 5)))
+        rho = Density(Interval(0.0, 1.0), oj.smooth,
+                      EndpointExponents(alpha, beta), f"j{k}")
+        for t in (1.0001, 1.01, 1.5, 3.0):
+            got = validate_parameter(rho, t, spec).validity
+            assert (got == "invalid") == bool(oj.denominator_roots(t)), \
+                (alpha, beta, t, got)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1e-6, 0.7), (1e-3, 1e-3), (0.01, -0.4), (0.159, 1.3), (1.4, 1e-6),
+    (-0.3, 0.5), (0.8, 0.0)])
+def test_end_transforms_against_beta_closed_forms(alpha, beta, spec):
+    # rho = (x-a)^alpha (b-x)^beta p((x-a)/w) on [a, b] = [-1.5, 2.5];
+    # int rho(u)/(u-a) du = w^(alpha+beta) sum_j p_j B(alpha+j, beta+1),
+    # and at b likewise.  An end with exponent <= 0 where p does not
+    # vanish diverges.
+    beta_fn = pytest.importorskip("scipy.special").beta
+    a, w = -1.5, 4.0
+    coef = np.random.default_rng(7).uniform(0.2, 1.0, 4)
+    j = np.arange(len(coef))
+    mass = w ** (alpha + beta + 1) * coef @ beta_fn(alpha + 1 + j, beta + 1)
+    rho = Density(Interval(a, a + w),
+                  lambda x: np.polyval(coef[::-1], (x - a) / w) / mass,
+                  EndpointExponents(alpha, beta), "jacobi")
+    scale = w ** (alpha + beta) / mass
+    want = [-scale * coef @ beta_fn(alpha + j, beta + 1) if alpha > 0
+            else -math.inf,
+            scale * coef @ beta_fn(alpha + 1 + j, beta) if beta > 0
+            else math.inf]
+    np.testing.assert_allclose(_end_transforms(rho, spec), want, rtol=1e-13)
+
+
+def test_end_transforms_of_the_catalog(linear2x, cheb_u, spec):
+    # linear2x has exponent 0 at 0, where h = 2x vanishes: S(0) is finite.
+    sa, sb = _end_transforms(linear2x, spec)
+    assert abs(sa + 2.0) < 1e-14 and sb == math.inf
+    np.testing.assert_allclose(_end_transforms(cheb_u, spec), [-2.0, 2.0],
+                               rtol=1e-14)
+
+
+def test_h_vanishing_to_rounding_at_an_exponent_zero_end(spec):
+    # (pi/2) sin(pi x) on [0, 1] with exponents 0: h(1) is 1.9e-16, not 0,
+    # yet rho vanishes there and S(1) = (pi/2) Si(pi) is finite.  The
+    # denominator at the ends is t - (t - 1) S(1)/2, negative from
+    # t = 3.2 on.
+    si = pytest.importorskip("scipy.special").sici(math.pi)[0]
+    rho = Density(Interval(0.0, 1.0),
+                  lambda x: 0.5 * math.pi * np.sin(math.pi * x),
+                  EndpointExponents(), "sine")
+    assert rho.smooth_part(np.array([1.0]))[0] != 0.0
+    np.testing.assert_allclose(_end_transforms(rho, spec),
+                               [-0.5 * math.pi * si, 0.5 * math.pi * si],
+                               rtol=1e-13)
+    for t, want in ((1.01, "empirical"), (2.0, "empirical"),
+                    (3.1, "empirical"), (3.3, "invalid")):
+        assert validate_parameter(rho, t, spec).validity == want, t
+
+
+def test_end_transform_needs_h_finite_where_the_exponent_is_positive(spec):
+    rho = Density(Interval(0.0, 1.0),
+                  lambda x: np.where(x > 0.0, 1.0, math.nan),
+                  EndpointExponents(0.5, 0.5), "nan-at-0")
+    with pytest.raises(EvaluationFailure, match="not finite at 0.0"):
+        _end_transforms(rho, spec)
+
+
+def test_validity_composes(all_catalog, spec):
+    # (rho_t)_s = rho_{ts}, so a valid rho_t at s has the validity of rho
+    # at ts; its end transforms are rho's mapped by rho_t's Möbius map.
+    # The base cheb-u at t = 2 (cheb-t) has a vanishing map denominator at
+    # both ends, cheb-t's ends an infinite transform.
+    cases = 0
+    for rho in all_catalog:
+        for t in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
+            if validate_parameter(rho, t, spec).validity == "invalid":
+                continue
+            rho_t = family(rho, t, spec)
+            for s in (1.0001, 1.2, 1.3, 1.9, 2.5, 4.1):
+                got = validate_parameter(rho_t, s, spec).validity
+                want = validate_parameter(rho, t * s, spec).validity
+                assert (got == "invalid") == (want == "invalid"), \
+                    (rho.name, t, s, got, want)
+                cases += 1
+    assert cases == 132
 
 
 def test_family_cache_is_bounded(spec):

@@ -44,7 +44,6 @@ MUTANTS = [
      "_BRACKET_WIDTH = 1e-6"),
     ("src/secmeasure/family.py", "zero = np.abs(den) < 1e-12 *",
      "zero = np.abs(den) < 1e-6 *"),
-    ("src/secmeasure/family.py", "_MASS_TOL = 1e-6", "_MASS_TOL = 1e-2"),
     ("src/secmeasure/orthopoly.py", "b = math.sqrt(q @ q)",
      "b = math.sqrt(1.01 * q @ q)"),
     ("src/secmeasure/stieltjes.py",
@@ -75,10 +74,18 @@ MUTANTS = [
      "np.where(dxl <= dxr, dxl, dxr)"),
     ("src/secmeasure/stieltjes.py", "odd_sums = both[..., 1].T",
      "odd_sums = both[..., 0].T"),
-    ("src/secmeasure/family.py",
-     "lo = _changing_sides(self.base, self.t, None, self.spec)[0]",
-     "lo = _changing_sides(self.base, self.t, None, self.spec)[0]; "
-     "lo = lo[lo < self.base.interval.a]"),
+    ("src/secmeasure/stieltjes.py", "abs(c * s + d) <= spec.rel_tol *",
+     "abs(c * s + d) <= -spec.rel_tol *"),
+    ("src/secmeasure/family.py", "sa > 0.0 or sb < 0.0", "sa > 0.0"),
+    ("src/secmeasure/stieltjes.py", "elif abs(h[k]) <= vanish:",
+     "elif h[k] == 0.0:"),
+    ("src/secmeasure/stieltjes.py", "if not math.isfinite(h[k]):",
+     "if False:"),
+    ("src/secmeasure/stieltjes.py", "zip(k, sums + back)", "zip(k, sums)"),
+    ("src/secmeasure/stieltjes.py", "        if p > 0:", "        if p >= 0:"),
+    ("src/secmeasure/stieltjes.py", "a / c if c else s * a / d", "s"),
+    ("src/secmeasure/stieltjes.py", "out.append(sign * math.inf)",
+     "out.append(-sign * math.inf)"),
     ("src/secmeasure/orthopoly.py", "fx[gap != 0] = vals[:n]",
      "fx[gap != 0] = vals[1:n + 1]"),
     ("src/secmeasure/orthopoly.py", "todo[rows] = False", "todo[:] = False"),
