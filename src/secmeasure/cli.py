@@ -29,7 +29,7 @@ from .family import denominator_root_scan, family_density, moment0_curve
 from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
                        user_density)
 from .operators import IntegralEquationProblem, solve_integral_equation
-from .orthopoly import _apply_T, recurrence_coefficients
+from .orthopoly import MAX_DEGREE, _apply_T, recurrence_coefficients
 from .quadrature import EndpointExponents, IntegrationSpec, Interval
 from .report import OutputTable
 from .stieltjes import reducer, secondary_measure
@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum quadrature refinement levels (default 12)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="table output format (default csv)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property subsets (default 0)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("moments", help="moments c_0..c_n of a density")
@@ -215,8 +213,8 @@ def cmd_moments(args, spec) -> int:
 
 def cmd_ortho(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    if args.n < 1:
-        raise UsageError("--n must be positive")
+    if not 1 <= args.n <= MAX_DEGREE:
+        raise UsageError(f"--n must be between 1 and {MAX_DEGREE}")
     rc = recurrence_coefficients(rho, args.n, spec)
     rows = [(float(n), float(rc.a[n]), float(rc.b[n - 1]) if n else 0.0)
             for n in range(args.n)]
@@ -314,7 +312,7 @@ def cmd_solve(args, spec) -> int:
 
 
 def cmd_verify(args, spec) -> int:
-    reports = run_suite(args.suite, spec, seed=args.seed)
+    reports = run_suite(args.suite, spec)
     for r in reports:
         print(r.row())
     n_fail = sum(not r.passed for r in reports)

@@ -24,7 +24,8 @@ makes t invalid.  By Weyl's inequality for the Jacobi matrix with b_1
 scaled, no root lies farther than |sqrt(t) - 1| b_1 from the support; the
 root scan searches from a bracket width off the support out to that
 reach.  ``validate_parameter`` returns the cached rho_t whatever its
-validity, ``family`` refuses an invalid one.
+validity, ``family`` refuses an invalid one.  rho_t alone checks t and
+forms D (``mobius``); ``stieltjes._vanishes`` alone decides that D is 0.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import DenominatorZero, DomainError, InvalidParameter
 from .measures import BaseDensity, moment
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, _call
 from .report import VerificationReport, property_report, timer
-from .stieltjes import (DerivedDensity, _end_transforms, reducer,
+from .stieltjes import (DerivedDensity, _end_transforms, _vanishes, reducer,
                         secondary_measure, stieltjes_transform)
 
 __all__ = [
@@ -68,28 +69,24 @@ _FAMILY_CACHE_SIZE = 256
 _DIRAC_T_LADDER = (0.2, 0.1, 0.05, 0.02)
 
 
-def _check_parameter(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise InvalidParameter(
-            f"family parameter must be a positive real, got {t}")
-
-
 class FamilyDensity(DerivedDensity):
     """The density rho_t, whose transform is S/(t + (1-t)(z-c_1) S), for
-    0 < t < inf (InvalidParameter otherwise).
+    0 < t < inf (InvalidParameter otherwise, the package's one check of t).
 
     ``validity`` is "proven" for t <= 1.  For t > 1 its first read takes
     rho_t's own end transforms S_t = S/D, D = t + (1-t)(x-c_1) S, at the
     ends a and b of the support: "invalid" when D < 0 at either end, seen
     as S_t(a) > 0 or S_t(b) < 0, "empirical" otherwise.  A D that vanishes
-    to within rel_tol of its terms t and (1-t)(x-c_1) S makes S_t infinite
-    and of the valid sign, so the boundary case D = 0 (cheb-u at t = 2)
-    stays valid whatever the rounding.
+    to within rel_tol of its terms t and (1-t)(x-c_1) S (``_vanishes``)
+    makes S_t infinite and of the valid sign, so the boundary case D = 0
+    (cheb-u at t = 2) stays valid whatever the rounding.
     """
 
     def __init__(self, base: BaseDensity, t: float,
                  spec: IntegrationSpec = DEFAULT_SPEC):
-        _check_parameter(t)
+        if not 0.0 < t < math.inf:
+            raise InvalidParameter(
+                f"family parameter must be a positive real, got {t}")
         super().__init__(base, f"{base.name}|t={t:g}", spec)
         self.t = t
 
@@ -138,16 +135,17 @@ def family_transform(rho: BaseDensity, t: float, z,
                      spec: IntegrationSpec = DEFAULT_SPEC):
     """S_{rho_t}(z) = S(z) / (t + (1-t)(z-c_1) S(z)), the Möbius map of
     rho_t (``validate_parameter``), elementwise over an array of z;
-    DenominatorZero if the denominator vanishes at any z."""
+    DenominatorZero if the denominator vanishes at any z, to within
+    rel_tol of its terms (``stieltjes._vanishes``)."""
     zs = np.asarray(z, dtype=complex)
     a, b, c, d = validate_parameter(rho, t, spec).mobius(zs)
     s = stieltjes_transform(rho, zs, spec)
-    den = c * s + d
-    zero = np.abs(den) < 1e-12 * max(1.0, abs(t))
+    cs = c * s
+    zero = _vanishes(cs, d, spec)
     if zero.any():
         raise DenominatorZero(
             f"transform denominator vanished at z={zs[zero][0]} for t={t:g}")
-    out = (a * s + b) / den
+    out = (a * s + b) / (cs + d)
     return complex(out) if zs.ndim == 0 else out
 
 
@@ -162,6 +160,7 @@ def denominator_root_scan(rho: BaseDensity, t: float,
                           spec: IntegrationSpec = DEFAULT_SPEC):
     """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
     support [a, b], left of it first; D has at most one on each side.
+    c_1 and D come from rho_t (``validate_parameter``), which raises
     InvalidParameter unless 0 < t < inf.
 
     ``search`` None searches both sides from eps off the support out to the
@@ -175,22 +174,23 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     invalid (``FamilyDensity.validity``): for the uniform density at
     t = 1.0001 the scan returns no bracket.
     """
-    _check_parameter(t)
+    dens = validate_parameter(rho, t, spec)
     interval = rho.interval
     a, b, w = interval.a, interval.b, interval.width
     if search is not None and not (search.b <= a or search.a >= b):
         raise DomainError("root-scan interval must be disjoint from the support")
-    c1 = moment(rho, 1, spec)
     eps = max(_BRACKET_WIDTH * w, _BRACKET_SPACINGS * np.spacing(max(-a, b)))
     if search is None:
         rule = rho.rule(spec)
-        reach = abs(math.sqrt(t) - 1.0) * math.sqrt(rule.w @ (rule.x - c1) ** 2)
+        d0 = rule.w @ (rule.x - dens.c1) ** 2
+        reach = abs(math.sqrt(t) - 1.0) * math.sqrt(d0)
         sides = [(a - reach, a - eps), (b + eps, b + reach)] if reach > eps else []
     else:
         sides = [(search.a, search.b)]
 
     def D(x):
-        return t + (1.0 - t) * (x - c1) * stieltjes_transform(rho, x, spec).real
+        _, _, c, d = dens.mobius(x)
+        return c * stieltjes_transform(rho, x, spec).real + d
 
     ends = np.array(sides).reshape(-1, 2).T
     sign = np.sign(D(ends)) if sides else ends

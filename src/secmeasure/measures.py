@@ -24,10 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidDensity, UnknownDensity
+from .errors import (DomainError, InvalidDensity, NonConvergence,
+                     UnknownDensity)
 from .quadrature import (DEFAULT_SPEC, ODD, EndpointExponents,
-                         IntegrationSpec, Interval, _call, refine_levels,
-                         tanh_sinh_nodes)
+                         IntegrationSpec, Interval, _call, _pointwise,
+                         refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -62,6 +63,7 @@ class BaseDensity:
 
     name: str
     interval: Interval
+    exps = EndpointExponents()  # 0 at both ends unless a Density declares them
 
     def __init__(self, interval: Interval, name: str):
         self.interval = interval
@@ -80,9 +82,8 @@ class BaseDensity:
         raise NotImplementedError
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.value_at(x, x - self.interval.a, self.interval.b - x)
-        return float(out) if out.ndim == 0 else out
+        """rho at points of the closed support [a, b] (``_served``)."""
+        return _served(self, x, "value", self.value_at)
 
     # -- values at the tanh-sinh nodes -------------------------------------
 
@@ -136,8 +137,21 @@ class BaseDensity:
             top = level
             return self._rule_at_level(level, odd)[1].sum()[None]
 
-        refine_levels(estimate, 1, spec, 2, f"weighted rule of {self.name!r}")
-        rule = self._rules[spec] = WeightedRule(*self._rule_at_level(top), top)
+        what = f"weighted rule of {self.name!r}"
+        refine_levels(estimate, 1, spec, 2, what)
+        rule = WeightedRule(*self._rule_at_level(top), top)
+        # No level sees the mass beyond the outermost nodes, rho(x_0) d_0 /
+        # (1 + p) at each end of exponent p.
+        dm, dp = tanh_sinh_nodes(top)[2:]
+        r, half = self._node_values(top), 0.5 * self.interval.width
+        tail = half * (r[0] * dp[0] / (1.0 + self.exps.alpha)
+                       + r[-1] * dm[-1] / (1.0 + self.exps.beta))
+        tol = max(spec.abs_tol, spec.rel_tol * rule.w.sum())
+        if tail > tol:
+            raise NonConvergence(
+                f"{what} misses mass {tail:.3e} beyond its outermost nodes, "
+                f"above tolerance {tol:.3e}")
+        self._rules[spec] = rule
         return rule
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
@@ -174,6 +188,19 @@ class BaseDensity:
         return float(self.rule(spec).w.sum())
 
 
+def _served(rho: BaseDensity, x, what: str, fn: Callable, margin=0.0):
+    """fn(xs, xs - a, b - xs) at points at least ``margin`` widths inside
+    the support [a, b], in x's shape (``_pointwise``); DomainError for any
+    other point, a non-finite one included."""
+    a, b = rho.interval.a, rho.interval.b
+    delta = margin * rho.interval.width
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs >= a + delta) & (xs <= b - delta)):
+        raise DomainError(f"{what} of {rho.name!r} is served on "
+                          f"[{a + delta:g}, {b - delta:g}] only")
+    return _pointwise(lambda xs: fn(xs, xs - a, b - xs), xs)
+
+
 class Density(BaseDensity):
     """Probability density (x-a)^alpha (b-x)^beta h(x) on [a, b]."""
 
@@ -185,13 +212,10 @@ class Density(BaseDensity):
         self._phi: dict = {}
 
     def value_at(self, x, dleft, dright):
-        x = np.asarray(x, dtype=float)
-        vals = np.asarray(_call(self.smooth_part, x), dtype=float)
-        if self.exps.alpha != 0.0:
-            vals = vals * np.asarray(dleft, dtype=float) ** self.exps.alpha
-        if self.exps.beta != 0.0:
-            vals = vals * np.asarray(dright, dtype=float) ** self.exps.beta
-        return vals
+        vals = np.asarray(_call(self.smooth_part, np.asarray(x, dtype=float)),
+                          dtype=float)
+        return (vals * np.asarray(dleft, dtype=float) ** self.exps.alpha
+                * np.asarray(dright, dtype=float) ** self.exps.beta)
 
     def __repr__(self):
         return f"Density({self.name!r} on [{self.interval.a}, {self.interval.b}])"

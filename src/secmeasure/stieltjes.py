@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import (DegenerateMeasure, DomainError, EvaluationFailure,
                      ExtrapolationDivergence, PointOnInterval)
-from .measures import BaseDensity, Density, moment
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
-                         kernel_sums, refine_levels, tanh_sinh_nodes)
+from .measures import BaseDensity, Density, _served, moment
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, kernel_sums,
+                         refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "SecondaryMeasure",
@@ -162,19 +162,6 @@ def _phi_values(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     return np.array([cache[k] for k in keys])
 
 
-def _served(rho: BaseDensity, x, what: str, fn: Callable):
-    """fn(xs, xs - a, b - xs) at points at least 1e-4 widths inside the
-    support, in x's shape (``_pointwise``); DomainError for any other
-    point."""
-    a, b = rho.interval.a, rho.interval.b
-    delta = REDUCER_MARGIN * rho.interval.width
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < a + delta) or np.any(xs > b - delta):
-        raise DomainError(f"{what} of {rho.name!r} is served on "
-                          f"[{a + delta:g}, {b - delta:g}] only")
-    return _pointwise(lambda xs: fn(xs, xs - a, b - xs), xs)
-
-
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
     """phi(x) = 2 PV int rho(t)/(x - t) dt at interior points, twice the
     first of ``_on_cut``: a Density's cached quadrature, a derived one's map.
@@ -183,7 +170,7 @@ def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
     phi can diverge there (logarithmically for the uniform density).
     """
     return _served(rho, x, "reducer",
-                   lambda *p: 2.0 * _on_cut(rho, *p, spec)[0])
+                   lambda *p: 2.0 * _on_cut(rho, *p, spec)[0], REDUCER_MARGIN)
 
 
 def lerch_phi_half(x: float) -> float:
@@ -283,15 +270,23 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
                          f"transform of {rho.name!r}")
 
 
-def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec) -> np.ndarray:
-    """int rho(t)/(z - t) dt elementwise over an array of z (any shape).
+def stieltjes_transform(rho: BaseDensity, z,
+                        spec: IntegrationSpec = DEFAULT_SPEC):
+    """S_rho(z) = int rho(t)/(z - t) dt for z off the support interval.
 
-    A z with |Im z| below NEAR_CUT_FRACTION widths and below both Re z - a
-    and b - Re z takes the near-cut path, however close Re z is to an end.
-    Nearer an end than the cut, rho(Re z) can exceed S by orders (at a
-    singular end), and the subtracted term would cancel against the rows;
-    such a z, like any other, takes the far path, which forms z - t exactly
-    next to an end.
+    A scalar z gives a ``complex``, an array a complex array of its shape.
+    Any z within ONCUT_DISTANCE widths of the support raises
+    PointOnInterval.  A z with |Im z| below NEAR_CUT_FRACTION widths and
+    below both Re z - a and b - Re z takes the near-cut path
+    (``_cauchy_near_cut``), however close Re z is to an end: it evaluates
+    rho once per distinct Re z and once per level on each piece of the
+    support a block of at most KERNEL_ENTRIES kernel entries holds.  Every
+    other z takes the far path (``_cauchy_far``), which reads rho's node
+    values, so rho is evaluated only at nodes finer than any an integral on
+    it has reached.  Nearer an end than the cut, rho(Re z) can exceed S by
+    orders (at a singular end) and the near-cut path's subtracted term
+    would cancel against its rows; the far path forms z - t exactly next to
+    an end.
     """
     interval = rho.interval
     zs = np.asarray(z, dtype=complex)
@@ -310,23 +305,7 @@ def _cauchy_integral(rho: BaseDensity, z, spec: IntegrationSpec) -> np.ndarray:
         out[~near] = _cauchy_far(rho, flat[~near], spec)
     if near.any():
         out[near] = _cauchy_near_cut(rho, flat[near], spec)
-    return out.reshape(zs.shape)
-
-
-def stieltjes_transform(rho: BaseDensity, z,
-                        spec: IntegrationSpec = DEFAULT_SPEC):
-    """S_rho(z) = int rho(t)/(z - t) dt for z off the support interval.
-
-    A scalar z gives a ``complex``, an array a complex array of its shape.
-    The z away from the cut read rho's node values, so rho is evaluated
-    only at nodes finer than any an integral on it has reached; the z near
-    it evaluate rho once per distinct Re z and once per level on each
-    piece of the support a block of at most KERNEL_ENTRIES kernel entries
-    holds (``_cauchy_near_cut``).  Any z on the support raises
-    PointOnInterval.
-    """
-    s = _cauchy_integral(rho, z, spec)
-    return complex(s) if s.ndim == 0 else s
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def secondary_transform(rho: BaseDensity, z,
@@ -357,21 +336,26 @@ class DerivedDensity(BaseDensity):
         raise NotImplementedError
 
     def value_at(self, x, dleft, dright):
-        return _on_cut(self, x, dleft, dright, self.spec, with_phi=False)[1]
+        return _on_cut(self, x, dleft, dright, self.spec)[1]
 
     def _evaluate_nodes(self, level: int, odd: bool) -> np.ndarray:
         return _on_cut(self, *self._node_points(level, odd), self.spec,
-                       (level, odd), with_phi=False)[1]
+                       (level, odd))[1]
 
 
-def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None,
-            with_phi=True):
+def _vanishes(cs, d, spec: IntegrationSpec):
+    """Whether the Möbius denominator c s + d vanishes, elementwise: to
+    within rel_tol of its terms, |c s + d| <= rel_tol (|c s| + |d|)."""
+    return np.abs(cs + d) <= spec.rel_tol * (np.abs(cs) + np.abs(d))
+
+
+def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None):
     """(phi/2, rho) at points x with exact endpoint distances, the nodes of
     (level, odd) = ``node`` if given; a Density reads phi from
     ``_phi_values`` at those distances.  A derived density maps its base's
     s = phi/2 - i pi rho by (a s + b)/(c s + d) to (ad - bc) rho / |c s + d|^2
-    and, ``with_phi``, half its reducer Re((a s + b) conj(c s + d)) over
-    |c s + d|^2, the sum of squares (c phi/2 + d)^2 + (c pi rho)^2."""
+    and half its reducer Re((a s + b) conj(c s + d)) over |c s + d|^2, the
+    sum of squares (c phi/2 + d)^2 + (c pi rho)^2."""
     if not isinstance(rho, DerivedDensity):
         r = rho._node_values(*node) if node else rho.value_at(x, dl, dr)
         return 0.5 * _phi_values(rho, dl, dr, r, spec).reshape(r.shape), r
@@ -379,8 +363,7 @@ def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None,
     a, b, c, d = rho.mobius(x)
     pr = math.pi * r
     den = (c * hp + d) ** 2 + (c * pr) ** 2
-    half_phi = ((a * c * (hp ** 2 + pr ** 2) + (a * d + b * c) * hp + b * d)
-                / den if with_phi else None)
+    half_phi = (a * c * (hp ** 2 + pr ** 2) + (a * d + b * c) * hp + b * d) / den
     return half_phi, (a * d - b * c) * r / den
 
 
@@ -410,8 +393,8 @@ def _end_transforms(rho: BaseDensity, spec: IntegrationSpec) -> list:
     h not finite at an end with p > 0 raises EvaluationFailure.
     A derived density maps its base's end values by its ``mobius`` at the
     end: an infinite value to its limit a/c (s a/d where c = 0, as at
-    t = 1), and a value where c s + d vanishes to within rel_tol of its
-    terms to -inf at a and +inf at b.
+    t = 1), and a value where c s + d vanishes (``_vanishes``) to -inf at
+    a and +inf at b.
     """
     ends = (rho.interval.a, rho.interval.b)
     if isinstance(rho, DerivedDensity):
@@ -421,7 +404,7 @@ def _end_transforms(rho: BaseDensity, spec: IntegrationSpec) -> list:
             a, b, c, d = rho.mobius(e)
             if math.isinf(s):
                 out.append(a / c if c else s * a / d)
-            elif abs(c * s + d) <= spec.rel_tol * (abs(c * s) + abs(d)):
+            elif _vanishes(c * s, d, spec):
                 out.append(sign * math.inf)
             else:
                 out.append((a * s + b) / (c * s + d))
@@ -495,7 +478,7 @@ class SecondaryMeasure(DerivedDensity):
         return d0
 
     def mu(self, x):
-        return _served(self.base, x, "mu", self.value_at)
+        return _served(self.base, x, "mu", self.value_at, REDUCER_MARGIN)
 
     def mu0(self, x):
         return self.mu(x) / self.d0

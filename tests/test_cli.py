@@ -152,6 +152,19 @@ def test_non_finite_parameters_exit_two():
                "--g", "1").returncode == 2
 
 
+def test_usage_errors_that_were_numerical_failures_exit_two():
+    # Both exited 3: the degree cap was reported as an instability, and a
+    # NaN point passed the reducer's domain check and failed in quadrature.
+    assert run("ortho", "--density", "uniform", "--n", "21").returncode == 2
+    assert run("ortho", "--density", "uniform", "--n", "20").returncode == 0
+    assert run("reducer", "--density", "uniform", "--x", "0.5",
+               "nan").returncode == 2
+
+
+def test_seed_option_is_gone():
+    assert run("--seed", "1", "verify").returncode == 2
+
+
 def test_numerical_failure_exit_three():
     r = run("--quad-levels", "3", "--tol", "1e-14", "family", "scan",
             "--density", "sqrt32", "--t-min", "1.2", "--t-max", "1.8",

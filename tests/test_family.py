@@ -107,6 +107,15 @@ def test_family_transform_denominator_zero(cheb_u, spec):
     assert abs(family_transform(cheb_u, 3.0, z, spec) / expct - 1.0) < 1e-8
 
 
+def test_family_transform_refuses_a_cancelled_denominator(cheb_u, spec):
+    # 1e-10 off the root 3/(2 sqrt 2) the denominator's digits have
+    # cancelled to within rel_tol of its terms: the parent served
+    # 2,500,000,655.8 where the closed form gives 2,500,002,144.9.
+    root = 3.0 / (2.0 * math.sqrt(2.0))
+    with pytest.raises(DenominatorZero):
+        family_transform(cheb_u, 3.0, root + 1e-10, spec)
+
+
 def test_family_transform_rejects_bad_t(cheb_u, spec):
     with pytest.raises(InvalidParameter):
         family_transform(cheb_u, -1.0, 2.0, spec)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, Density, IntegrationSpec,
-                        Interval, InvalidDensity, NonConvergence,
-                        UnknownDensity, catalog, inner_product, mean_project,
+from secmeasure import (CATALOG_NAMES, DEFAULT_SPEC, Density, DomainError,
+                        IntegrationSpec, Interval, InvalidDensity,
+                        NonConvergence, UnknownDensity, catalog,
+                        family_density, inner_product, mean_project,
                         measures, moment, moments, user_density)
 from secmeasure.quadrature import EndpointExponents, refine_levels
 
@@ -34,6 +35,44 @@ def test_pointwise_values(cheb_u, cheb_t, uniform, linear2x, sqrt32):
     assert uniform.value(0.3) == 1.0
     assert abs(linear2x.value(0.3) - 0.6) < 1e-15
     assert abs(sqrt32.value(0.25) - 0.75) < 1e-15
+
+
+def test_value_is_served_on_the_closed_support(uniform, linear2x):
+    # Outside the support the parent read uniform(2) = 1, linear2x(-1) = -2
+    # and uniform_t(2) = 0.0019 at t = 0.5.
+    for rho, x in ((uniform, 2.0), (linear2x, -1.0), (uniform, -1e-300),
+                   (uniform, math.nan), (uniform, math.inf)):
+        with pytest.raises(DomainError):
+            rho.value(x)
+        with pytest.raises(DomainError):
+            rho.value(np.array([0.5, x]))
+    with pytest.raises(DomainError):
+        family_density(uniform, 0.5, 2.0)
+    assert linear2x.value(0.0) == 0.0 and linear2x.value(1.0) == 2.0
+    vals = uniform.value(np.full((2, 3), 0.5))
+    assert vals.shape == (2, 3) and np.all(vals == 1.0)
+    assert type(uniform.value(0.5)) is float
+
+
+def _power(p):
+    """x^p on [0, 1], normalized."""
+    return Density(Interval(0.0, 1.0), lambda x: np.full(np.shape(x), 1 + p),
+                   EndpointExponents(p, 0.0), f"x^{p}")
+
+
+@pytest.mark.parametrize("p", [-0.74, -0.8])
+def test_rule_refuses_mass_beyond_its_outermost_nodes(spec, p):
+    # The mass beyond the nodes at |t| = 4, 5.9e-38 widths from the end, is
+    # d_0^(1+p): 2.1e-10 at p = -0.74 and 3.6e-8 at p = -0.8, above the
+    # tolerance 1e-10.  The parent reported masses 1 - 3.5e-11 (offset by a
+    # discretization error) and 1 - 3.567e-8.
+    with pytest.raises(NonConvergence, match="beyond its outermost nodes"):
+        _power(p).mass(spec)
+
+
+def test_rule_keeps_a_tail_below_tolerance(spec):
+    # At p = -0.7 the tail is 6.8e-12.
+    assert abs(_power(-0.7).mass(spec) - 1.0) < 1e-11
 
 
 def test_moments_closed_forms(cheb_u, uniform, spec):

@@ -296,6 +296,17 @@ def test_reducer_domain(cheb_u, spec):
     np.testing.assert_allclose(reducer(cheb_u, x, spec), 4.0 * x, atol=1e-10)
 
 
+def test_reducer_and_mu_refuse_a_non_finite_point(uniform, spec):
+    # A NaN passed the margin's comparisons and failed in the quadrature
+    # as a non-finite estimate (EvaluationFailure).
+    mu = secondary_measure(uniform, spec)
+    for x in (math.nan, np.array([0.5, math.nan]), -math.inf):
+        with pytest.raises(DomainError):
+            reducer(uniform, x, spec)
+        with pytest.raises(DomainError):
+            mu.mu(x)
+
+
 def test_reducer_cache_is_bounded(counted_semicircle, spec, monkeypatch):
     # Each call adds five points; the cache is emptied once it holds ten.
     monkeypatch.setattr("secmeasure.stieltjes._PHI_CACHE_SIZE", 10)

@@ -42,8 +42,8 @@ MUTANTS = [
      "abs_tol: float = 1e-6"),
     ("src/secmeasure/family.py", "_BRACKET_WIDTH = 1e-10",
      "_BRACKET_WIDTH = 1e-6"),
-    ("src/secmeasure/family.py", "zero = np.abs(den) < 1e-12 *",
-     "zero = np.abs(den) < 1e-6 *"),
+    ("src/secmeasure/stieltjes.py", "<= spec.rel_tol * (np.abs(cs)",
+     "<= 1e-3 * spec.rel_tol * (np.abs(cs)"),
     ("src/secmeasure/orthopoly.py", "b = math.sqrt(q @ q)",
      "b = math.sqrt(1.01 * q @ q)"),
     ("src/secmeasure/stieltjes.py",
@@ -74,8 +74,8 @@ MUTANTS = [
      "np.where(dxl <= dxr, dxl, dxr)"),
     ("src/secmeasure/stieltjes.py", "odd_sums = both[..., 1].T",
      "odd_sums = both[..., 0].T"),
-    ("src/secmeasure/stieltjes.py", "abs(c * s + d) <= spec.rel_tol *",
-     "abs(c * s + d) <= -spec.rel_tol *"),
+    ("src/secmeasure/stieltjes.py", "np.abs(cs + d) <= spec.rel_tol",
+     "np.abs(cs + d) <= -spec.rel_tol"),
     ("src/secmeasure/family.py", "sa > 0.0 or sb < 0.0", "sa > 0.0"),
     ("src/secmeasure/stieltjes.py", "elif abs(h[k]) <= vanish:",
      "elif h[k] == 0.0:"),
@@ -89,6 +89,11 @@ MUTANTS = [
     ("src/secmeasure/orthopoly.py", "fx[gap != 0] = vals[:n]",
      "fx[gap != 0] = vals[1:n + 1]"),
     ("src/secmeasure/orthopoly.py", "todo[rows] = False", "todo[:] = False"),
+    ("src/secmeasure/measures.py", "if tail > tol:", "if tail < tol:"),
+    ("src/secmeasure/measures.py", " / (1.0 + self.exps.alpha)", ""),
+    ("src/secmeasure/measures.py",
+     "if not np.all((xs >= a + delta) & (xs <= b - delta)):",
+     "if np.any(xs < a + delta) or np.any(xs > b - delta):"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
