@@ -29,7 +29,7 @@ from .family import denominator_root_scan, family_density, moment0_curve
 from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
                        user_density)
 from .operators import IntegralEquationProblem, solve_integral_equation
-from .orthopoly import MAX_DEGREE, _apply_T, recurrence_coefficients
+from .orthopoly import _apply_T, recurrence_coefficients
 from .quadrature import EndpointExponents, IntegrationSpec, Interval
 from .report import OutputTable
 from .stieltjes import reducer, secondary_measure
@@ -67,11 +67,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_density_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--density", choices=CATALOG_NAMES,
-                    help="catalog density name")
-    sp.add_argument("--density-expr", metavar="EXPR",
-                    help="smooth part h(x) of a custom density "
-                         "(x-a)^alpha (b-x)^beta h(x)")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--density", choices=CATALOG_NAMES,
+                       help="catalog density name")
+    which.add_argument("--density-expr", metavar="EXPR",
+                       help="smooth part h(x) of a custom density "
+                            "(x-a)^alpha (b-x)^beta h(x)")
     sp.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
                     default=(-1.0, 1.0),
                     help="support of a custom density (default -1 1)")
@@ -170,29 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from(args) -> IntegrationSpec:
-    if not (args.tol > 0 and math.isfinite(args.tol)):
-        raise UsageError(f"--tol must be a positive real, got {args.tol}")
-    if args.quad_levels < 2:
-        raise UsageError("--quad-levels must be at least 2")
     return IntegrationSpec(rel_tol=args.tol,
                            abs_tol=min(1e-12, args.tol),
                            max_refinement_levels=args.quad_levels)
 
 
 def _resolve_density(args, spec: IntegrationSpec) -> BaseDensity:
-    if args.density_expr is not None:
-        if args.density is not None:
-            raise UsageError("--density and --density-expr are exclusive")
-        expr = parse_expr(args.density_expr)
-        a, b = args.interval
-        if not b > a:
-            raise UsageError("--interval must satisfy A < B")
-        return user_density(expr.evaluate, Interval(a, b),
-                            EndpointExponents(args.alpha, args.beta),
-                            name=f"expr:{args.density_expr}", spec=spec)
-    if args.density is None:
-        raise UsageError("one of --density or --density-expr is required")
-    return catalog(args.density)
+    if args.density is not None:
+        return catalog(args.density)
+    expr = parse_expr(args.density_expr)
+    return user_density(expr.evaluate, Interval(*args.interval),
+                        EndpointExponents(args.alpha, args.beta),
+                        name=f"expr:{args.density_expr}", spec=spec)
 
 
 def _emit(table: OutputTable, args) -> None:
@@ -201,8 +191,6 @@ def _emit(table: OutputTable, args) -> None:
 
 def cmd_moments(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
     ms = moments(rho, args.n, spec)
     table = OutputTable(["n", "c_n"],
                         [(float(i), ms[i]) for i in range(args.n + 1)],
@@ -213,8 +201,6 @@ def cmd_moments(args, spec) -> int:
 
 def cmd_ortho(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    if not 1 <= args.n <= MAX_DEGREE:
-        raise UsageError(f"--n must be between 1 and {MAX_DEGREE}")
     rc = recurrence_coefficients(rho, args.n, spec)
     rows = [(float(n), float(rc.a[n]), float(rc.b[n - 1]) if n else 0.0)
             for n in range(args.n)]
@@ -237,8 +223,8 @@ def cmd_reducer(args, spec) -> int:
 
 def cmd_secondary(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    sm = secondary_measure(rho, spec)
     xs = rho.interval.interior_grid(args.grid, 2e-3)
+    sm = secondary_measure(rho, spec)
     mu = sm.mu(xs)
     table = OutputTable(["x", "mu", "mu0"],
                         list(zip(xs.tolist(), mu.tolist(), (mu / sm.d0).tolist())),
@@ -259,10 +245,11 @@ def cmd_family_density(args, spec) -> int:
 
 def cmd_family_scan(args, spec) -> int:
     rho = _resolve_density(args, spec)
-    if not (0 < args.t_min < args.t_max):
-        raise UsageError("need 0 < --t-min < --t-max")
+    if not args.t_min < args.t_max:
+        raise UsageError(f"need --t-min < --t-max, got {args.t_min} and "
+                         f"{args.t_max}")
     if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+        raise UsageError(f"--steps must be at least 2, got {args.steps}")
     rows = []
     failed = False
     for t in np.linspace(args.t_min, args.t_max, args.steps):
@@ -417,10 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        spec = _spec_from(args)
-        if getattr(args, "grid", 2) < 2:
-            raise UsageError("--grid must be at least 2")
-        return args.run(args, spec)
+        return args.run(args, _spec_from(args))
     except (UsageError,) + _USAGE_ERRORS as exc:
         print(f"secm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

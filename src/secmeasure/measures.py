@@ -296,15 +296,17 @@ def user_density(h: Callable, interval: Interval,
 # ---------------------------------------------------------------------------
 
 def moment(rho: BaseDensity, n: int, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-    """Moment c_n = int x^n rho(x) dx."""
+    """Moment c_n = int x^n rho(x) dx; ValueError for n < 0."""
     if n < 0:
-        raise ValueError("moment order must be nonnegative")
+        raise ValueError(f"moment order must be nonnegative, got {n}")
     return _moments(rho, [n], spec)[0]
 
 
 def moments(rho: BaseDensity, n_max: int,
             spec: IntegrationSpec = DEFAULT_SPEC) -> MomentSequence:
-    """Moments c_0..c_{n_max} as a sequence."""
+    """Moments c_0..c_{n_max} as a sequence; ValueError for n_max < 0."""
+    if n_max < 0:
+        raise ValueError(f"moment order must be nonnegative, got {n_max}")
     return MomentSequence(tuple(_moments(rho, range(n_max + 1), spec)))
 
 

@@ -128,11 +128,10 @@ class IntegralEquationProblem:
 
 def solve_integral_equation(problem: IntegralEquationProblem, x,
                             spec: IntegrationSpec = DEFAULT_SPEC):
-    """Closed-form solution f = g - (lambda/(1+lambda))(x-c_1) T_{rho_t}(g)."""
+    """Closed-form solution f = g - (lambda/(1+lambda))(x-c_1) T_{rho_t}(g);
+    InvalidParameter when t is not a valid family parameter (lambda <= -1
+    gives t <= 0)."""
     t = problem.t
-    if t <= 0:
-        raise InvalidParameter(
-            f"lambda={problem.lam:g} gives t={t:g}, not a family parameter")
     dens = family(problem.rho, t, spec)
     return _f_plus_T(1.0, -problem.lam * t, dens, dens.c1, problem.g, x, spec)
 

@@ -123,7 +123,8 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
     unit coordinate, so a support far from the origin loses no digits, and
     mapped back as a = midpoint + half width alpha, b = half width beta.
     Working on the nodes, not on moments, keeps a density concentrated on
-    a small part of its support accurate.  A nonpositive or NaN b_n raises
+    a small part of its support accurate.  N must lie in 1..MAX_DEGREE
+    (ValueError otherwise); a nonpositive or NaN b_n raises
     InstabilityDetected.
 
     The density keeps its MAX_DEGREE rows per spec and serves any N as
@@ -131,10 +132,8 @@ def recurrence_coefficients(rho: BaseDensity, N: int,
     density evaluation after the first call; a call that raises caches
     nothing.  The returned arrays are read-only.
     """
-    if N < 1:
-        raise ValueError("need at least one recurrence row")
-    if N > MAX_DEGREE:
-        raise InstabilityDetected(f"degree cap is {MAX_DEGREE}")
+    if not 1 <= N <= MAX_DEGREE:
+        raise ValueError(f"need 1 to {MAX_DEGREE} recurrence rows, got {N}")
     rows = rho._recurrence.get(spec)
     if rows is None:
         rows = rho._recurrence[spec] = _stieltjes_rows(rho, spec)

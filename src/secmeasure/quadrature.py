@@ -34,6 +34,7 @@ Everything here is pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -63,7 +64,8 @@ class Interval:
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("interval endpoints must be finite")
+            raise ValueError(f"interval endpoints must be finite, "
+                             f"got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
 
@@ -83,24 +85,31 @@ class Interval:
         return np.hypot(dx, z.imag)
 
     def interior_grid(self, n: int, pad: float) -> np.ndarray:
-        """n equispaced points from a + pad*width to b - pad*width."""
+        """n equispaced points from a + pad*width to b - pad*width, n >= 2
+        (ValueError otherwise)."""
+        if n < 2:
+            raise ValueError(f"a grid needs at least 2 points, got {n}")
         p = pad * self.width
         return np.linspace(self.a + p, self.b - p, n)
 
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Accuracy knobs shared by every quadrature call."""
+    """Accuracy knobs shared by every quadrature call: finite positive
+    tolerances and an integer level cap >= 1 (ValueError otherwise)."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_refinement_levels: int = 12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_refinement_levels < 1:
-            raise ValueError("need at least one refinement level")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and positive, got "
+                             f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
+        levels = self.max_refinement_levels
+        if not (isinstance(levels, numbers.Integral) and levels >= 1):
+            raise ValueError(f"max_refinement_levels must be an integer >= 1, "
+                             f"got {levels!r}")
 
 
 DEFAULT_SPEC = IntegrationSpec()
@@ -108,14 +117,16 @@ DEFAULT_SPEC = IntegrationSpec()
 
 @dataclass(frozen=True)
 class EndpointExponents:
-    """Exponents of (x-a)^alpha (b-x)^beta; both must be integrable (> -1)."""
+    """Exponents of (x-a)^alpha (b-x)^beta; both must be finite and
+    integrable (> -1), ValueError otherwise."""
 
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("endpoint exponents must exceed -1")
+        if not (-1 < self.alpha < math.inf and -1 < self.beta < math.inf):
+            raise ValueError(f"endpoint exponents must be finite and exceed "
+                             f"-1, got alpha={self.alpha}, beta={self.beta}")
 
 
 def _call(f: Callable, x: np.ndarray) -> np.ndarray:

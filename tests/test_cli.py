@@ -161,6 +161,28 @@ def test_usage_errors_that_were_numerical_failures_exit_two():
                "nan").returncode == 2
 
 
+def test_non_finite_exponents_exit_two():
+    # --alpha nan exited 3 ("not finite at level 2"); inf exited 2 only
+    # because the mass underflowed.
+    for flag in ("--alpha", "--beta"):
+        for v in ("nan", "inf"):
+            r = run("moments", "--density-expr", "1", "--interval", "0", "1",
+                    flag, v)
+            assert r.returncode == 2 and f"{flag[2:]}={v}" in r.stderr
+
+
+def test_inputs_valid_for_the_library_run():
+    # Both exited 2 on checks of the command line alone: the spec allows
+    # one refinement level, and a command given --x builds no grid.
+    r = run("--quad-levels", "1", "moments", "--density", "uniform",
+            "--n", "2")
+    assert r.returncode == 0
+    assert r.stdout.split()[-1] == "2,0.33333333333333331"
+    r = run("reducer", "--density", "uniform", "--x", "0.5", "--grid", "1")
+    assert r.returncode == 0 and r.stdout.split()[-1] == "0.5,0"
+    assert run("reducer", "--density", "uniform", "--grid", "1").returncode == 2
+
+
 def test_seed_option_is_gone():
     assert run("--seed", "1", "verify").returncode == 2
 

@@ -91,6 +91,8 @@ def test_moment_cache_and_validation(uniform, spec):
     assert moment(uniform, 3, spec) == moment(uniform, 3, spec)
     with pytest.raises(ValueError):
         moment(uniform, -1, spec)
+    with pytest.raises(ValueError, match="got -1"):
+        moments(uniform, -1, spec)
 
 
 def test_caches_keyed_by_whole_spec(wiggly):

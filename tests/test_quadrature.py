@@ -18,11 +18,32 @@ def test_interval_helpers():
     assert iv.distance_to(1.0) == 0.0
     np.testing.assert_array_equal(iv.interior_grid(5, 0.1),
                                   np.linspace(-1.0 + 0.4, 3.0 - 0.4, 5))
+    np.testing.assert_array_equal(iv.interior_grid(2, 0.0), [-1.0, 3.0])
+    with pytest.raises(ValueError, match="got 1"):
+        iv.interior_grid(1, 0.1)
 
 
 def test_interval_rejects_empty():
     with pytest.raises(ValueError):
         Interval(2.0, 2.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", math.inf), ("abs_tol", math.inf), ("rel_tol", math.nan),
+    ("abs_tol", -1e-12), ("max_refinement_levels", 2.5),
+    ("max_refinement_levels", 0)])
+def test_spec_rejects_non_finite_tolerances_and_fractional_levels(field, value):
+    # An infinite tolerance stopped every refinement at its second level:
+    # cos(60x) against uniform read 0.02827, where sin(60)/60 = -0.00508.
+    with pytest.raises(ValueError, match="got"):
+        IntegrationSpec(**{field: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_endpoint_exponents_must_be_finite_and_exceed_minus_one(bad):
+    for exps in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="got alpha"):
+            EndpointExponents(*exps)
 
 
 def test_tanh_sinh_nodes_nest():

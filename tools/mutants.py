@@ -94,6 +94,20 @@ MUTANTS = [
     ("src/secmeasure/measures.py",
      "if not np.all((xs >= a + delta) & (xs <= b - delta)):",
      "if np.any(xs < a + delta) or np.any(xs > b - delta):"),
+    ("src/secmeasure/quadrature.py",
+     "0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf",
+     "0 < self.rel_tol and 0 < self.abs_tol"),
+    ("src/secmeasure/quadrature.py",
+     "-1 < self.alpha < math.inf and -1 < self.beta < math.inf",
+     "-1 < self.alpha and -1 < self.beta"),
+    ("src/secmeasure/quadrature.py", "        if n < 2:", "        if n < 1:"),
+    ("src/secmeasure/measures.py", "if n_max < 0:", "if n_max < -1:"),
+    ("src/secmeasure/orthopoly.py", "1 <= N <= MAX_DEGREE:",
+     "1 <= N <= MAX_DEGREE + 1:"),
+    # Only the Jacobi-matrix oracle holds the solver tighter than the
+    # residual checks' 1e-5: t is off by 1.7e-8 at lambda = 0.7.
+    ("src/secmeasure/operators.py", "return 1.0 / (1.0 + self.lam)",
+     "return 1.0 / (1.0 + np.float32(self.lam))"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
