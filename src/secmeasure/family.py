@@ -23,7 +23,9 @@ root too close to the end for ``denominator_root_scan`` to bracket still
 makes t invalid.  By Weyl's inequality for the Jacobi matrix with b_1
 scaled, no root lies farther than |sqrt(t) - 1| b_1 from the support; the
 root scan searches from a bracket width off the support out to that
-reach.  ``validate_parameter`` returns the cached rho_t whatever its
+reach, placing each round's points by regula falsi in the log of the
+distance to the support, and runs no transform for t <= 1, where D >= t.
+``validate_parameter`` returns the cached rho_t whatever its
 validity, ``family`` refuses an invalid one.  rho_t alone checks t and
 forms D (``mobius``); ``stieltjes._vanishes`` alone decides that D is 0.
 """
@@ -57,12 +59,10 @@ __all__ = [
 ]
 
 # The root scan narrows its brackets to this many widths, or to this many
-# float spacings of the endpoints where that is wider, by k-section into
-# this many sections; a root closer than a bracket width to the support is
-# not looked for.
+# float spacings of the endpoints where that is wider; it refuses a search
+# nearer the support than that, and does not look for a root that near.
 _BRACKET_WIDTH = 1e-10
 _BRACKET_SPACINGS = 8
-_SECTIONS = 16
 # A density's family cache is emptied at this many members.
 _FAMILY_CACHE_SIZE = 256
 # The decreasing parameters along which the Dirac limit t -> 0 is checked.
@@ -161,15 +161,25 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     """Brackets of the real roots of D(x) = t + (1-t)(x-c_1) S(x) off the
     support [a, b], left of it first; D has at most one on each side.
     c_1 and D come from rho_t (``validate_parameter``), which raises
-    InvalidParameter unless 0 < t < inf.
+    InvalidParameter unless 0 < t < inf.  A ``search`` nearer the support
+    than eps (below) raises DomainError.  For t <= 1 there is no root, as
+    (x - c_1) S(x) > 0 off the support makes D >= t, and no transform runs.
 
     ``search`` None searches both sides from eps off the support out to the
     Weyl reach |sqrt(t) - 1| sqrt(d0), d0 the centred second moment on the
     cached rule; otherwise ``search`` is the one side.  A side whose ends
-    give D the same sign has no root; the others narrow by k-section, D at
-    the 15 interior points of 16 equal sections in one array call, to eps,
-    the larger of 1e-10 w (w = b - a) and 8 float spacings at the endpoint
-    farther from 0, or until a round leaves every bracket as it was.  A
+    give D the same sign has no root.  The others narrow in rounds, each D
+    at 15 interior points in one array call, placed in u, the log of the
+    distance to the support, where D is smooth even next to a singular
+    end: 7 split the bracket evenly in u, which shrinks it by a fixed share
+    whatever D does; 8 sit at r -+ eps/4 q^j, j = 0..3, q = (W/eps)^(1/4),
+    W the bracket's width and r the regula-falsi estimate in u from the
+    values of D the previous round left at the bracket's ends (a
+    safeguarded regula falsi, after Dowell and Jarratt, BIT 11, 1971).
+    The new bracket is the first adjacent pair of points whose D differ in
+    sign.  Rounds stop when every bracket is at most eps wide, eps the
+    larger of 1e-10 w (w = b - a) and 8 float spacings at the endpoint
+    farther from 0, or when a round leaves every bracket as it was.  A
     root closer than eps to the support is not found, though it makes t
     invalid (``FamilyDensity.validity``): for the uniform density at
     t = 1.0001 the scan returns no bracket.
@@ -177,9 +187,13 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     dens = validate_parameter(rho, t, spec)
     interval = rho.interval
     a, b, w = interval.a, interval.b, interval.width
-    if search is not None and not (search.b <= a or search.a >= b):
-        raise DomainError("root-scan interval must be disjoint from the support")
     eps = max(_BRACKET_WIDTH * w, _BRACKET_SPACINGS * np.spacing(max(-a, b)))
+    if search is not None and not (search.b <= a - eps or search.a >= b + eps):
+        raise DomainError(
+            f"root scan: the search interval [{search.a:g}, {search.b:g}] must "
+            f"lie at least {eps:g} off the support [{a:g}, {b:g}]")
+    if t <= 1.0:
+        return []
     if search is None:
         rule = rho.rule(spec)
         d0 = rule.w @ (rule.x - dens.c1) ** 2
@@ -193,19 +207,26 @@ def denominator_root_scan(rho: BaseDensity, t: float,
         return c * stieltjes_transform(rho, x, spec).real + d
 
     ends = np.array(sides).reshape(-1, 2).T
-    sign = np.sign(D(ends)) if sides else ends
-    root = sign[0] != sign[1]
-    lo, hi, sign = ends[0, root], ends[1, root], sign[0, root]
+    vals = D(ends) if sides else ends
+    root = np.sign(vals[0]) != np.sign(vals[1])
+    (lo, hi), (dlo, dhi) = ends[:, root], vals[:, root]
+    # x = end + way e^u, u the log of the distance to the support.
+    way = np.where(lo >= b, 1.0, -1.0)
+    end = np.where(lo >= b, b, a)
     rows = np.arange(len(lo))
     while np.any(hi - lo > eps):
-        xs = np.linspace(lo, hi, _SECTIONS + 1, axis=1)
-        # Keep the first section whose right end has left the sign of lo;
-        # hi always has.
-        left = np.sign(D(xs[:, 1:-1])) != sign[:, None]
-        k = np.where(left.any(axis=1), left.argmax(axis=1) + 1, _SECTIONS)
+        ulo, uhi = np.log(way * (lo - end)), np.log(way * (hi - end))
+        r = end + way * np.exp(ulo + dlo / (dlo - dhi) * (uhi - ulo))
+        even = end + way * np.exp(np.linspace(ulo, uhi, 9)[1:-1])
+        off = eps / 4 * ((hi - lo) / eps) ** (np.arange(4)[:, None] / 4)
+        pts = np.clip(np.concatenate([even, r - off, r + off]), lo, hi)
+        xs = np.column_stack([lo, np.sort(pts, axis=0).T, hi])
+        ds = np.column_stack([dlo, D(xs[:, 1:-1]), dhi])
+        # The first pair of points whose D leaves the sign of lo's; hi's has.
+        k = np.argmax(np.sign(ds[:, 1:]) != np.sign(dlo)[:, None], axis=1) + 1
         if np.array_equal(xs[rows, k - 1], lo) and np.array_equal(xs[rows, k], hi):
             break
-        lo, hi = xs[rows, k - 1], xs[rows, k]
+        lo, hi, dlo, dhi = xs[rows, k - 1], xs[rows, k], ds[rows, k - 1], ds[rows, k]
     return [(float(l), float(h)) for l, h in zip(lo, hi)]
 
 

@@ -152,6 +152,14 @@ def test_non_finite_parameters_exit_two():
                "--g", "1").returncode == 2
 
 
+def test_roots_search_touching_the_support_exits_two():
+    # A search from the support's end used to be refused only by the
+    # transform, inside the scan, which no t <= 1 scan runs.
+    for t in ("0.5", "3"):
+        r = run("roots", "--density", "cheb-u", "--t", t, "--search", "1", "3")
+        assert r.returncode == 2 and "root scan" in r.stderr
+
+
 def test_usage_errors_that_were_numerical_failures_exit_two():
     # Both exited 3: the degree cap was reported as an instability, and a
     # NaN point passed the reducer's domain check and failed in quadrature.

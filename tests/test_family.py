@@ -203,10 +203,9 @@ def oracle(request):
     return oracle
 
 
-def test_validity_matches_the_oracle_on_jacobi_densities(oracle, spec):
-    # 40 Jacobi densities on [0, 1], exponents in (-1/2, 3/2) with one in
-    # each of 40 strata per axis; the oracle decides from Beta-function
-    # limits of (x - c_1) S(x) at the ends.
+def _latin_jacobi(oracle):
+    """40 Jacobi densities on [0, 1], exponents in (-1/2, 3/2) with one in
+    each of 40 strata per axis, each with the oracle's twin."""
     rng = np.random.default_rng(19)
     n = 40
     exps = [-0.5 + 2.0 * (rng.permutation(n) + rng.random(n)) / n
@@ -214,12 +213,47 @@ def test_validity_matches_the_oracle_on_jacobi_densities(oracle, spec):
     for k, (alpha, beta) in enumerate(zip(*exps)):
         oj = oracle.JacobiDensity(0.0, 1.0, alpha, beta,
                                   rng.uniform(0.2, 1.0, rng.integers(1, 5)))
-        rho = Density(Interval(0.0, 1.0), oj.smooth,
-                      EndpointExponents(alpha, beta), f"j{k}")
+        yield oj, Density(Interval(0.0, 1.0), oj.smooth,
+                          EndpointExponents(alpha, beta), f"j{k}")
+
+
+def test_validity_matches_the_oracle_on_jacobi_densities(oracle, spec):
+    # The oracle decides from Beta-function limits of (x - c_1) S(x) at the
+    # ends.
+    for oj, rho in _latin_jacobi(oracle):
         for t in (1.0001, 1.01, 1.5, 3.0):
             got = validate_parameter(rho, t, spec).validity
             assert (got == "invalid") == bool(oj.denominator_roots(t)), \
-                (alpha, beta, t, got)
+                (oj.alpha, oj.beta, t, got)
+
+
+def test_root_scan_matches_the_oracle_on_jacobi_densities(oracle, spec,
+                                                         monkeypatch):
+    # Every bracket is at most eps = 1e-10 wide and lies on a side where
+    # the oracle has a root.  A side it names with no bracket has its root
+    # within eps of the support: D, negative at the support's end and
+    # tending to 1 far from it, is already positive eps off the end.  Each
+    # scan runs at most 7 far refinements (equal sections ran 7-10).
+    eps = 1e-10
+    seen = _count_refinements(monkeypatch)
+    for oj, rho in _latin_jacobi(oracle):
+        for t in (1.01, 1.5, 3.0, 10.0):
+            seen.clear()
+            brackets = denominator_root_scan(rho, t, None, spec)
+            assert len(seen) <= 7
+            sides = [("left" if hi <= 0.0 else "right") for lo, hi in brackets]
+            want = oj.denominator_roots(t)
+            assert set(sides) <= set(want) and sides == sorted(sides), \
+                (oj.alpha, oj.beta, t, brackets, want)
+            for lo, hi in brackets:
+                assert 0.0 < hi - lo <= eps and (hi <= 0.0 or lo >= 1.0)
+            near = [x for side, x in (("left", -eps), ("right", 1.0 + eps))
+                    if side in want and side not in sides]
+            if near:
+                dens = validate_parameter(rho, t, spec)
+                s = stieltjes.stieltjes_transform(rho, np.array(near), spec)
+                assert np.all(t + (1.0 - t) * (np.array(near) - dens.c1)
+                              * s.real > 0.0), (oj.alpha, oj.beta, t, near)
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -337,17 +371,46 @@ def test_root_scan_none_below_one(all_catalog, spec):
                 rho, t, Interval(b + 1e-3 * w, b + 10 * w), spec) == []
 
 
-def test_root_scan_is_one_batched_call(counted_semicircle, spec):
+def test_root_scan_is_one_batched_call(counted_semicircle, spec, monkeypatch):
+    # Not even one for t <= 1: off the support (x - c_1) S(x) > 0, so
+    # D >= t > 0 and no transform runs.
     rho, calls = counted_semicircle
     moment(rho, 1, spec)  # c_1 is cached before counting
     calls.clear()
-    assert denominator_root_scan(rho, 0.5, Interval(1.001, 11.0), spec) == []
-    assert len(calls) <= spec.max_refinement_levels + 1
+    seen = _count_refinements(monkeypatch)
+    for t in (0.5, 1.0):
+        assert denominator_root_scan(rho, t, Interval(1.001, 11.0), spec) == []
+        assert denominator_root_scan(rho, t, None, spec) == []
+    assert calls == [] and seen == []
 
 
 def test_root_scan_rejects_overlap(cheb_u, spec):
     with pytest.raises(DomainError):
         denominator_root_scan(cheb_u, 2.0, Interval(0.5, 3.0), spec)
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_root_scan_rejects_a_search_touching_the_support(cheb_u, t, spec):
+    # The brackets stop 2e-10 (1e-10 widths) off [-1, 1], and so must a
+    # search.  One from the support's end was refused only by the
+    # transform's PointOnInterval, deep inside the scan, and only for t > 1.
+    for search in (Interval(1.0, 3.0), Interval(1.0 + 1e-10, 3.0),
+                   Interval(-3.0, -1.0 - 1e-10)):
+        with pytest.raises(DomainError, match="root scan"):
+            denominator_root_scan(cheb_u, t, search, spec)
+
+
+def _count_refinements(monkeypatch):
+    """The labels of the refinements the transform module runs from now on."""
+    seen = []
+    refine = stieltjes.refine_levels
+
+    def counted(estimate, count, spec, start, what, *args, **kw):
+        seen.append(what)
+        return refine(estimate, count, spec, start, what, *args, **kw)
+
+    monkeypatch.setattr(stieltjes, "refine_levels", counted)
+    return seen
 
 
 def _uniform_root(t):
@@ -406,13 +469,22 @@ def test_root_scan_far_from_the_origin(a, spec):
 
 
 def test_root_scan_narrows_in_few_calls(counted_semicircle, spec):
-    # One call for the ends of both sides, then one per k-section round;
-    # the grid scan with bisection made 128 calls of h here.
+    # One call for the ends of both sides, then one per round; the grid
+    # scan with bisection made 128 calls of h here.
     rho, calls = counted_semicircle
     root = 3.0 / (2.0 * math.sqrt(2.0))
     (llo, lhi), (rlo, rhi) = denominator_root_scan(rho, 3.0, None, spec)
     assert llo <= -root <= lhi and rlo <= root <= rhi
     assert len(calls) <= 40
+
+
+def test_root_scan_takes_few_far_refinements(cheb_u, spec, monkeypatch):
+    # One far refinement for the ends, then one per round: equal
+    # 16-sections took 11 here, regula falsi in log-distance takes 5.
+    seen = _count_refinements(monkeypatch)
+    [(lo, hi)] = denominator_root_scan(cheb_u, 3.0, Interval(1.002, 21.0), spec)
+    assert lo <= 3.0 / (2.0 * math.sqrt(2.0)) <= hi and hi - lo <= 2e-10
+    assert len(seen) <= 5 and all(w.startswith("transform") for w in seen)
 
 
 def test_group_action(cheb_u, spec):

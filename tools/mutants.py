@@ -104,6 +104,14 @@ MUTANTS = [
     ("src/secmeasure/measures.py", "if n_max < 0:", "if n_max < -1:"),
     ("src/secmeasure/orthopoly.py", "1 <= N <= MAX_DEGREE:",
      "1 <= N <= MAX_DEGREE + 1:"),
+    # The root scan's point placement: the regula-falsi weight reversed,
+    # the evenly spaced half dropped, and t = 1 sent through the scan.
+    ("src/secmeasure/family.py", "ulo + dlo / (dlo - dhi) * (uhi - ulo)",
+     "ulo + (1 - dlo / (dlo - dhi)) * (uhi - ulo)"),
+    ("src/secmeasure/family.py", "np.concatenate([even, r - off, r + off])",
+     "np.concatenate([r - off, r + off])"),
+    ("src/secmeasure/family.py", "    if t <= 1.0:\n        return []",
+     "    if t < 1.0:\n        return []"),
     # Only the Jacobi-matrix oracle holds the solver tighter than the
     # residual checks' 1e-5: t is off by 1.7e-8 at lambda = 0.7.
     ("src/secmeasure/operators.py", "return 1.0 / (1.0 + self.lam)",
