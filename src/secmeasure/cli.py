@@ -26,10 +26,10 @@ from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      PointOnInterval, UnknownDensity)
 from .expressions import parse as parse_expr
 from .family import denominator_root_scan, family_density, moment0_curve
-from .measures import (CATALOG_NAMES, BaseDensity, catalog, moment, moments,
-                       user_density)
-from .operators import IntegralEquationProblem, solve_integral_equation
-from .orthopoly import _apply_T, recurrence_coefficients
+from .measures import CATALOG_NAMES, BaseDensity, catalog, moments, user_density
+from .operators import (RESIDUAL_LIMIT, IntegralEquationProblem,
+                        equation_residual, solve_integral_equation)
+from .orthopoly import recurrence_coefficients
 from .quadrature import EndpointExponents, IntegrationSpec, Interval
 from .report import OutputTable
 from .stieltjes import reducer, secondary_measure
@@ -47,8 +47,6 @@ _USAGE_ERRORS = (UnknownDensity, InvalidDensity, ExprSyntaxError, DomainError,
 _NUMERICAL_ERRORS = (NonConvergence, EvaluationFailure, InstabilityDetected,
                      ExtrapolationDivergence, DenominatorZero,
                      DegenerateMeasure, FloatingPointError, OverflowError)
-
-RESIDUAL_LIMIT = 1e-5
 
 
 class UsageError(Exception):
@@ -185,66 +183,45 @@ def _resolve_density(args, spec: IntegrationSpec) -> BaseDensity:
                         name=f"expr:{args.density_expr}", spec=spec)
 
 
-def _emit(table: OutputTable, args) -> None:
-    sys.stdout.write(table.render(args.format))
+# A table command returns its columns, rows and own meta keys, and an exit
+# code when it can fail; ``main`` resolves the density and renders the table.
 
-
-def cmd_moments(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_moments(args, rho, spec):
     ms = moments(rho, args.n, spec)
-    table = OutputTable(["n", "c_n"],
-                        [(float(i), ms[i]) for i in range(args.n + 1)],
-                        {"density": rho.name, "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK
+    return ["n", "c_n"], [(float(i), ms[i]) for i in range(args.n + 1)], {}
 
 
-def cmd_ortho(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_ortho(args, rho, spec):
     rc = recurrence_coefficients(rho, args.n, spec)
     rows = [(float(n), float(rc.a[n]), float(rc.b[n - 1]) if n else 0.0)
             for n in range(args.n)]
-    table = OutputTable(["n", "a_n", "b_n"], rows,
-                        {"density": rho.name, "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK
+    return ["n", "a_n", "b_n"], rows, {}
 
 
-def cmd_reducer(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_reducer(args, rho, spec):
     xs = (np.asarray(args.x, dtype=float) if args.x
           else rho.interval.interior_grid(args.grid, 2e-3))
     phi = reducer(rho, xs, spec)
-    table = OutputTable(["x", "phi"], list(zip(xs.tolist(), phi.tolist())),
-                        {"density": rho.name, "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK
+    return ["x", "phi"], list(zip(xs.tolist(), phi.tolist())), {}
 
 
-def cmd_secondary(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_secondary(args, rho, spec):
     xs = rho.interval.interior_grid(args.grid, 2e-3)
     sm = secondary_measure(rho, spec)
     mu = sm.mu(xs)
-    table = OutputTable(["x", "mu", "mu0"],
-                        list(zip(xs.tolist(), mu.tolist(), (mu / sm.d0).tolist())),
-                        {"density": rho.name, "d0": sm.d0, "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK
+    return (["x", "mu", "mu0"],
+            list(zip(xs.tolist(), mu.tolist(), (mu / sm.d0).tolist())),
+            {"d0": sm.d0})
 
 
-def cmd_family_density(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_family_density(args, rho, spec):
     xs = rho.interval.interior_grid(args.grid, 2e-3)
     vals = family_density(rho, args.t, xs, spec)
-    table = OutputTable(["x", "rho_t"], list(zip(xs.tolist(), vals.tolist())),
-                        {"density": rho.name, "t": args.t, "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK
+    return (["x", "rho_t"], list(zip(xs.tolist(), vals.tolist())),
+            {"t": args.t})
 
 
-def cmd_family_scan(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_family_scan(args, rho, spec):
     if not args.t_min < args.t_max:
         raise UsageError(f"need --t-min < --t-max, got {args.t_min} and "
                          f"{args.t_max}")
@@ -258,44 +235,26 @@ def cmd_family_scan(args, spec) -> int:
         except _NUMERICAL_ERRORS:
             rows.append((float(t), math.nan))
             failed = True
-    table = OutputTable(["t", "f"], rows,
-                        {"density": rho.name, "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    return ["t", "f"], rows, {}, EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_roots(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_roots(args, rho, spec):
     search = None if args.search is None else Interval(*args.search)
     brackets = denominator_root_scan(rho, args.t, search, spec)
-    table = OutputTable(["lo", "hi"], brackets,
-                        {"density": rho.name, "t": args.t,
-                         "n_roots": len(brackets), "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK
+    return ["lo", "hi"], brackets, {"t": args.t, "n_roots": len(brackets)}
 
 
-def cmd_solve(args, spec) -> int:
-    rho = _resolve_density(args, spec)
+def cmd_solve(args, rho, spec):
     expr = parse_expr(args.g)
     problem = IntegralEquationProblem(rho, args.lam, expr.evaluate)
     xs = rho.interval.interior_grid(args.grid, 2e-3)
-
-    def f(u):
-        return solve_integral_equation(problem, u, spec)
-
-    # f on the grid comes from T's calls of f, which hold the grid.
-    Tf, f_vals = _apply_T(rho, f, xs, spec) if args.lam else (0.0, f(xs))
-    c1 = moment(rho, 1, spec)
-    residual = f_vals + args.lam * (xs - c1) * Tf - expr.evaluate(xs)
-    table = OutputTable(
-        ["x", "f", "residual"],
-        list(zip(xs.tolist(), f_vals.tolist(), residual.tolist())),
-        {"density": rho.name, "lambda": args.lam, "g": expr.canonical(),
-         "tol": spec.rel_tol})
-    _emit(table, args)
-    return EXIT_OK if float(np.max(np.abs(residual))) <= RESIDUAL_LIMIT \
-        else EXIT_VERIFY
+    f_vals, residual = equation_residual(
+        problem, lambda u: solve_integral_equation(problem, u, spec), xs, spec)
+    code = (EXIT_OK if float(np.max(np.abs(residual))) <= RESIDUAL_LIMIT
+            else EXIT_VERIFY)
+    return (["x", "f", "residual"],
+            list(zip(xs.tolist(), f_vals.tolist(), residual.tolist())),
+            {"lambda": args.lam, "g": expr.canonical()}, code)
 
 
 def cmd_verify(args, spec) -> int:
@@ -404,7 +363,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args, _spec_from(args))
+        spec = _spec_from(args)
+        if not hasattr(args, "density"):  # verify and plot print their own
+            return args.run(args, spec)
+        rho = _resolve_density(args, spec)
+        columns, rows, meta, *code = args.run(args, rho, spec)
+        table = OutputTable(columns, rows, {"density": rho.name, **meta,
+                                            "tol": spec.rel_tol})
+        sys.stdout.write(table.render(args.format))
+        return code[0] if code else EXIT_OK
     except (UsageError,) + _USAGE_ERRORS as exc:
         print(f"secm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,7 +28,7 @@ from .errors import (DomainError, InvalidDensity, NonConvergence,
                      UnknownDensity)
 from .quadrature import (DEFAULT_SPEC, ODD, EndpointExponents,
                          IntegrationSpec, Interval, _call, _pointwise,
-                         refine_levels, tanh_sinh_nodes)
+                         kernel_sums, refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -278,8 +278,7 @@ def user_density(h: Callable, interval: Interval,
     renormalized; larger deviations are rejected.
     """
     dens = Density(interval, h, exps, name)
-    grid = np.linspace(interval.a, interval.b, 1002)[1:-1]
-    vals = dens.value(grid)
+    vals = dens.value(interval.interior_grid(1000, 1 / 1001))
     if np.any(vals < 0):
         raise InvalidDensity(f"{name!r} is negative inside the interval")
     m = dens.mass(spec)
@@ -312,11 +311,13 @@ def moments(rho: BaseDensity, n_max: int,
 
 def _moments(rho: BaseDensity, orders, spec: IntegrationSpec) -> list:
     """Cached moments; the missing ones come from one refinement with one
-    element, and one stop test, per order."""
+    element, and one stop test, per order, the powers x^n formed in
+    ``kernel_sums``' bounded blocks."""
     todo = [n for n in orders if (n, spec) not in rho._moments]
     if todo:
         p = np.array(todo)[:, None]
-        vals = rho._refine(lambda x, w, _: (x ** p) @ w, spec, "moments", len(todo))
+        vals = rho._refine(lambda x, w, _: kernel_sums(lambda n: x ** n, p, w),
+                           spec, "moments", len(todo))
         rho._moments.update(zip([(n, spec) for n in todo], vals.tolist()))
     return [rho._moments[(n, spec)] for n in orders]
 

@@ -37,6 +37,7 @@ __all__ = [
     "isometry_check",
     "transformed_polys",
     "solve_integral_equation",
+    "equation_residual",
     "residual_check",
     "shift_multiply",
     "barycentric_check",
@@ -45,38 +46,34 @@ __all__ = [
 ]
 
 
-def make_context(rho: BaseDensity, t: float,
-                 spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
-    """rho_t, t validated; the operators read rho, c_1 and t from it as
-    ``base``, ``c1`` and ``t``."""
-    return family(rho, t, spec)
+make_context = family  # the operators' context, rho_t: base, c1 and t
+RESIDUAL_LIMIT = 1e-5  # the largest |residual| of (E_lambda) accepted
 
 
 def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
-              x, spec: IntegrationSpec):
-    """a f(x) + b (x-c_1) T_rho(f)(x) in x's shape (``_pointwise``), f(x)
+              xs: np.ndarray, spec: IntegrationSpec) -> tuple:
+    """(a f(xs) + b (xs-c_1) T_rho(f)(xs), f(xs)) for a flat array xs, f(xs)
     from T's calls of f; T is not evaluated when b == 0."""
-
-    def fT(xs):
-        if not b:
-            return a * _call(f, xs)
-        Tf, fx = _apply_T(rho, f, xs, spec)
-        return a * fx + b * (xs - c1) * Tf
-
-    return _pointwise(fT, x)
+    if not b:
+        fx = _call(f, xs)
+        return a * fx, fx
+    Tf, fx = _apply_T(rho, f, xs, spec)
+    return a * fx + b * (xs - c1) * Tf, fx
 
 
 def apply_V(ctx: FamilyDensity, f: Callable, x,
             spec: IntegrationSpec = DEFAULT_SPEC):
     """V(f)(x) = t f(x) + (1-t)(x-c_1) T(f)(x), T against the base density."""
-    return _f_plus_T(ctx.t, 1.0 - ctx.t, ctx.base, ctx.c1, f, x, spec)
+    return _pointwise(lambda xs: _f_plus_T(ctx.t, 1.0 - ctx.t, ctx.base,
+                                           ctx.c1, f, xs, spec)[0], x)
 
 
 def apply_V_inverse(ctx: FamilyDensity, f: Callable, x,
                     spec: IntegrationSpec = DEFAULT_SPEC):
     """V^{-1}(f)(x) = (1/t) f(x) + (1 - 1/t)(x-c_1) T_{rho_t}(f)(x)."""
     t = ctx.t
-    return _f_plus_T(1.0 / t, 1.0 - 1.0 / t, ctx, ctx.c1, f, x, spec)
+    return _pointwise(lambda xs: _f_plus_T(1.0 / t, 1.0 - 1.0 / t, ctx,
+                                           ctx.c1, f, xs, spec)[0], x)
 
 
 def isometry_check(ctx: FamilyDensity, f: Callable,
@@ -133,21 +130,32 @@ def solve_integral_equation(problem: IntegralEquationProblem, x,
     gives t <= 0)."""
     t = problem.t
     dens = family(problem.rho, t, spec)
-    return _f_plus_T(1.0, -problem.lam * t, dens, dens.c1, problem.g, x, spec)
+    return _pointwise(lambda xs: _f_plus_T(1.0, -problem.lam * t, dens,
+                                           dens.c1, problem.g, xs, spec)[0], x)
+
+
+def equation_residual(problem: IntegralEquationProblem, f: Callable,
+                      xs: np.ndarray, spec: IntegrationSpec = DEFAULT_SPEC):
+    """(f(xs), f + lambda (x-c_1) T(f) - g at xs), the residual of f in
+    (E_lambda) on a flat array xs; f(xs) comes from T's calls of f, which
+    hold xs (f is called on xs alone only when lambda == 0)."""
+    rho = problem.rho
+    lhs, fx = _f_plus_T(1.0, problem.lam, rho, moment(rho, 1, spec), f, xs,
+                        spec)
+    return fx, lhs - _call(problem.g, xs)
 
 
 def residual_check(problem: IntegralEquationProblem, f: Callable,
                    spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
-    """Plug f into (E_lambda) on a 30-point grid; residual must be < 1e-5."""
+    """Plug f into (E_lambda) on a 30-point grid (``equation_residual``);
+    the largest |residual| must not exceed RESIDUAL_LIMIT."""
     with timer() as tm:
-        rho = problem.rho
-        grid = rho.interval.interior_grid(30, 2e-3)
-        lhs = _f_plus_T(1.0, problem.lam, rho, moment(rho, 1, spec), f, grid,
-                        spec)
-        dev = float(np.max(np.abs(lhs - _call(problem.g, grid))))
+        grid = problem.rho.interval.interior_grid(30, 2e-3)
+        dev = float(np.max(np.abs(equation_residual(problem, f, grid,
+                                                    spec)[1])))
     return property_report(
         f"integral-equation residual {problem.rho.name} lambda={problem.lam:g}",
-        dev, 1e-5, "derived", tm.ms)
+        dev, RESIDUAL_LIMIT, "derived", tm.ms)
 
 
 def shift_multiply(f: Callable, c1: float) -> Callable:

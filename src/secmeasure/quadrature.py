@@ -247,14 +247,14 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
 
 def kernel_sums(kernel: Callable, rows: np.ndarray,
                 w: np.ndarray) -> np.ndarray:
-    """``kernel(block) @ w`` over consecutive blocks of the index array
-    ``rows``, concatenated along the rows axis: the last, or the
-    second-last for a ``w`` of several columns, one sum per column.
-    ``kernel(block)`` puts the block's rows on its second-last axis and the
-    ``len(w)`` nodes on its last; a block has at most
-    KERNEL_ENTRIES // len(w) rows, and one at least, so that no temporary
-    grows with the number of rows; an empty ``rows`` is one empty block,
-    which gives the result's leading shape."""
+    """``kernel(block) @ w`` over consecutive blocks of the array ``rows``
+    (indices, or the rows' own parameters), concatenated along the rows
+    axis: the last, or the second-last for a ``w`` of several columns, one
+    sum per column.  ``kernel(block)`` puts the block's rows on its
+    second-last axis and the ``len(w)`` nodes on its last; a block has at
+    most KERNEL_ENTRIES // len(w) rows, and one at least, so that no
+    temporary grows with the number of rows; an empty ``rows`` is one empty
+    block, which gives the result's leading shape."""
     step = max(1, KERNEL_ENTRIES // len(w))
     return np.concatenate([kernel(rows[s:s + step]) @ w
                            for s in range(0, max(len(rows), 1), step)],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -342,6 +342,11 @@ class DerivedDensity(BaseDensity):
         return _on_cut(self, *self._node_points(level, odd), self.spec,
                        (level, odd))[1]
 
+    def mass(self, spec: Optional[IntegrationSpec] = None) -> float:
+        """Total mass on the rule at ``spec``, by default the density's own
+        ``spec``."""
+        return super().mass(self.spec if spec is None else spec)
+
 
 def _vanishes(cs, d, spec: IntegrationSpec):
     """Whether the Möbius denominator c s + d vanishes, elementwise: to
@@ -468,9 +473,8 @@ class SecondaryMeasure(DerivedDensity):
         """The variance of rho, as the centred second moment
         sum w (x - c_1)^2 refined on rho's rule: c_2 - c_1^2 would cancel on
         a support far from the origin.  DegenerateMeasure at 1e-12 or less."""
-        d0 = float(self.base._refine(
-            lambda x, w, _: (w @ (x - self.c1) ** 2)[None], self.spec,
-            "variance")[0])
+        d0 = float(self.base.weighted_integral(lambda x: (x - self.c1) ** 2,
+                                               self.spec))
         if d0 <= 1e-12:
             raise DegenerateMeasure(
                 f"{self.base.name!r} has variance {d0:.3e}; "
@@ -482,10 +486,6 @@ class SecondaryMeasure(DerivedDensity):
 
     def mu0(self, x):
         return self.mu(x) / self.d0
-
-    def mass(self) -> float:
-        """int mu on its rule at ``spec``, which must reproduce d0."""
-        return super().mass(self.spec)
 
 
 def secondary_measure(rho: BaseDensity,

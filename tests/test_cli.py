@@ -104,6 +104,52 @@ def test_solve_reads_f_on_the_grid_from_T(monkeypatch, capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
 
+def test_json_meta_keys_in_order(capsys):
+    # density first, tol last, each command's own keys between.
+    from secmeasure import cli
+    cases = [
+        (["moments"], []),
+        (["ortho"], []),
+        (["reducer", "--grid", "3"], []),
+        (["secondary", "--grid", "3"], ["d0"]),
+        (["family", "density", "--t", "0.5", "--grid", "3"], ["t"]),
+        (["family", "scan", "--t-min", "0.5", "--t-max", "1",
+          "--steps", "2"], []),
+        (["roots", "--t", "3"], ["t", "n_roots"]),
+        (["solve", "--lam", "-0.5", "--g", "x", "--grid", "3"],
+         ["lambda", "g"]),
+    ]
+    for argv, own in cases:
+        k = 2 if argv[0] == "family" else 1
+        assert cli.main(["--format", "json", *argv[:k], "--density",
+                         "cheb-u", *argv[k:]]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert list(meta) == ["density", *own, "tol"], argv
+
+
+def test_solve_residual_limit_bites(monkeypatch, capsys):
+    # A solution off by 3e-5 leaves a residual of 3e-5, above the 1e-5
+    # limit that secm solve and residual_check share.
+    from secmeasure import (DEFAULT_SPEC, IntegralEquationProblem, catalog,
+                            cli, residual_check)
+    real = cli.solve_integral_equation
+
+    def shifted(problem, x, spec):
+        return real(problem, x, spec) + 3e-5
+
+    monkeypatch.setattr(cli, "solve_integral_equation", shifted)
+    assert cli.main(["solve", "--density", "cheb-u", "--lam", "-0.5",
+                     "--g", "1/(1+x^2)", "--grid", "5"]) == 1
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.strip().split("\n")[1:]]
+    assert abs(max(abs(float(r[2])) for r in rows) - 3e-5) < 1e-9
+    problem = IntegralEquationProblem(catalog("cheb-u"), -0.5,
+                                      lambda x: 1.0 / (1.0 + x ** 2))
+    report = residual_check(problem,
+                            lambda x: shifted(problem, x, DEFAULT_SPEC))
+    assert not report.passed and abs(report.computed - 3e-5) < 1e-9
+
+
 def test_custom_density_expression():
     r = run("moments", "--density-expr", "2*x", "--interval", "0", "1",
             "--n", "1")

@@ -479,6 +479,18 @@ def test_secondary_mass_is_d0(relation_densities, spec):
         assert abs(mu.mass() - mu.d0) <= 1e-9 * mu.d0
 
 
+def test_derived_mass_defaults_to_its_own_spec(all_catalog, spec):
+    # mu's mass took no spec (TypeError), and rho_t's mass() integrated at
+    # the default spec, not its own: linear2x at t = 0.5 read 1.0000000000016
+    # against 1.0000000000016112.
+    coarse = IntegrationSpec(rel_tol=1e-6)
+    for rho in all_catalog:
+        mu = secondary_measure(rho, spec)
+        assert mu.mass(spec) == mu.mass()
+        rho_t = family(rho, 0.5, coarse)
+        assert rho_t.mass() == rho_t.mass(rho_t.spec)
+
+
 def test_secondary_transform_is_homographic(relation_densities, spec):
     # S_mu by quadrature of mu against the paper's z - c_1 - 1/S_rho(z).
     for rho in relation_densities:

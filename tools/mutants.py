@@ -116,6 +116,17 @@ MUTANTS = [
     # residual checks' 1e-5: t is off by 1.7e-8 at lambda = 0.7.
     ("src/secmeasure/operators.py", "return 1.0 / (1.0 + self.lam)",
      "return 1.0 / (1.0 + np.float32(self.lam))"),
+    # The residual limit that secm solve and residual_check share, the CLI's
+    # meta key order, the moments' bounded blocks and a derived density's
+    # own spec for mass().
+    ("src/secmeasure/operators.py", "RESIDUAL_LIMIT = 1e-5",
+     "RESIDUAL_LIMIT = 1e-3"),
+    ("src/secmeasure/cli.py", '{"density": rho.name, **meta,',
+     '{**meta, "density": rho.name,'),
+    ("src/secmeasure/measures.py", "kernel_sums(lambda n: x ** n, p, w)",
+     "(x ** p) @ w"),
+    ("src/secmeasure/stieltjes.py", "self.spec if spec is None else spec",
+     "DEFAULT_SPEC if spec is None else spec"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
