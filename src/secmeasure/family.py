@@ -25,9 +25,9 @@ scaled, no root lies farther than |sqrt(t) - 1| b_1 from the support; the
 root scan searches from a bracket width off the support out to that
 reach, placing each round's points by regula falsi in the log of the
 distance to the support, and runs no transform for t <= 1, where D >= t.
-``validate_parameter`` returns the cached rho_t whatever its
-validity, ``family`` refuses an invalid one.  rho_t alone checks t and
-forms D (``mobius``); ``stieltjes._vanishes`` alone decides that D is 0.
+``validate_parameter`` returns the cached rho_t whatever its validity;
+``family`` refuses an invalid one, and a base of mass other than 1.  rho_t
+alone checks t and forms D; ``stieltjes._vanishes`` alone decides D = 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DenominatorZero, DomainError, InvalidParameter
+from .errors import (DenominatorZero, DomainError, InvalidDensity,
+                     InvalidParameter)
 from .measures import BaseDensity, moment
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, Interval, _call
 from .report import VerificationReport, property_report, timer
@@ -117,8 +118,13 @@ def validate_parameter(rho: BaseDensity, t: float,
 
 def family(rho: BaseDensity, t: float,
            spec: IntegrationSpec = DEFAULT_SPEC) -> FamilyDensity:
-    """rho_t, or InvalidParameter when its ``validity`` is "invalid"."""
+    """rho_t, or InvalidParameter when its ``validity`` is "invalid";
+    first InvalidDensity unless rho's mass at ``spec`` is 1 within 1e-6:
+    rho_t needs a probability base (mu, of mass d0, is not one)."""
     dens = validate_parameter(rho, t, spec)
+    mass = rho.mass(spec)
+    if abs(mass - 1.0) > 1e-6:
+        raise InvalidDensity(f"{rho.name!r} has mass {mass:.6g}, not 1")
     if dens.validity == "invalid":
         raise InvalidParameter(
             f"t={t:g} is not a valid parameter for {rho.name!r}")

@@ -14,8 +14,9 @@ members rho_t are Möbius maps of S, S_mu = z - c_1 - 1/S and
 S_t = S/(t + (1-t)(z - c_1) S), which on the cut give their values and
 reducers from rho's; only a ``Density`` runs the reducer quadrature.  S_mu
 is ``stieltjes_transform`` of mu; the homographic form is checked on it.
-The limits of S at the ends of the support, from outside, are mapped the
-same way from rho's; they decide the validity of rho_t (``family``).
+The limits of S at the ends of the support, from outside, are rows of the
+far transform at z = a and b (a derived density maps rho's); they decide
+the validity of rho_t (``family``).
 Stieltjes-Perron inversion goes the other way: it recovers a density from
 an arbitrary transform evaluator by extrapolating
 (S(x - i eps) - S(x + i eps))/(2 i pi) to eps = 0.
@@ -240,15 +241,17 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
     return rows[:n] + rows[n:] + w0 * np.log((zs - a) / (zs - b))
 
 
-def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
-                spec: IntegrationSpec) -> np.ndarray:
-    """int rho(t)/(z - t) dt for a 1-d array of z away from the cut.
+def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
+                lead: Optional[tuple] = None) -> np.ndarray:
+    """int rho(t)/(z - t) dt, in z's dtype, for a 1-d array of z off the cut.
 
     All z share one tanh-sinh level loop on rho's node values; each z
     stops at the first level that agrees with the one before it.
     z - t is formed as (z - e) + (e - t), e the endpoint nearer z and e - t
     the node's exact distance to it, so that it keeps its digits for z next
-    to an endpoint, where the nodes crowd.
+    to an endpoint, where the nodes crowd.  ``lead`` = (g, p), one entry
+    per z, takes g dist^p out of rho on each row, dist the node's distance
+    to e: the rows of ``_end_transforms``, refined as end transforms.
     """
     interval = rho.interval
     half = 0.5 * interval.width
@@ -261,13 +264,19 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray,
         vals = rho._node_values(level, odd)
 
         def kernel(sel):
+            near = left[sel, None]
             # e - t is -dl on rows next to a and dr on rows next to b.
-            return vals / (ze[sel, None] + np.where(left[sel, None], -dl, dr))
+            den = ze[sel, None] + np.where(near, -dl, dr)
+            if lead is None:
+                return vals / den
+            g, p = (v[sel, None] for v in lead)
+            return (vals - g * np.where(near, dl, dr) ** p) / den
 
         return half * kernel_sums(kernel, act, w)
 
+    what = "transform" if lead is None else "end transforms"
     return refine_levels(estimate, len(zs), spec, _START_LEVEL,
-                         f"transform of {rho.name!r}")
+                         f"{what} of {rho.name!r}")
 
 
 def stieltjes_transform(rho: BaseDensity, z,
@@ -390,12 +399,11 @@ def _end_transforms(rho: BaseDensity, spec: IntegrationSpec) -> list:
     there, as rho's outermost nodes round to the ends.  An end whose
     exponent p is <= 0 gives -inf at a and +inf at b unless h vanishes
     there, to within rel_tol of its largest value at rho's nodes (a
-    non-finite h(e) does not vanish).  Every other end is a row of one
-    refinement on rho's node values.  Next to the end rho is g dist^p,
-    with g = w^q h(e), q the other end's exponent and w the width; the row
-    integrates (rho - g dist^p)/dist, which is bounded, and adds back
-    g w^p / p, the integral of the term taken out (for p <= 0, g = 0).  An
-    h not finite at an end with p > 0 raises EvaluationFailure.
+    non-finite h(e) does not vanish).  Every other end is a row at z = e
+    of one ``_cauchy_far`` call, with the end's leading term g dist^p taken
+    out (g = w^q h(e), q the other end's exponent and w the width; g = 0
+    for p <= 0) and its integral g w^p / p added back, signed by the end.
+    An h not finite at an end with p > 0 raises EvaluationFailure.
     A derived density maps its base's end values by its ``mobius`` at the
     end: an infinite value to its limit a/c (s a/d where c = 0, as at
     t = 1), and a value where c s + d vanishes (``_vanishes``) to -inf at
@@ -420,7 +428,7 @@ def _end_transforms(rho: BaseDensity, spec: IntegrationSpec) -> list:
     exps = (rho.exps.alpha, rho.exps.beta)
     vanish = spec.rel_tol * _smooth_scale(rho) if min(exps) <= 0 else 0.0
     out = [-math.inf, math.inf]
-    # (end, p, g, g w^p / p) for each end with a finite transform.
+    # (end, g, p, the signed add-back) for each end with a finite transform.
     rows = []
     for k in (0, 1):
         p, g = exps[k], w ** exps[1 - k] * h[k]
@@ -429,28 +437,14 @@ def _end_transforms(rho: BaseDensity, spec: IntegrationSpec) -> list:
                 raise EvaluationFailure(
                     f"the smooth part of {rho.name!r} is not finite at "
                     f"{ends[k]}, an end with exponent {p:g} > 0")
-            rows.append((k, p, g, g * w ** p / p))
+            rows.append((k, g, p, (2 * k - 1) * g * w ** p / p))
         elif abs(h[k]) <= vanish:
-            rows.append((k, p, 0.0, 0.0))
-    if not rows:
-        return out
-    k, p, g, back = (np.array(v) for v in zip(*rows))
-
-    def estimate(level, act, odd):
-        wts = tanh_sinh_nodes(level, odd)[1]
-        dist = np.stack(rho._node_points(level, odd)[1:])
-        vals = rho._node_values(level, odd)
-
-        def kernel(sel):
-            d = dist[k[sel]]
-            return (vals - g[sel, None] * d ** p[sel, None]) / d
-
-        return 0.5 * w * kernel_sums(kernel, act, wts)
-
-    sums = refine_levels(estimate, len(rows), spec, _START_LEVEL,
-                         f"end transforms of {rho.name!r}")
-    for end, s in zip(k, sums + back):
-        out[end] = float(s if end else -s)
+            rows.append((k, 0.0, p, 0.0))
+    if rows:
+        k, g, p, back = (np.array(v) for v in zip(*rows))
+        sums = _cauchy_far(rho, np.array(ends)[k], spec, (g, p)) + back
+        for end, s in zip(k, sums):
+            out[end] = float(s)
     return out
 
 

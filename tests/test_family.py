@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from secmeasure import (DenominatorZero, Density, DomainError,
-                        EvaluationFailure, Interval, InvalidParameter,
-                        catalog, denominator_root_scan, dirac_limit_check,
-                        equi_normality_check, family,
-                        family_density, family_transform, moment,
-                        moment0_curve, reducer, validate_parameter)
+                        EvaluationFailure, IntegralEquationProblem, Interval,
+                        InvalidDensity, InvalidParameter, catalog,
+                        denominator_root_scan, dirac_limit_check,
+                        equi_normality_check, family, family_density,
+                        family_transform, make_context, moment,
+                        moment0_curve, reducer, secondary_measure,
+                        solve_integral_equation, validate_parameter)
 import secmeasure.measures as measures
 import secmeasure.stieltjes as stieltjes
 from secmeasure.family import _FAMILY_CACHE_SIZE
@@ -140,6 +142,32 @@ def test_validity_statuses(cheb_u, uniform, spec):
     assert validate_parameter(uniform, 1.5, spec).validity == "invalid"
     with pytest.raises(InvalidParameter):
         family(uniform, 1.5, spec)
+
+
+def test_family_refuses_a_base_that_is_not_a_probability_density(
+        uniform, cheb_u, spec):
+    # rho_t is a probability density only for a probability base.  mu of
+    # the uniform density has mass d0 = 1/12: its rho_0.5 reads "proven",
+    # yet has mass 0.1538.  uniform at t = 1.3 is invalid, of mass 0.98.
+    # The mass is checked before validity is read; validate_parameter and
+    # moment0_curve stay raw.  cheb-u at t = 2 (cheb-t, mass 1 - 2e-9)
+    # and at t = 0.5 are probability bases.
+    mu = secondary_measure(uniform, spec)
+    for base in (mu, validate_parameter(uniform, 1.3, spec)):
+        with pytest.raises(InvalidDensity, match="has mass"):
+            family(base, 0.5, spec)
+        with pytest.raises(InvalidDensity):
+            make_context(base, 0.5, spec)
+        with pytest.raises(InvalidDensity):
+            solve_integral_equation(
+                IntegralEquationProblem(base, 0.5, np.exp), 0.5, spec)
+    with pytest.raises(InvalidDensity, match="0.0833333, not 1"):
+        family(mu, 3.0, spec)
+    assert "validity" not in validate_parameter(mu, 3.0, spec).__dict__
+    assert validate_parameter(mu, 0.5, spec).validity == "proven"
+    assert abs(moment0_curve(mu, 0.5, spec) - 0.1538461538) < 1e-9
+    for t in (2.0, 0.5):
+        assert family(family(cheb_u, t, spec), 0.9, spec).validity == "proven"
 
 
 def test_screen_stops_at_a_root(spec):
@@ -304,6 +332,28 @@ def test_h_vanishing_to_rounding_at_an_exponent_zero_end(spec):
     for t, want in ((1.01, "empirical"), (2.0, "empirical"),
                     (3.1, "empirical"), (3.3, "invalid")):
         assert validate_parameter(rho, t, spec).validity == want, t
+
+
+def test_end_rows_with_and_without_a_leading_term_in_one_far_call(
+        monkeypatch, spec):
+    # rho = C x^(1/2) (1 - x)(1 + x) on [0, 1], declared with exponents
+    # (0.5, 0): at 0 the row takes g x^(1/2) out, g = h(0) = C; at 1, where
+    # h vanishes, g = 0.  Both rows go through one refinement.
+    # S(0) = -C (2 - 2/5) = -4.2 and S(1) = C (2/3 + 2/5) = 2.8.
+    c = 1.0 / (2.0 / 3.0 - 2.0 / 7.0)
+    rho = Density(Interval(0.0, 1.0), lambda x: c * (1.0 - x) * (1.0 + x),
+                  EndpointExponents(0.5, 0.0), "both-rows")
+    seen = []
+
+    def spy(estimate, count, spec, start, what, real=stieltjes.refine_levels,
+            **kwargs):
+        seen.append((what, count))
+        return real(estimate, count, spec, start, what, **kwargs)
+
+    monkeypatch.setattr(stieltjes, "refine_levels", spy)
+    np.testing.assert_allclose(_end_transforms(rho, spec), [-4.2, 2.8],
+                               rtol=1e-13)
+    assert seen == [("end transforms of 'both-rows'", 2)]
 
 
 def test_end_transform_needs_h_finite_where_the_exponent_is_positive(spec):

@@ -9,9 +9,11 @@ Math. Comp. 23, 1969).  On that rule:
 
 * T(f) = sum_n <f, P_n> Q_n, since T(P_n) = Q_n, the secondary
   polynomials (Q_0 = 0, Q_1 = 1/b_1, then P's recurrence);
-* the solver's f = t V^{-1}(g) = d_0 + sqrt(t) sum_{n>=1} d_n P_n with
-  d_n = <g, P_n^t> on the rule of J_t, the Jacobi matrix with b_1 scaled by
-  sqrt(t), since V(1) = t and V(P_n) = sqrt(t) P_n^t for n >= 1.
+* V(f) = t c_0 + sqrt(t) sum_{n>=1} c_n P_n^t with c_n = <f, P_n>, since
+  V(1) = t and V(P_n) = sqrt(t) P_n^t for n >= 1, P^t the orthonormal
+  polynomials of J_t, the Jacobi matrix with b_1 scaled by sqrt(t);
+* V^{-1}(g) = d_0/t + t^{-1/2} sum_{n>=1} d_n P_n with d_n = <g, P_n^t> on
+  the rule of J_t, and the solver's f = t V^{-1}(g).
 
 The points include x within 1e-6 of both ends, where T's difference
 quotient falls back to a one-sided derivative next to a singular end."""
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from secmeasure import (Density, IntegralEquationProblem, Interval, apply_T,
+                        apply_V, apply_V_inverse, make_context,
                         solve_integral_equation)
 from secmeasure.quadrature import EndpointExponents
 
@@ -89,11 +92,22 @@ def oracle_T(a, b, f, x):
     return coefficients(a, b, f) @ secondary
 
 
-def oracle_solution(a, b, t, g, x):
+def codilated(b, t):
+    """b with b_1 scaled by sqrt(t): the rows of J_t."""
     bt = b.copy()
     bt[0] *= math.sqrt(t)
-    d = coefficients(a, bt, g)
+    return bt
+
+
+def oracle_solution(a, b, t, g, x):
+    d = coefficients(a, codilated(b, t), g)
     return d[0] + math.sqrt(t) * (d[1:] @ orthonormal(a[:TERMS], b, x)[1:])
+
+
+def oracle_V(a, b, t, f, x):
+    c = coefficients(a, b, f)
+    pt = orthonormal(a[:TERMS], codilated(b, t), x)
+    return t * c[0] + math.sqrt(t) * (c[1:] @ pt[1:])
 
 
 def _pole(x):
@@ -134,3 +148,21 @@ def test_oracle_against_closed_forms():
     np.testing.assert_allclose(oracle_T(*jacobi_rows(0.0, 0.0), _pole, POINTS),
                                -math.log(1 + 1 / 0.7) / (POINTS + 0.7),
                                rtol=2e-13, atol=0)
+
+
+@pytest.mark.parametrize("alpha, beta, t", [
+    (alpha, beta, t) for t in (0.5, 0.9) for alpha, beta in PAIRS]
+    + [(0.5, 0.5, 1.3)])
+@pytest.mark.parametrize("f", [_pole, np.exp], ids=["pole", "exp"])
+def test_V_and_its_inverse_match_the_jacobi_matrix(alpha, beta, t, f):
+    # At t = 1.3, rho_t of (0.5, 0.5) is a density ("empirical"), so J_t's
+    # rule has no node off the support.
+    a, b = jacobi_rows(alpha, beta)
+    ctx = make_context(jacobi_density(alpha, beta), t)
+    assert ctx.validity == ("proven" if t <= 1 else "empirical")
+    np.testing.assert_allclose(apply_V(ctx, f, POINTS),
+                               oracle_V(a, b, t, f, POINTS),
+                               rtol=1e-9, atol=0)
+    np.testing.assert_allclose(apply_V_inverse(ctx, f, POINTS),
+                               oracle_solution(a, b, t, f, POINTS) / t,
+                               rtol=1e-10, atol=0)
