@@ -8,10 +8,10 @@ closed-form solver for the induced integral equation.
 
 from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
                      EvaluationFailure, ExprSyntaxError,
-                     ExtrapolationDivergence, InstabilityDetected,
+                     ExtrapolationDivergence, InputError, InstabilityDetected,
                      InvalidDensity, InvalidParameter, NonConvergence,
-                     PointOnInterval, SecmeasureError, UnknownDensity,
-                     UnknownFunction)
+                     NumericalFailure, PointOnInterval, SecmeasureError,
+                     UnknownDensity, UnknownFunction)
 from .expressions import Expr, parse
 from .family import (FamilyDensity, denominator_root_scan, dirac_limit_check,
                      equi_normality_check, family, family_density,

@@ -4,8 +4,9 @@ secm <command> [flags] with commands moments, ortho, reducer, secondary,
 family density, family scan, roots, solve, verify, plot.  Tables render as
 CSV (17 significant digits) or JSON; plots are hand-emitted SVG.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 numerical failure (non-convergence or a non-finite value).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(ValueError), 3 numerical failure (ArithmeticError: non-convergence or a
+non-finite value).
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (DegenerateMeasure, DenominatorZero, DomainError,
-                     EvaluationFailure, ExprSyntaxError,
-                     ExtrapolationDivergence, InstabilityDetected,
-                     InvalidDensity, InvalidParameter, NonConvergence,
-                     PointOnInterval, UnknownDensity)
 from .expressions import parse as parse_expr
 from .family import denominator_root_scan, family_density, moment0_curve
 from .measures import CATALOG_NAMES, BaseDensity, catalog, moments, user_density
@@ -33,7 +29,7 @@ from .orthopoly import recurrence_coefficients
 from .quadrature import EndpointExponents, IntegrationSpec, Interval
 from .report import OutputTable
 from .stieltjes import reducer, secondary_measure
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -41,16 +37,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-_USAGE_ERRORS = (UnknownDensity, InvalidDensity, ExprSyntaxError, DomainError,
-                 InvalidParameter, PointOnInterval, ValueError)
-_NUMERICAL_ERRORS = (NonConvergence, EvaluationFailure, InstabilityDetected,
-                     ExtrapolationDivergence, DenominatorZero,
-                     DegenerateMeasure, FloatingPointError, OverflowError)
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_solve)
 
     sp = sub.add_parser("verify", help="run a reproduction suite")
-    sp.add_argument("--suite", choices=("paper", "quick"), default="paper")
+    sp.add_argument("--suite", choices=tuple(SUITES), default="paper")
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("plot", help="render one CSV column pair as an SVG")
@@ -223,16 +209,16 @@ def cmd_family_density(args, rho, spec):
 
 def cmd_family_scan(args, rho, spec):
     if not args.t_min < args.t_max:
-        raise UsageError(f"need --t-min < --t-max, got {args.t_min} and "
+        raise ValueError(f"need --t-min < --t-max, got {args.t_min} and "
                          f"{args.t_max}")
     if args.steps < 2:
-        raise UsageError(f"--steps must be at least 2, got {args.steps}")
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
     rows = []
     failed = False
     for t in np.linspace(args.t_min, args.t_max, args.steps):
         try:
             rows.append((float(t), moment0_curve(rho, float(t), spec)))
-        except _NUMERICAL_ERRORS:
+        except ArithmeticError:
             rows.append((float(t), math.nan))
             failed = True
     return ["t", "f"], rows, {}, EXIT_NUMERICAL if failed else EXIT_OK
@@ -278,9 +264,9 @@ def _read_xy(path: str, x_col: str, y_col: str):
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
-                raise UsageError(f"{path}: empty CSV")
+                raise ValueError(f"{path}: empty CSV")
             if x_col not in reader.fieldnames or y_col not in reader.fieldnames:
-                raise UsageError(
+                raise ValueError(
                     f"{path}: need columns {x_col!r} and {y_col!r}, "
                     f"have {reader.fieldnames}")
             pts = []
@@ -288,12 +274,12 @@ def _read_xy(path: str, x_col: str, y_col: str):
                 try:
                     pts.append((float(row[x_col]), float(row[y_col])))
                 except (TypeError, KeyError, ValueError) as exc:
-                    raise UsageError(f"{path}: malformed row {row}") from exc
+                    raise ValueError(f"{path}: malformed row {row}") from exc
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     pts = [(x, y) for x, y in pts if math.isfinite(x) and math.isfinite(y)]
     if len(pts) < 2:
-        raise UsageError(f"{path}: need at least two finite data rows")
+        raise ValueError(f"{path}: need at least two finite data rows")
     return pts
 
 
@@ -372,10 +358,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                             "tol": spec.rel_tol})
         sys.stdout.write(table.render(args.format))
         return code[0] if code else EXIT_OK
-    except (UsageError,) + _USAGE_ERRORS as exc:
+    except ValueError as exc:
         print(f"secm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"secm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,67 +1,76 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: every error is an
+InputError (a ValueError) or a NumericalFailure (an ArithmeticError)."""
 
 
 class SecmeasureError(Exception):
     """Base class for all package-specific failures."""
 
 
+class InputError(SecmeasureError, ValueError):
+    """The input is refused: outside the operation's domain or malformed."""
+
+
+class NumericalFailure(SecmeasureError, ArithmeticError):
+    """A computation on valid input did not produce a trustworthy value."""
+
+
 # --- quadrature ---
 
-class NonConvergence(SecmeasureError):
+class NonConvergence(NumericalFailure):
     """Refinement budget exhausted before the requested tolerance was met."""
 
 
-class EvaluationFailure(SecmeasureError):
+class EvaluationFailure(NumericalFailure):
     """An integrand or expression produced a non-finite value."""
 
 
 # --- measures ---
 
-class UnknownDensity(SecmeasureError):
+class UnknownDensity(InputError):
     """Requested catalog name does not exist."""
 
 
-class InvalidDensity(SecmeasureError):
+class InvalidDensity(InputError):
     """User-supplied density fails the probability checks."""
 
 
 # --- orthogonal polynomials ---
 
-class InstabilityDetected(SecmeasureError):
+class InstabilityDetected(NumericalFailure):
     """Recurrence construction lost orthogonality beyond the guard threshold."""
 
 
 # --- Stieltjes machinery ---
 
-class PointOnInterval(SecmeasureError):
+class PointOnInterval(InputError):
     """Transform argument is (numerically) on the support interval."""
 
 
-class DegenerateMeasure(SecmeasureError):
+class DegenerateMeasure(NumericalFailure):
     """Secondary measure has (numerically) zero mass."""
 
 
-class ExtrapolationDivergence(SecmeasureError):
+class ExtrapolationDivergence(NumericalFailure):
     """Stieltjes-Perron epsilon ladder did not produce a Cauchy sequence."""
 
 
-class DomainError(SecmeasureError):
+class DomainError(InputError):
     """Argument outside the mathematical domain of the operation."""
 
 
 # --- family / operators ---
 
-class DenominatorZero(SecmeasureError):
+class DenominatorZero(NumericalFailure):
     """Transform denominator vanished; the family parameter is invalid there."""
 
 
-class InvalidParameter(SecmeasureError):
+class InvalidParameter(InputError):
     """Family parameter (or derived t = 1/(1+lambda)) fails the validity policy."""
 
 
 # --- expression parsing ---
 
-class ExprSyntaxError(SecmeasureError):
+class ExprSyntaxError(InputError):
     """Malformed expression text.
 
     Attributes

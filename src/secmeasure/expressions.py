@@ -10,7 +10,8 @@ Grammar (whitespace insignificant)::
 
 Numbers are decimal literals with an optional exponent; there is no
 implicit multiplication.  Supported functions: sqrt, ln, exp, sin, cos,
-atan, abs.
+atan, abs.  Signs, powers, brackets and calls nest at most _MAX_NESTING
+deep, counted together (ExprSyntaxError past it).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ FUNCTIONS = {
 }
 _OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply,
               "/": np.divide, "^": np.power}
+_MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
@@ -65,6 +67,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self):
@@ -81,6 +84,15 @@ class _Parser:
             return self.advance()
         raise ExprSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}",
                               off, (op,))
+
+    def nested(self, parse, off):
+        """parse() one level deeper, for the operator or bracket at off."""
+        if self.depth == _MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING}", off)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         tree = self.expr()
@@ -106,14 +118,14 @@ class _Parser:
     def factor(self):
         base = self.unary()
         if self.cur[0] == "op" and self.cur[1] == "^":
-            self.advance()
-            return ("bin", "^", base, self.factor())
+            off = self.advance()[2]
+            return ("bin", "^", base, self.nested(self.factor, off))
         return base
 
     def unary(self):
         if self.cur[0] == "op" and self.cur[1] == "-":
-            self.advance()
-            return ("neg", self.unary())
+            off = self.advance()[2]
+            return ("neg", self.nested(self.unary, off))
         return self.primary()
 
     def primary(self):
@@ -129,12 +141,12 @@ class _Parser:
                 raise UnknownFunction(f"unknown function {text!r}", off,
                                       tuple(FUNCTIONS))
             self.expect_op("(")
-            arg = self.expr()
+            arg = self.nested(self.expr, off)
             self.expect_op(")")
             return ("call", text, arg)
         if kind == "op" and text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, off)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", off,

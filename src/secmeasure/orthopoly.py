@@ -14,7 +14,8 @@ pointwise with the operator
     T(f)(x) = int (f(u) - f(x)) / (u - x) rho(u) du,
 
 applied to P_n.  The families A_n = Q_{n+1} and B_n = (x - c_1) Q_{n+1} -
-P_{n+1} are orthonormal for the secondary measure.
+P_{n+1} are orthonormal for the secondary measure.  Within
+QUOTIENT_FALLBACK widths of x, ``derivative`` takes T's 0/0 quotient's place.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 from .errors import InstabilityDetected
 from .measures import BaseDensity
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _pointwise,
-                         QUOTIENT_FALLBACK, derivative, kernel_sums,
-                         tanh_sinh_nodes)
+                         kernel_sums, tanh_sinh_nodes)
 
 __all__ = [
     "RecurrenceCoefficients",
@@ -180,6 +180,35 @@ def secondary_polys(coeffs: RecurrenceCoefficients) -> PolynomialSequence:
 # ---------------------------------------------------------------------------
 # the secondary-polynomial operator T
 # ---------------------------------------------------------------------------
+
+# T's difference quotients (f(u)-f(x))/(u-x) are 0/0 at u = x; below this
+# relative separation they are replaced by a numerical derivative.
+QUOTIENT_FALLBACK = 1e-8
+DERIVATIVE_STEP = 1e-6
+
+
+def derivative(x: np.ndarray, lo: float, hi: float, scale: float):
+    """Derivative estimates of f at the points x, in two steps: returns the
+    points where f is needed and ``finish(fx, vals)``, the estimates from
+    fx = f(x) and f's values ``vals`` at those points.
+
+    The step is DERIVATIVE_STEP * scale.  Each point gets a centered
+    difference where x - step and x + step lie inside (lo, hi), and a
+    one-sided difference with the same step, towards the far end of the
+    interval, otherwise.
+    """
+    h = DERIVATIVE_STEP * scale
+    centered = (x - h > lo) & (x + h < hi)
+    step = np.where(centered | (x <= 0.5 * (lo + hi)), h, -h)
+
+    def finish(fx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        ahead, behind = vals[:len(x)], vals[len(x):]
+        out = (ahead - fx) / step
+        out[centered] = (ahead[centered] - behind) / (2.0 * h)
+        return out
+
+    return np.concatenate([x + step, x[centered] - h]), finish
+
 
 def _t_against_rule(xs: np.ndarray, fx: np.ndarray, dfx: np.ndarray,
                     u: np.ndarray, fu: np.ndarray, w: np.ndarray,

@@ -17,12 +17,6 @@ every coarser level a strided view of them.  Entry points:
                          endpoint distances come without cancellation, so
                          endpoint singularities, and sharp features placed
                          at an endpoint, are resolved.
-* ``derivative``      -- finite-difference derivatives at an array of points,
-                         centered where the interval allows and one-sided
-                         near its ends, in two steps (the offset points,
-                         then the differences); the fallback of the operator
-                         T's difference quotient as (u - x) -> 0, and of no
-                         other (the reducer needs none: ``stieltjes``).
 
 Integrands map an ndarray of abscissae to an ndarray of values, one per
 abscissa; a user callable that returns another shape raises TypeError.
@@ -48,7 +42,6 @@ __all__ = [
     "IntegrationSpec",
     "EndpointExponents",
     "DEFAULT_SPEC",
-    "derivative",
     "refine_levels",
     "tanh_sinh",
     "tanh_sinh_nodes",
@@ -96,7 +89,8 @@ class Interval:
 @dataclass(frozen=True)
 class IntegrationSpec:
     """Accuracy knobs shared by every quadrature call: finite positive
-    tolerances and an integer level cap >= 1 (ValueError otherwise)."""
+    tolerances and an integer level cap from 1 to 16 (ValueError
+    otherwise)."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -106,10 +100,13 @@ class IntegrationSpec:
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError(f"tolerances must be finite and positive, got "
                              f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
+        # Each level doubles the nodes.  An integral that never settles
+        # raises NonConvergence at the cap, after about 0.3 GB at 16 and
+        # twice that for each level more, until memory runs out first.
         levels = self.max_refinement_levels
-        if not (isinstance(levels, numbers.Integral) and levels >= 1):
-            raise ValueError(f"max_refinement_levels must be an integer >= 1, "
-                             f"got {levels!r}")
+        if not (isinstance(levels, numbers.Integral) and 1 <= levels <= 16):
+            raise ValueError(f"max_refinement_levels must be an integer from "
+                             f"1 to 16, got {levels!r}")
 
 
 DEFAULT_SPEC = IntegrationSpec()
@@ -280,35 +277,3 @@ def tanh_sinh(fn: Callable, interval: Interval,
 
     return refine_levels(estimate, 1, spec, 2, "tanh-sinh")[0]
 
-
-# ---------------------------------------------------------------------------
-# derivatives
-# ---------------------------------------------------------------------------
-
-# T's difference quotients (f(u)-f(x))/(u-x) are 0/0 at u = x; below this
-# relative separation they are replaced by a numerical derivative.
-QUOTIENT_FALLBACK = 1e-8
-DERIVATIVE_STEP = 1e-6
-
-
-def derivative(x: np.ndarray, lo: float, hi: float, scale: float):
-    """Derivative estimates of f at the points x, in two steps: returns the
-    points where f is needed and ``finish(fx, vals)``, the estimates from
-    fx = f(x) and f's values ``vals`` at those points.
-
-    The step is DERIVATIVE_STEP * scale.  Each point gets a centered
-    difference where x - step and x + step lie inside (lo, hi), and a
-    one-sided difference with the same step, towards the far end of the
-    interval, otherwise.
-    """
-    h = DERIVATIVE_STEP * scale
-    centered = (x - h > lo) & (x + h < hi)
-    step = np.where(centered | (x <= 0.5 * (lo + hi)), h, -h)
-
-    def finish(fx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        ahead, behind = vals[:len(x)], vals[len(x):]
-        out = (ahead - fx) / step
-        out[centered] = (ahead[centered] - behind) / (2.0 * h)
-        return out
-
-    return np.concatenate([x + step, x[centered] - h]), finish

@@ -1,8 +1,7 @@
 """Reproduction suite: every published reference value and identity.
 
 Each criterion function returns a list of VerificationReports; run_suite
-aggregates them.  The "paper" suite runs everything; "quick" runs a
-sub-10-second subset touching every module.
+aggregates them.  There is one suite, "paper", which runs every criterion.
 """
 
 from __future__ import annotations
@@ -310,12 +309,6 @@ SUITES = {
         criterion_barycentric,
         criterion_transform_relation,
         criterion_property_suites,
-    ),
-    "quick": (
-        criterion_reducer_closed_forms,
-        criterion_isometry_value,
-        criterion_barycentric,
-        criterion_transform_relation,
     ),
 }
 

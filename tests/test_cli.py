@@ -7,6 +7,7 @@ import sys
 import xml.dom.minidom
 
 import numpy as np
+import pytest
 
 
 def run(*args, **kw):
@@ -253,11 +254,73 @@ def test_numerical_failure_exit_three():
                "--g", "sin(1000*x)").returncode == 3
 
 
-def test_verify_quick_passes():
-    r = run("verify", "--suite", "quick")
-    assert r.returncode == 0
-    assert "FAIL" not in r.stdout
-    assert "pass" in r.stdout
+def test_one_suite(capsys):
+    from secmeasure import SUITES, cli, run_suite
+    assert list(SUITES) == ["paper"]
+    with pytest.raises(ValueError, match=r"unknown suite 'quick'; have \['paper'\]"):
+        run_suite("quick")
+    assert cli.main(["verify", "--suite", "quick"]) == 2
+    assert "invalid choice: 'quick'" in capsys.readouterr().err
+
+
+def test_every_package_error_is_an_input_error_or_a_numerical_failure():
+    # The exit status follows these two classes alone; an error class in
+    # neither escaped the command line as a traceback with exit 1.
+    from secmeasure import InputError, NumericalFailure, SecmeasureError
+    assert issubclass(InputError, ValueError)
+    assert issubclass(NumericalFailure, ArithmeticError)
+    leaves, todo = set(), [SecmeasureError]
+    while todo:
+        for c in todo.pop().__subclasses__():
+            todo.append(c)
+            leaves.add(c)
+    leaves -= {InputError, NumericalFailure}
+    assert len(leaves) == 13
+    for c in leaves:
+        assert issubclass(c, InputError) != issubclass(c, NumericalFailure), c
+
+
+def test_deep_nesting_exits_two(capsys):
+    # Both raised RecursionError in the parser: a traceback and exit 1.
+    from secmeasure import cli
+    assert cli.main(["moments", "--density-expr", "(" * 2000 + "x" + ")" * 2000,
+                     "--interval", "0", "1"]) == 2
+    assert cli.main(["solve", "--density", "cheb-u", "--lam", "0.5",
+                     "--g=" + "-" * 3000 + "x"]) == 2
+    assert capsys.readouterr().err.count(
+        "nesting deeper than 100 at offset 100") == 2
+
+
+def test_quad_levels_above_sixteen_exit_two(capsys):
+    # Each level doubles the nodes: an integral that never settled took
+    # memory instead of raising NonConvergence (1.1 GB at 18 levels; a
+    # traceback and exit 1 at 40 under a 1.5 GB limit).
+    from secmeasure import cli
+    assert cli.main(["--quad-levels", "17", "ortho", "--density",
+                     "uniform", "--n", "2"]) == 2
+    assert ("max_refinement_levels must be an integer from 1 to 16, got 17"
+            in capsys.readouterr().err)
+
+
+def test_refusals_exit_two(tmp_path, capsys):
+    from secmeasure import cli
+    one = tmp_path / "one.csv"
+    one.write_text("x,y\n0,0\n1,nan\n")
+    cases = [
+        (["moments", "--density-expr", "1", "--interval", "0", "inf"],
+         "interval endpoints must be finite, got [0.0, inf]"),
+        (["solve", "--density", "cheb-u", "--lam", "0.5", "--g", "x$"],
+         "unexpected character '$' at offset 1"),
+        (["family", "scan", "--density", "cheb-u", "--t-min", "0.5",
+          "--t-max", "1", "--steps", "1"], "--steps must be at least 2, got 1"),
+        (["plot", "--input", str(one), "--x-col", "x", "--y-col", "y",
+          "--output", str(tmp_path / "one.svg")],
+         "need at least two finite data rows"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "one.svg").exists()
 
 
 def test_csv_determinism():
@@ -293,6 +356,21 @@ def test_plot_two_points(tmp_path):
             "--output", str(out))
     assert r.returncode == 0
     assert out.read_text().count(",") >= 2
+
+
+def test_plot_of_a_flat_column(tmp_path):
+    from secmeasure import cli
+    flat = tmp_path / "flat.csv"
+    flat.write_text("x,y\n0,1\n1,1\n2,1\n")
+    svgs = []
+    for name in ("a.svg", "b.svg"):
+        assert cli.main(["plot", "--input", str(flat), "--x-col", "x",
+                         "--y-col", "y", "--output", str(tmp_path / name)]) == 0
+        svgs.append((tmp_path / name).read_text())
+    assert svgs[0] == svgs[1]
+    xml.dom.minidom.parseString(svgs[0])
+    # The flat axis is padded by half of max(1, |y|) on each side.
+    assert ">0.5</text>" in svgs[0] and ">1.5</text>" in svgs[0]
 
 
 def test_plot_errors(tmp_path):

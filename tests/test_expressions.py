@@ -92,3 +92,36 @@ def test_nonfinite_evaluation():
         parse("1/x").evaluate(0.0)
     with pytest.raises(EvaluationFailure):
         parse("ln(x)").evaluate(-1.0)
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 2000 + "x" + ")" * 2000, 100),
+    ("-" * 3000 + "x", 100),
+    ("x^" * 3000 + "x", 201),
+    ("sin(" * 500 + "x" + ")" * 500, 400),
+], ids=["brackets", "signs", "powers", "calls"])
+def test_deep_nesting_is_a_syntax_error(src, offset):
+    # Each of these raised RecursionError, which the command line does not
+    # catch: a traceback and exit 1.
+    with pytest.raises(ExprSyntaxError, match="nesting deeper than 100") as exc:
+        parse(src)
+    assert exc.value.offset == offset
+
+
+def test_nesting_of_one_hundred_parses():
+    for depth in (99, 100):
+        assert parse("(" * depth + "x" + ")" * depth).evaluate(2.0) == 2.0
+        assert parse("-" * depth + "x").evaluate(2.0) == (-1) ** depth * 2.0
+        assert parse("sin(" * depth + "0" + ")" * depth).evaluate(2.0) == 0.0
+        assert parse("1^" * depth + "x").evaluate(2.0) == 1.0
+    # Brackets, signs and powers count towards one depth.
+    inner, outer = "(" * 50 + "-(" * 25, ")" * 75
+    assert parse(inner + "x" + outer).evaluate(2.0) == (-1) ** 25 * 2.0
+    with pytest.raises(ExprSyntaxError, match="at offset 101"):
+        parse(inner + "x^x" + outer)
+
+def test_unexpected_character():
+    with pytest.raises(ExprSyntaxError, match=r"unexpected character '\$'"
+                       r" at offset 1") as exc:
+        parse("x$")
+    assert exc.value.offset == 1

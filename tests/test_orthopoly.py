@@ -7,11 +7,11 @@ from secmeasure import (DEFAULT_SPEC, Density, IntegrationSpec, Interval,
                         catalog, family, moment, user_density)
 from secmeasure.errors import InstabilityDetected, NonConvergence
 from secmeasure.measures import CATALOG_NAMES
-from secmeasure.orthopoly import (RecurrenceCoefficients, _t_against_rule,
-                                  apply_T, orthonormal_polys,
-                                  recurrence_coefficients, secondary_polys)
-from secmeasure.quadrature import (KERNEL_ENTRIES, QUOTIENT_FALLBACK,
-                                   EndpointExponents, derivative,
+from secmeasure.orthopoly import (QUOTIENT_FALLBACK, RecurrenceCoefficients,
+                                  _t_against_rule, apply_T, derivative,
+                                  orthonormal_polys, recurrence_coefficients,
+                                  secondary_polys)
+from secmeasure.quadrature import (KERNEL_ENTRIES, EndpointExponents,
                                    tanh_sinh_nodes)
 from secmeasure.stieltjes import secondary_measure
 

@@ -6,8 +6,9 @@ import pytest
 from secmeasure import (Density, EvaluationFailure, IntegrationSpec,
                         Interval, NonConvergence, apply_T, moment, reducer,
                         stieltjes_transform)
+from secmeasure.orthopoly import derivative
 from secmeasure.quadrature import (DEFAULT_SPEC, EndpointExponents,
-                                   derivative, tanh_sinh, tanh_sinh_nodes)
+                                   tanh_sinh, tanh_sinh_nodes)
 
 
 def test_interval_helpers():
@@ -37,6 +38,14 @@ def test_spec_rejects_non_finite_tolerances_and_fractional_levels(field, value):
     # cos(60x) against uniform read 0.02827, where sin(60)/60 = -0.00508.
     with pytest.raises(ValueError, match="got"):
         IntegrationSpec(**{field: value})
+
+
+def test_spec_caps_levels_at_sixteen():
+    # Each level doubles the nodes; the cap keeps an integral that never
+    # settles to about 0.3 GB before it raises NonConvergence.
+    assert IntegrationSpec(max_refinement_levels=16).max_refinement_levels == 16
+    with pytest.raises(ValueError, match="from 1 to 16, got 17"):
+        IntegrationSpec(max_refinement_levels=17)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
