@@ -11,17 +11,24 @@ class InputError(SecmeasureError, ValueError):
 
 
 class NumericalFailure(SecmeasureError, ArithmeticError):
-    """A computation on valid input did not produce a trustworthy value."""
+    """A computation on valid input did not produce a trustworthy value;
+    keyword fields, such as the level loop's, become attributes."""
+
+    def __init__(self, message, **fields):
+        super().__init__(message)
+        self.__dict__.update(fields)
 
 
 # --- quadrature ---
 
 class NonConvergence(NumericalFailure):
-    """Refinement budget exhausted before the requested tolerance was met."""
+    """Refinement budget exhausted before the requested tolerance was met;
+    from the level loop with what, level, unsettled, count, gap, tolerance."""
 
 
 class EvaluationFailure(NumericalFailure):
-    """An integrand or expression produced a non-finite value."""
+    """An integrand or expression produced a non-finite value; from the
+    level loop with the fields what and level."""
 
 
 # --- measures ---

@@ -11,7 +11,9 @@ Grammar (whitespace insignificant)::
 Numbers are decimal literals with an optional exponent; there is no
 implicit multiplication.  Supported functions: sqrt, ln, exp, sin, cos,
 atan, abs.  Signs, powers, brackets and calls nest at most _MAX_NESTING
-deep, counted together (ExprSyntaxError past it).
+deep, counted together, and the tree, a node for each sign, operator and
+call, is at most _MAX_NESTING nodes tall, however long a chain of '+' or
+'*' (ExprSyntaxError past either).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
+        self.height = 0  # of the tree parsed last
 
     @property
     def cur(self):
@@ -94,6 +97,23 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def grown(self, node, off, left=0):
+        """node, made at off over the subtree parsed last and one ``left``
+        nodes tall."""
+        below = max(left, self.height)
+        if below == _MAX_NESTING:
+            raise ExprSyntaxError(f"tree taller than {_MAX_NESTING}", off)
+        self.height = below + 1
+        return node
+
+    def chain(self, ops, operand):
+        """operand (ops operand)*, left-associative."""
+        node = operand()
+        while self.cur[0] == "op" and self.cur[1] in ops:
+            left, (_, op, off) = self.height, self.advance()
+            node = self.grown(("bin", op, node, operand()), off, left)
+        return node
+
     def parse(self):
         tree = self.expr()
         kind, text, off = self.cur
@@ -102,34 +122,28 @@ class _Parser:
         return tree
 
     def expr(self):
-        node = self.term()
-        while self.cur[0] == "op" and self.cur[1] in "+-":
-            op = self.advance()[1]
-            node = ("bin", op, node, self.term())
-        return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while self.cur[0] == "op" and self.cur[1] in "*/":
-            op = self.advance()[1]
-            node = ("bin", op, node, self.factor())
-        return node
+        return self.chain("*/", self.factor)
 
     def factor(self):
-        base = self.unary()
+        base, left = self.unary(), self.height
         if self.cur[0] == "op" and self.cur[1] == "^":
             off = self.advance()[2]
-            return ("bin", "^", base, self.nested(self.factor, off))
+            power = self.nested(self.factor, off)
+            return self.grown(("bin", "^", base, power), off, left)
         return base
 
     def unary(self):
         if self.cur[0] == "op" and self.cur[1] == "-":
             off = self.advance()[2]
-            return ("neg", self.nested(self.unary, off))
+            return self.grown(("neg", self.nested(self.unary, off)), off)
         return self.primary()
 
     def primary(self):
         kind, text, off = self.cur
+        self.height = 0
         if kind == "num":
             self.advance()
             return ("num", float(text))
@@ -143,7 +157,7 @@ class _Parser:
             self.expect_op("(")
             arg = self.nested(self.expr, off)
             self.expect_op(")")
-            return ("call", text, arg)
+            return self.grown(("call", text, arg), off)
         if kind == "op" and text == "(":
             self.advance()
             node = self.nested(self.expr, off)

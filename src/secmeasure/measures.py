@@ -28,7 +28,8 @@ from .errors import (DomainError, InvalidDensity, NonConvergence,
                      UnknownDensity)
 from .quadrature import (DEFAULT_SPEC, ODD, EndpointExponents,
                          IntegrationSpec, Interval, _call, _pointwise,
-                         kernel_sums, refine_levels, tanh_sinh_nodes)
+                         kernel_sums, level_sums, level_weights,
+                         refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "BaseDensity",
@@ -135,7 +136,8 @@ class BaseDensity:
         def estimate(level, act, odd):
             nonlocal top
             top = level
-            return self._rule_at_level(level, odd)[1].sum()[None]
+            return [w.sum()[None] for w in
+                    level_weights(self._rule_at_level(level, odd)[1], odd)]
 
         what = f"weighted rule of {self.name!r}"
         refine_levels(estimate, 1, spec, 2, what)
@@ -156,23 +158,22 @@ class BaseDensity:
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
                 count: int = 1, settle: Optional[Callable] = None):
-        """``evaluate(x, w, g)``, ``count`` sums over the nodes x with
-        weights w stacked along the first axis, on the cached rule, each
-        refined until two levels agree (arrays compared in max-norm); g are
-        the nodes' exact coordinates on (-1, 1), x = midpoint + half width
-        g.  The first level is the rule's coarser one in full; later levels
-        pass only their odd-k nodes, the rule's and then new ones up to the
-        rule's own cap, level 2 + max_refinement_levels, their density
-        values read from the node values.  ``settle`` is
+        """``evaluate(x, ws, g)``, the ``level_sums`` of the nodes x with the
+        weights ws, each ``count`` sums stacked along the first axis, on the
+        cached rule, refined until two levels agree (arrays compared in
+        max-norm); g are the nodes' exact coordinates on (-1, 1), x =
+        midpoint + half width g.  The first pass is the rule's nodes, for it
+        and the level before; later levels pass only their odd-k nodes, up
+        to the rule's own cap, level 2 + max_refinement_levels, their
+        density values read from the node values.  ``settle`` is
         ``refine_levels``' hook: it maps the sums to the values compared."""
         rule = self.rule(spec)
 
         def estimate(level, act, odd):
-            x, w = ((rule.x[::2], 2.0 * rule.w[::2]) if not odd
-                    else (rule.x[ODD], rule.w[ODD]) if level == rule.level
-                    else self._rule_at_level(level, odd))
+            x, w = self._rule_at_level(level, odd) if odd else (rule.x, rule.w)
             g = tanh_sinh_nodes(level, odd)[0]
-            return np.asarray(evaluate(x, w, g))[act]
+            return [np.asarray(s)[act]
+                    for s in evaluate(x, level_weights(w, odd), g)]
 
         return refine_levels(estimate, count, spec, 2,
                              f"{what} against {self.name!r}",
@@ -180,8 +181,8 @@ class BaseDensity:
 
     def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
         """Integral of f against this density, refined until levels agree."""
-        return self._refine(lambda x, w, _: (w @ _call(f, x))[None], spec,
-                            "weighted integral")[0]
+        return self._refine(lambda x, ws, _: [s[None] for s in level_sums(
+            _call(f, x), ws)], spec, "weighted integral")[0]
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
         """Total mass: the sum of the cached rule's weights."""

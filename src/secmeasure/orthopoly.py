@@ -158,8 +158,8 @@ def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
             prev, s = s, q / b
         return np.array(alpha + beta[:-1])[None], None
 
-    rows = rho._refine(lambda x, w, g: w.sum()[None], spec, "recurrence",
-                       settle=stieltjes)[0]
+    rows = rho._refine(lambda x, ws, g: [w.sum()[None] for w in ws], spec,
+                       "recurrence", settle=stieltjes)[0]
     half = 0.5 * rho.interval.width
     a = rho.interval.midpoint + half * rows[:MAX_DEGREE]
     b = half * rows[MAX_DEGREE:]
@@ -211,9 +211,9 @@ def derivative(x: np.ndarray, lo: float, hi: float, scale: float):
 
 
 def _t_against_rule(xs: np.ndarray, fx: np.ndarray, dfx: np.ndarray,
-                    u: np.ndarray, fu: np.ndarray, w: np.ndarray,
-                    near_tol: float) -> np.ndarray:
-    """A level's sums of f's difference quotients, f(x) = fx and f(u) = fu,
+                    u: np.ndarray, fu: np.ndarray, ws: tuple,
+                    near_tol: float) -> list:
+    """``kernel_sums`` of f's difference quotients, f(x) = fx and f(u) = fu,
     the derivative dfx in the place of those with |u - x| < near_tol."""
 
     def kernel(blk):
@@ -222,19 +222,19 @@ def _t_against_rule(xs: np.ndarray, fx: np.ndarray, dfx: np.ndarray,
         K = (fu[None, :] - fx[blk, None]) / np.where(near, 1.0, den)
         return np.where(near, dfx[blk, None], K)
 
-    return kernel_sums(kernel, np.arange(len(xs)), w)
+    return kernel_sums(kernel, np.arange(len(xs)), ws)
 
 
 def _apply_T(rho: BaseDensity, f: Callable, xs: np.ndarray,
              spec: IntegrationSpec) -> tuple:
-    """(T(f)(xs), f(xs)) for a flat array xs.  f's one call per level holds
-    the xs off the first level's nodes, the new nodes and new rows' offsets."""
+    """(T(f)(xs), f(xs)) for a flat array xs.  f's one call per pass holds
+    its new nodes, the xs off the first's and new rows' offsets."""
     iv = rho.interval
     near_tol = QUOTIENT_FALLBACK * iv.width
     fx = dfx = None
     todo = np.ones(len(xs), dtype=bool)
 
-    def level(u, w, _):
+    def level(u, ws, _):
         nonlocal fx, dfx
         # u ascends, so the node nearest each x is one of its two neighbours.
         j = np.clip(np.searchsorted(u, xs), 1, len(u) - 1)
@@ -256,7 +256,8 @@ def _apply_T(rho: BaseDensity, f: Callable, xs: np.ndarray,
             dfx = np.zeros(len(xs), dtype=np.result_type(vals, float))
         if len(rows):
             dfx[rows] = finish(fx[rows], vals[n + len(u):])
-        return _t_against_rule(xs, fx, dfx, u, fu, w, near_tol)[None]
+        return [s[None]
+                for s in _t_against_rule(xs, fx, dfx, u, fu, ws, near_tol)]
 
     return rho._refine(level, spec, "T")[0], fx
 
@@ -268,9 +269,10 @@ def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
     The difference quotient is evaluated on the density's cached rule and
     refined with it until two levels agree (NonConvergence past the rule's
     level cap); where a node falls within 1e-8 interval widths of x, the
-    derivative of f takes the quotient's place.  Each level calls f once,
-    on its new nodes, the x off the first level's nodes and the difference
-    offsets of the x that first fall back.  Works for complex f (e.g.
-    resolvent kernels).  A 0-d x gives a Python scalar, else x's shape.
+    derivative of f takes the quotient's place.  f is called once per pass,
+    on its new nodes (both first levels' on the first), the x off the first
+    pass's nodes and the difference offsets of the x that first fall back.
+    Works for complex f (e.g. resolvent kernels).  A 0-d x gives a Python
+    scalar, else x's shape.
     """
     return _pointwise(lambda xs: _apply_T(rho, f, xs, spec)[0], x)

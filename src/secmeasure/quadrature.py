@@ -4,15 +4,17 @@ Every integral here is a tanh-sinh (double exponential) rule refined until
 two levels agree.  Level L's nodes are the even-k nodes of level L+1, bit
 for bit, at half the weight, so (as in Takahasi and Mori's scheme, mpmath's
 ``TanhSinh.sum_next``) a refinement evaluates each later level only at the
-odd-k nodes it adds and adds half the previous level's sum.  A density
-keeps its values at the nodes of the finest level reached (``measures``),
-every coarser level a strided view of them.  Entry points:
+odd-k nodes it adds and adds half the previous level's sum; as none stops
+at its first level, its first pass evaluates the next level's nodes for
+both.  A density keeps its values at the nodes of the finest level reached
+(``measures``), every coarser level a strided view of them.  Entry points:
 
 * ``refine_levels``   -- the one tanh-sinh level loop, through which every
                          integral in the package goes: a batch of integrals
                          refined together, each stopping on its own test.
 * ``kernel_sums``     -- every rows x nodes kernel sum, formed in blocks of
-                         at most KERNEL_ENTRIES entries.
+                         at most KERNEL_ENTRIES entries, for one level or a
+                         first pass's two (``level_sums``).
 * ``tanh_sinh``       -- integral of ``fn(x, dist_left, dist_right)``; the
                          endpoint distances come without cancellation, so
                          endpoint singularities, and sharp features placed
@@ -193,34 +195,37 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     """The one tanh-sinh level loop: refines ``count`` integrals together
     and returns their values stacked along the first axis.
 
-    ``estimate(level, act, odd)`` returns the sums of the elements indexed
-    by the array ``act`` (an element may be an array, compared in
-    max-norm) over all of the level's nodes at the first level, and after
-    it (``odd``) over its odd-k nodes, to which the loop adds half the
-    previous level's sums.  The estimates are the sums, or the first of
-    ``settle(level, act, sums)``, run right after the level's ``estimate``,
-    whose second is a per-element ``floor``.  An element settles at the
-    first level where max|cur - prev| <= max(abs_tol, rel_tol max|cur|,
-    floor).  Levels run from ``first`` (default ``start``) to
-    start + max_refinement_levels; ``what`` names the integrals in
-    NonConvergence, and in the EvaluationFailure raised at the first level
-    whose estimates are not all finite.
-    """
+    ``estimate(level, act, odd)`` returns a list of sums of the elements
+    indexed by the array ``act`` (an element may be an array, compared in
+    max-norm): on the first pass, not ``odd``, two from ``level``'s nodes,
+    the level before's sums (its even-k ones) and ``level``'s over its odd-k
+    ones (``level_weights``); after it, one, over the odd-k nodes.  To
+    those the loop adds half the previous level's sums.  The estimates are
+    the sums, or the first of ``settle(level, act, sums)``, run on each
+    level's in turn, whose second is a per-element ``floor``.  An element
+    settles at the first level where max|cur - prev| <= max(abs_tol,
+    rel_tol max|cur|, floor).  Levels run from ``first`` (default
+    ``start``) to start + max_refinement_levels; ``what`` names the
+    integrals in NonConvergence, and in the EvaluationFailure raised at the
+    first level whose estimates are not all finite, with the fields."""
     act = np.arange(count)
-    sums = est = None
+    sums = est = odd = None
     # A non-finite estimate raises below; numpy's warnings about forming it
     # would only repeat that.
     with np.errstate(invalid="ignore", divide="ignore"):
         for level in range(start if first is None else first,
                            start + spec.max_refinement_levels + 1):
-            new = estimate(level, act, sums is not None)
             if sums is None:
+                new, odd = estimate(level + 1, act, False)
                 sums = new.copy()
             else:
-                new = sums[act] = 0.5 * sums[act] + new
+                odd = estimate(level, act, True)[0] if odd is None else odd
+                new = sums[act] = 0.5 * sums[act] + odd
+                odd = None
             cur, floor = settle(level, act, new) if settle else (new, None)
             if not np.isfinite(cur).all():
-                raise EvaluationFailure(f"{what} is not finite at level {level}")
+                raise EvaluationFailure(f"{what} is not finite at level {level}",
+                                        what=what, level=level)
             if est is None:
                 est = cur.copy()
                 continue
@@ -239,23 +244,41 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     worst = np.argmax(gap / tol)
     raise NonConvergence(
         f"{what} did not settle by level {level}: {len(act)} of {count} "
-        f"unsettled, worst gap {gap[worst]:.3e} against tolerance {tol[worst]:.3e}")
+        f"unsettled, worst gap {gap[worst]:.3e} against tolerance {tol[worst]:.3e}",
+        what=what, level=level, unsettled=len(act), count=count,
+        gap=float(gap[worst]), tolerance=float(tol[worst]))
 
 
-def kernel_sums(kernel: Callable, rows: np.ndarray,
-                w: np.ndarray) -> np.ndarray:
-    """``kernel(block) @ w`` over consecutive blocks of the array ``rows``
-    (indices, or the rows' own parameters), concatenated along the rows
-    axis: the last, or the second-last for a ``w`` of several columns, one
-    sum per column.  ``kernel(block)`` puts the block's rows on its
-    second-last axis and the ``len(w)`` nodes on its last; a block has at
-    most KERNEL_ENTRIES // len(w) rows, and one at least, so that no
-    temporary grows with the number of rows; an empty ``rows`` is one empty
-    block, which gives the result's leading shape."""
-    step = max(1, KERNEL_ENTRIES // len(w))
-    return np.concatenate([kernel(rows[s:s + step]) @ w
-                           for s in range(0, max(len(rows), 1), step)],
-                          axis=-np.ndim(w))
+def level_weights(w: np.ndarray, odd: bool) -> tuple:
+    """An ``estimate`` call's weights from its level's w: (w,) for odd-k
+    nodes; on a first pass, the first level's, 2 w[::2], and w[ODD]."""
+    return (w,) if odd else (2.0 * w[::2], w[ODD])
+
+
+def level_sums(vals: np.ndarray, ws: tuple) -> list:
+    """vals (nodes on the last axis) @ each of ``level_weights``; for a
+    first pass's two, a contiguous copy of the even-k and of the odd-k
+    columns, as each level's own call would form its sum."""
+    if len(ws) == 1:
+        return [vals @ ws[0]]
+    return [np.ascontiguousarray(vals[..., part]) @ w
+            for part, w in zip((slice(None, None, 2), ODD), ws)]
+
+
+def kernel_sums(kernel: Callable, rows: np.ndarray, ws: tuple) -> list:
+    """``level_sums(kernel(block), ws)`` over consecutive blocks of the
+    array ``rows`` (indices, or the rows' own parameters), each sum
+    concatenated along the rows axis: the last, or the second-last for a
+    weight of several columns, one sum per column.  ``kernel(block)`` puts
+    the block's rows on its second-last axis and the nodes of ``ws`` on
+    its last; a block has at most KERNEL_ENTRIES // nodes rows, and one at
+    least, so that no temporary grows with the number of rows; an empty
+    ``rows`` is one empty block, which gives the result's leading shape."""
+    step = max(1, KERNEL_ENTRIES // sum(map(len, ws)))
+    blocks = [level_sums(kernel(rows[s:s + step]), ws)
+              for s in range(0, max(len(rows), 1), step)]
+    return [np.concatenate(part, axis=-np.ndim(w))
+            for part, w in zip(zip(*blocks), ws)]
 
 
 def tanh_sinh(fn: Callable, interval: Interval,
@@ -273,7 +296,7 @@ def tanh_sinh(fn: Callable, interval: Interval,
     def estimate(level, act, odd):
         g, w, dm, dp = tanh_sinh_nodes(level, odd)
         vals = np.asarray(fn(mid + half * g, half * dp, half * dm))
-        return half * (w @ vals)[None]
+        return [half * s[None] for s in level_sums(vals, level_weights(w, odd))]
 
     return refine_levels(estimate, 1, spec, 2, "tanh-sinh")[0]
 

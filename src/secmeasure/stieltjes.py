@@ -34,7 +34,7 @@ from .errors import (DegenerateMeasure, DomainError, EvaluationFailure,
                      ExtrapolationDivergence, PointOnInterval)
 from .measures import BaseDensity, Density, _served, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, kernel_sums,
-                         refine_levels, tanh_sinh_nodes)
+                         level_weights, refine_levels, tanh_sinh_nodes)
 
 __all__ = [
     "SecondaryMeasure",
@@ -87,8 +87,9 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     estimate is F_L = (1 - c_L) R_L + 2 c_L O_L + rho(x) ln(dxl/dxr), R_L
     the nested sum over the level's nodes and O_L its part over the odd-k
     nodes, which ``estimate`` keeps for ``settle``: the first level's second
-    column, then each later level's sums.  Each row sums the integral and
-    its magnitude, factored alike, for the rounding floor.
+    column and the next level's sums on the first pass, then each later
+    level's.  Each row sums the integral and its magnitude, factored alike,
+    for the rounding floor.
     """
     half = 0.5 * rho.interval.width
     ratio = np.log(dxl / dxr)
@@ -96,10 +97,9 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     # The log term and its magnitude, added to each row's two sums.
     log_term = rx * ratio
     base = np.stack([log_term, np.abs(log_term)], axis=1)
-    odd_sums = None
+    odd_sums = {}
 
     def estimate(level, act, odd):
-        nonlocal odd_sums
         w = tanh_sinh_nodes(level, odd)[1]
         dl, dr = rho._node_points(level, odd)[1:]
         ru = rho._node_values(level, odd)
@@ -117,18 +117,19 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
             np.abs(quot, out=out[1])
             return out
 
-        if odd:
-            odd_sums = half * kernel_sums(kernel, act, w).T
-            return odd_sums
-        # The first level's sums over all its nodes and over the odd-k ones.
-        both = half * kernel_sums(
-            kernel, act, np.stack([w, w * (np.arange(len(w)) % 2)], axis=1))
-        odd_sums = both[..., 1].T
-        return both[..., 0].T
+        ws = level_weights(w, odd)
+        if not odd:  # the first level's sums over all nodes and odd-k ones
+            c = ws[0]
+            ws = (np.stack([c, c * (np.arange(len(c)) % 2)], axis=1), ws[1])
+        sums = [half * s.T for s in kernel_sums(kernel, act, ws)]
+        if not odd:
+            (sums[0], odd_sums[level - 1]) = sums[0]
+        odd_sums[level] = sums[-1]
+        return sums
 
     def settle(level, act, sums):
         c = np.cos(math.pi * 2.0 ** level * sigma[act])[:, None]
-        f = (1.0 - c) * sums + 2 * c * odd_sums + base[act]
+        f = (1.0 - c) * sums + 2 * c * odd_sums.pop(level) + base[act]
         return f[:, 0], _ROUNDING_FLOOR * f[:, 1]
 
     return 2.0 * refine_levels(estimate, len(rx), spec, _START_LEVEL,
@@ -198,7 +199,7 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
     the closed-form log carries the near-singular part.  Each z splits the
     support once, at x0, into the pieces [a, x0] and [x0, b], which are the
     rows of one batched tanh-sinh refinement.  z with the same x0 share
-    their pieces: rho is evaluated once per distinct x0, and once per level
+    their pieces: rho is evaluated once per distinct x0, and once per pass
     on each piece that a block of rows (``kernel_sums``) holds, however
     many rows hold it; while one block holds all the rows, Perron's ladder
     at one x0 costs what its slowest z costs alone.  Tanh-sinh clusters each piece's nodes at both of
@@ -234,7 +235,8 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
             zt = np.where(left[p, None], dr, -dl)[of_row] + iy[sel, None]
             return (vals.reshape(t.shape)[of_row] - w0_row[sel, None]) / zt
 
-        return half[piece[act]] * kernel_sums(kernel, act, w)
+        return [half[piece[act]] * s
+                for s in kernel_sums(kernel, act, level_weights(w, odd))]
 
     rows = refine_levels(estimate, 2 * n, spec, 2,
                          f"near-cut transform of {rho.name!r}")
@@ -272,7 +274,8 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
             g, p = (v[sel, None] for v in lead)
             return (vals - g * np.where(near, dl, dr) ** p) / den
 
-        return half * kernel_sums(kernel, act, w)
+        return [half * s
+                for s in kernel_sums(kernel, act, level_weights(w, odd))]
 
     what = "transform" if lead is None else "end transforms"
     return refine_levels(estimate, len(zs), spec, _START_LEVEL,

@@ -120,16 +120,25 @@ def levels(monkeypatch):
 
 
 def assert_one_call_per_level(args, levels, interval, what="T against"):
-    """The arguments ``args`` of a counted callable are one per level of
-    the recorded ``levels`` whose name starts with ``what``, and each holds
-    the nodes its level adds on ``interval``, in order, as one run."""
+    """The arguments ``args`` of a counted callable are one per pass of the
+    recorded ``levels`` whose name starts with ``what``: the first pass
+    holds all 8 2^L + 1 nodes of its level L on ``interval`` (the first
+    level's next), each later one the odd-k nodes of the level after, each
+    in order as one run; and no node is evaluated twice, the arguments
+    holding as many nodes' values as the runs do."""
     ran = [(level, odd) for name, level, odd in levels
            if name.startswith(what)]
     assert len(ran) >= 1
     assert len(args) == len(ran)
+    first = ran[0][0]
+    assert ran == [(first + k, k > 0) for k in range(len(ran))]
     half, mid = 0.5 * interval.width, interval.midpoint
-    for arg, (level, odd) in zip(args, ran):
-        nodes = mid + half * tanh_sinh_nodes(level, odd)[0]
+    runs = [mid + half * tanh_sinh_nodes(level, odd)[0] for level, odd in ran]
+    assert len(runs[0]) == 8 * 2 ** first + 1
+    for arg, nodes, (level, odd) in zip(args, runs, ran):
         starts = np.flatnonzero(arg == nodes[0])
         assert any(np.array_equal(arg[s:s + len(nodes)], nodes)
                    for s in starts), (level, odd)
+    every = np.concatenate(runs)
+    assert sum(np.count_nonzero(np.isin(arg, every)) for arg in args) \
+        == len(every)

@@ -4,9 +4,9 @@ secmeasure: set-up and the first ops of three workloads, seed 1.
 transform-scan runs its whole first pass of 40 inputs, so that a validity
 screen answer the oracle rejects fails here; the other two run three ops.
 The full benchmark tests (``python -m pytest perfbench``) take over a
-minute; this catches a broken call in a few seconds.  Two more tests bound
-the user points (the deterministic work count) of the first three ops.
-It only imports ``perfbench/`` and writes nothing there.
+minute; this catches a broken call in a few seconds.  More tests bound
+the user points and calls (the deterministic work counts) of the first
+three ops.  It only imports ``perfbench/`` and writes nothing there.
 """
 
 import sys
@@ -78,3 +78,26 @@ def test_benchmark_ops_read_kept_node_values(perfbench, name):
         wl.op(i)
     count, share = _POINTS_BEFORE_NODE_VALUES[name]
     assert tracer.points - before <= share * count
+
+
+# User calls of ops 0-2, seed 1, after set-up, while every refinement
+# evaluated its first level apart from the next level's odd-k nodes: 31
+# (density-sweep), 37 (transform-scan) and 59 (operator-solve).  One first
+# pass for both brought them to 25, 28 and 34; each bound fails on the
+# count before.
+_CALLS_BEFORE_FIRST_PASS = {"density-sweep": (31, 0.85),
+                            "transform-scan": (37, 0.8),
+                            "operator-solve": (59, 0.6)}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS_BEFORE_FIRST_PASS))
+def test_benchmark_ops_call_once_for_both_first_levels(perfbench, name):
+    Tracer, WORKLOADS = perfbench
+    tracer = Tracer(False)
+    wl = WORKLOADS[name](tracer, 1)
+    wl.setup()
+    before = tracer.calls
+    for i in range(3):
+        wl.op(i)
+    count, share = _CALLS_BEFORE_FIRST_PASS[name]
+    assert tracer.calls - before <= share * count

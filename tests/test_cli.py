@@ -216,6 +216,14 @@ def test_usage_errors_that_were_numerical_failures_exit_two():
                "nan").returncode == 2
 
 
+def test_long_sum_exits_two():
+    # 3,000 ones in one sum died in a RecursionError traceback, exit 1.
+    r = run("reducer", "--density-expr", "+".join(["1"] * 3000) + "-2999",
+            "--interval", "0", "1", "--x", "0.5")
+    assert r.returncode == 2
+    assert "tree taller than 100" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_non_finite_exponents_exit_two():
     # --alpha nan exited 3 ("not finite at level 2"); inf exited 2 only
     # because the mass underflowed.

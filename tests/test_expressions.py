@@ -120,6 +120,30 @@ def test_nesting_of_one_hundred_parses():
     with pytest.raises(ExprSyntaxError, match="at offset 101"):
         parse(inner + "x^x" + outer)
 
+@pytest.mark.parametrize("src, offset", [
+    ("+".join(["1"] * 3000) + "-2999", 201),
+    ("*".join(["x"] * 3000), 201),
+    ("(" * 40 + "x" + ("+1" * 50 + ")") * 40, 243),
+], ids=["sum", "product", "chains in brackets"])
+def test_long_chains_are_a_syntax_error(src, offset):
+    # A chain of '+' or '*' is a left-deep tree as tall as it is long, and
+    # evaluating or printing it recursed once per link: RecursionError.
+    with pytest.raises(ExprSyntaxError, match="tree taller than 100") as exc:
+        parse(src)
+    assert exc.value.offset == offset
+
+
+def test_tree_of_one_hundred_parses():
+    for links in (99, 100):
+        e = parse("+".join(["1"] * (links + 1)))
+        assert e.evaluate(0.0) == links + 1
+        assert parse(e.canonical()) == e
+    # Signs, calls, powers and chain links count towards one height.
+    assert parse("-" * 50 + "x" + "*x" * 50).evaluate(1.0) == 1.0
+    with pytest.raises(ExprSyntaxError, match="at offset 151"):
+        parse("-" * 50 + "x" + "*x" * 51)
+
+
 def test_unexpected_character():
     with pytest.raises(ExprSyntaxError, match=r"unexpected character '\$'"
                        r" at offset 1") as exc:

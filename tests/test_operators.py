@@ -76,7 +76,7 @@ _F_PLUS_T = {
 @pytest.mark.parametrize("name", sorted(_F_PLUS_T))
 def test_operators_call_f_once_per_level_of_T(name, cheb_u, counted, spec,
                                               levels):
-    # f(x) comes from T's own calls, one per level, the first holding x.
+    # f(x) comes from T's own calls, one per pass, the first holding x.
     ctx = make_context(cheb_u, 0.5, spec)
     xs = cheb_u.interval.interior_grid(30, 2e-3)
     f = counted(_poly3)
@@ -87,15 +87,16 @@ def test_operators_call_f_once_per_level_of_T(name, cheb_u, counted, spec,
 
 
 def test_isometry_check_call_count(cheb_u, counted, spec):
-    # The mean, the left side's inner product, and one call per level of T
-    # for each level of rho_t's rule on the right: 11 calls, where calling
-    # f at x apart from the nodes, for V apart from T, twice per level for
-    # the inner product and again for each level's difference offsets made
-    # 24.
+    # The mean, the left side's inner product, and one call per pass of T
+    # for rho_t's rule on the right, whose first two levels are one batch:
+    # 5 calls.  Running each first level apart from the next made 11, and
+    # calling f at x apart from the nodes, for V apart from T, twice per
+    # level for the inner product and again for each level's difference
+    # offsets made 24.
     ctx = make_context(cheb_u, 1.35, spec)
     f = counted(lambda x: x ** 3 - 0.5 * x + 0.25)
     assert isometry_check(ctx, f, spec).passed
-    assert len(f.args) <= 11
+    assert len(f.args) <= 5
 
 
 def test_isometry_random_polynomials(cheb_u, uniform, spec, rng):

@@ -71,18 +71,19 @@ def test_tanh_sinh_nodes_nest():
 
 def test_refinement_evaluates_each_node_once(counted):
     # Settling at level L, an integral has called its integrand on exactly
-    # the 8 2^L + 1 nodes of level L: the first level in full, then only the
-    # odd-k nodes of each finer one.  Evaluating every level in full called
-    # it on 98 points at level 3.
+    # the 8 2^L + 1 nodes of level L: the first two levels in one call on
+    # the second's nodes, then only the odd-k nodes of each finer one.
+    # Evaluating every level in full called it on 98 points at level 3, and
+    # the first level apart from the second called it twice there.
     def nodes(level):
         return 8 * 2 ** level + 1
 
     f = counted(lambda x: np.exp(x))
     val = tanh_sinh(lambda x, dl, dr: f(x), Interval(0.0, 1.0))
-    level = 1 + len(f.args)
+    level = 2 + len(f.args)
     assert abs(val - (math.e - 1.0)) < 1e-13
-    assert [len(a) for a in f.args] == [33] + [4 * 2 ** k
-                                             for k in range(3, level + 1)]
+    assert [len(a) for a in f.args] == [nodes(3)] + [4 * 2 ** k
+                                                   for k in range(4, level + 1)]
 
     h = counted(lambda x: 1.0 + x * x)
     rho = Density(Interval(0.0, 1.0), h, EndpointExponents(), "quadratic")
@@ -90,10 +91,12 @@ def test_refinement_evaluates_each_node_once(counted):
     assert rule.level == 3
     assert sum(map(len, h.args)) == nodes(rule.level) == 65
 
-    # Past the rule's level, h too is called on the new nodes alone.
+    # g's first call holds the rule's nodes; past the rule's level, h too is
+    # called on the new nodes alone.
     g = counted(np.cos)
     rho.weighted_integral(g)
-    level = rule.level + len(g.args) - 2
+    np.testing.assert_array_equal(g.args[0], rule.x)
+    level = rule.level + len(g.args) - 1
     assert sum(map(len, g.args)) == sum(map(len, h.args)) == nodes(level)
 
 
@@ -188,6 +191,36 @@ def test_nonfinite_density_fails_at_first_level(kind, layer, counted):
         _LAYERS[layer](rho)
     assert "'bad'" in str(exc.value) and "at level" in str(exc.value)
     assert len(h.args) <= 2
+
+
+def test_nan_on_the_next_levels_nodes_fails_at_that_level(counted):
+    # The reducer's first pass evaluates level 4's nodes once for levels 3
+    # and 4.  A NaN on level 4's odd-k nodes alone leaves level 3's sums
+    # finite, so the loop raises at level 4, as a pass per level did.
+    on_01 = 0.5 + 0.5 * tanh_sinh_nodes(4, odd=True)[0]
+    only_odd = np.setdiff1d(on_01, 0.5 + 0.5 * tanh_sinh_nodes(3)[0])
+    h = counted(lambda x: np.where(np.isin(x, only_odd), np.nan, 1.0))
+    rho = Density(Interval(0.0, 1.0), h, EndpointExponents(), "bad")
+    with pytest.raises(EvaluationFailure) as exc:
+        reducer(rho, 0.3)
+    err = exc.value
+    assert str(err) == "reducer quadrature of 'bad' is not finite at level 4"
+    assert (err.what, err.level) == ("reducer quadrature of 'bad'", 4)
+    assert [len(a) for a in h.args] == [1, 8 * 2 ** 4 + 1]
+
+
+def test_nonconvergence_carries_the_fields_it_names():
+    spec = IntegrationSpec(max_refinement_levels=2)
+    f = lambda x, dl, dr: np.sin(1000.0 * x)
+    with pytest.raises(NonConvergence) as exc:
+        tanh_sinh(f, Interval(0.0, 1.0), spec)
+    err = exc.value
+    assert (err.what, err.level, err.unsettled, err.count) \
+        == ("tanh-sinh", 4, 1, 1)
+    assert err.gap > err.tolerance >= spec.abs_tol
+    assert str(err) == (
+        f"tanh-sinh did not settle by level 4: 1 of 1 unsettled, worst gap "
+        f"{err.gap:.3e} against tolerance {err.tolerance:.3e}")
 
 
 def test_scalar_callable_raises_type_error(uniform):

@@ -72,8 +72,9 @@ MUTANTS = [
     ("src/secmeasure/stieltjes.py", "2 * c * odd_sums", "c * odd_sums"),
     ("src/secmeasure/stieltjes.py", "np.where(dxl <= dxr, dxl, -dxr)",
      "np.where(dxl <= dxr, dxl, dxr)"),
-    ("src/secmeasure/stieltjes.py", "odd_sums = both[..., 1].T",
-     "odd_sums = both[..., 0].T"),
+    ("src/secmeasure/stieltjes.py",
+     "(sums[0], odd_sums[level - 1]) = sums[0]",
+     "sums[0] = odd_sums[level - 1] = sums[0][0]"),
     ("src/secmeasure/stieltjes.py", "np.abs(cs + d) <= spec.rel_tol",
      "np.abs(cs + d) <= -spec.rel_tol"),
     ("src/secmeasure/family.py", "sa > 0.0 or sb < 0.0", "sa > 0.0"),
@@ -124,7 +125,7 @@ MUTANTS = [
     ("src/secmeasure/cli.py", '{"density": rho.name, **meta,',
      '{**meta, "density": rho.name,'),
     ("src/secmeasure/measures.py", "kernel_sums(lambda n: x ** n, p, w)",
-     "(x ** p) @ w"),
+     "level_sums(x ** p, w)"),
     ("src/secmeasure/stieltjes.py", "self.spec if spec is None else spec",
      "DEFAULT_SPEC if spec is None else spec"),
     # The end transforms as rows of the far transform: the row at a taking
@@ -152,6 +153,20 @@ MUTANTS = [
     ("src/secmeasure/quadrature.py",
      "if not (math.isfinite(self.a) and math.isfinite(self.b)):",
      "if False:"),
+    # One first pass for both first levels: the next level's odd sums taken
+    # from even-k columns, the first level's weights or the nested sum not
+    # halved, and the pass built one level too coarse.  A chain of '+' that
+    # does not grow the tree.
+    ("src/secmeasure/quadrature.py", "zip((slice(None, None, 2), ODD), ws)",
+     "zip((slice(None, None, 2), slice(0, -1, 2)), ws)"),
+    ("src/secmeasure/quadrature.py", "(2.0 * w[::2], w[ODD])",
+     "(w[::2], w[ODD])"),
+    ("src/secmeasure/quadrature.py", "sums[act] = 0.5 * sums[act] + odd",
+     "sums[act] = sums[act] + odd"),
+    ("src/secmeasure/quadrature.py", "estimate(level + 1, act, False)",
+     "estimate(level, act, False)"),
+    ("src/secmeasure/expressions.py", "below = max(left, self.height)",
+     "below = self.height"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
