@@ -11,9 +11,9 @@ Grammar (whitespace insignificant)::
 Numbers are decimal literals with an optional exponent; there is no
 implicit multiplication.  Supported functions: sqrt, ln, exp, sin, cos,
 atan, abs.  Signs, powers, brackets and calls nest at most _MAX_NESTING
-deep, counted together, and the tree, a node for each sign, operator and
-call, is at most _MAX_NESTING nodes tall, however long a chain of '+' or
-'*' (ExprSyntaxError past either).
+deep, counted together (ExprSyntaxError past it).  A chain of '+'/'-' or
+of '*'/'/' is one node however long, so the nesting bound also bounds the
+recursion of evaluating, printing, comparing and hashing the tree.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 _OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply,
-              "/": np.divide, "^": np.power}
+              "/": np.divide}
 _MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"""
@@ -66,11 +66,9 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
-        self.height = 0  # of the tree parsed last
 
     @property
     def cur(self):
@@ -97,22 +95,17 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def grown(self, node, off, left=0):
-        """node, made at off over the subtree parsed last and one ``left``
-        nodes tall."""
-        below = max(left, self.height)
-        if below == _MAX_NESTING:
-            raise ExprSyntaxError(f"tree taller than {_MAX_NESTING}", off)
-        self.height = below + 1
-        return node
-
     def chain(self, ops, operand):
-        """operand (ops operand)*, left-associative."""
-        node = operand()
+        """operand (ops operand)*, left-associative: one node ("chain", first,
+        ((op, operand), ...)) for two or more operands; (a+b)+c is a+b+c."""
+        node, links = operand(), []
         while self.cur[0] == "op" and self.cur[1] in ops:
-            left, (_, op, off) = self.height, self.advance()
-            node = self.grown(("bin", op, node, operand()), off, left)
-        return node
+            links.append((self.advance()[1], operand()))
+        if not links:
+            return node
+        if node[0] == "chain" and node[2][0][0] in ops:
+            return ("chain", node[1], node[2] + tuple(links))
+        return ("chain", node, tuple(links))
 
     def parse(self):
         tree = self.expr()
@@ -128,22 +121,20 @@ class _Parser:
         return self.chain("*/", self.factor)
 
     def factor(self):
-        base, left = self.unary(), self.height
+        base = self.unary()
         if self.cur[0] == "op" and self.cur[1] == "^":
             off = self.advance()[2]
-            power = self.nested(self.factor, off)
-            return self.grown(("bin", "^", base, power), off, left)
+            return ("^", base, self.nested(self.factor, off))
         return base
 
     def unary(self):
         if self.cur[0] == "op" and self.cur[1] == "-":
             off = self.advance()[2]
-            return self.grown(("neg", self.nested(self.unary, off)), off)
+            return ("neg", self.nested(self.unary, off))
         return self.primary()
 
     def primary(self):
         kind, text, off = self.cur
-        self.height = 0
         if kind == "num":
             self.advance()
             return ("num", float(text))
@@ -157,7 +148,7 @@ class _Parser:
             self.expect_op("(")
             arg = self.nested(self.expr, off)
             self.expect_op(")")
-            return self.grown(("call", text, arg), off)
+            return ("call", text, arg)
         if kind == "op" and text == "(":
             self.advance()
             node = self.nested(self.expr, off)
@@ -177,8 +168,12 @@ def _eval(node, x: np.ndarray) -> np.ndarray:
         return -_eval(node[1], x)
     if tag == "call":
         return FUNCTIONS[node[1]](_eval(node[2], x))
-    _, op, lhs, rhs = node
-    return _OPERATORS[op](_eval(lhs, x), _eval(rhs, x))
+    if tag == "^":
+        return np.power(_eval(node[1], x), _eval(node[2], x))
+    acc = _eval(node[1], x)
+    for op, arg in node[2]:
+        acc = _OPERATORS[op](acc, _eval(arg, x))
+    return acc
 
 
 def _print(node) -> str:
@@ -191,8 +186,10 @@ def _print(node) -> str:
         return f"(-{_print(node[1])})"
     if tag == "call":
         return f"{node[1]}({_print(node[2])})"
-    _, op, lhs, rhs = node
-    return f"({_print(lhs)}{op}{_print(rhs)})"
+    if tag == "^":
+        return f"({_print(node[1])}^{_print(node[2])})"
+    links = "".join(op + _print(arg) for op, arg in node[2])
+    return f"({_print(node[1])}{links})"
 
 
 class Expr:
@@ -220,7 +217,8 @@ class Expr:
     __call__ = evaluate
 
     def canonical(self) -> str:
-        """Fully parenthesized form; reparsing it yields an identical tree."""
+        """Fully parenthesized form, each chain of '+'/'-' or '*'/'/' flat in
+        one pair of brackets; reparsing it yields an identical tree."""
         return _print(self.tree)
 
     def __eq__(self, other):

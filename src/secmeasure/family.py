@@ -144,8 +144,9 @@ def family_transform(rho: BaseDensity, t: float, z,
     DenominatorZero if the denominator vanishes at any z, to within
     rel_tol of its terms (``stieltjes._vanishes``)."""
     zs = np.asarray(z, dtype=complex)
-    a, b, c, d = validate_parameter(rho, t, spec).mobius(zs)
+    rho_t = validate_parameter(rho, t, spec)
     s = stieltjes_transform(rho, zs, spec)
+    a, b, c, d = rho_t.mobius(zs)
     cs = c * s
     zero = _vanishes(cs, d, spec)
     if zero.any():

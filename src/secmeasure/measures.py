@@ -158,22 +158,20 @@ class BaseDensity:
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
                 count: int = 1, settle: Optional[Callable] = None):
-        """``evaluate(x, ws, g)``, the ``level_sums`` of the nodes x with the
+        """``evaluate(x, ws)``, the ``level_sums`` of the nodes x with the
         weights ws, each ``count`` sums stacked along the first axis, on the
         cached rule, refined until two levels agree (arrays compared in
-        max-norm); g are the nodes' exact coordinates on (-1, 1), x =
-        midpoint + half width g.  The first pass is the rule's nodes, for it
-        and the level before; later levels pass only their odd-k nodes, up
-        to the rule's own cap, level 2 + max_refinement_levels, their
-        density values read from the node values.  ``settle`` is
-        ``refine_levels``' hook: it maps the sums to the values compared."""
+        max-norm).  The first pass is the rule's nodes, for it and the level
+        before; later levels pass only their odd-k nodes, up to the rule's
+        own cap, level 2 + max_refinement_levels, their density values read
+        from the node values.  ``settle`` is ``refine_levels``' hook: it
+        maps the sums to the values compared."""
         rule = self.rule(spec)
 
         def estimate(level, act, odd):
             x, w = self._rule_at_level(level, odd) if odd else (rule.x, rule.w)
-            g = tanh_sinh_nodes(level, odd)[0]
             return [np.asarray(s)[act]
-                    for s in evaluate(x, level_weights(w, odd), g)]
+                    for s in evaluate(x, level_weights(w, odd))]
 
         return refine_levels(estimate, count, spec, 2,
                              f"{what} against {self.name!r}",
@@ -181,7 +179,7 @@ class BaseDensity:
 
     def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
         """Integral of f against this density, refined until levels agree."""
-        return self._refine(lambda x, ws, _: [s[None] for s in level_sums(
+        return self._refine(lambda x, ws: [s[None] for s in level_sums(
             _call(f, x), ws)], spec, "weighted integral")[0]
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
@@ -317,7 +315,7 @@ def _moments(rho: BaseDensity, orders, spec: IntegrationSpec) -> list:
     todo = [n for n in orders if (n, spec) not in rho._moments]
     if todo:
         p = np.array(todo)[:, None]
-        vals = rho._refine(lambda x, w, _: kernel_sums(lambda n: x ** n, p, w),
+        vals = rho._refine(lambda x, w: kernel_sums(lambda n: x ** n, p, w),
                            spec, "moments", len(todo))
         rho._moments.update(zip([(n, spec) for n in todo], vals.tolist()))
     return [rho._moments[(n, spec)] for n in orders]

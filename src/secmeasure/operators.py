@@ -26,7 +26,8 @@ from .family import FamilyDensity, family, family_transform
 from .measures import BaseDensity, inner_product, mean_project, moment
 from .orthopoly import (_apply_T, apply_T, orthonormal_polys,
                         recurrence_coefficients, secondary_polys)
-from .quadrature import DEFAULT_SPEC, IntegrationSpec, _call, _pointwise
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _finite,
+                         _pointwise)
 from .report import VerificationReport, numeric_report, property_report, timer
 
 __all__ = [
@@ -138,8 +139,9 @@ def equation_residual(problem: IntegralEquationProblem, f: Callable,
                       xs: np.ndarray, spec: IntegrationSpec = DEFAULT_SPEC):
     """(f(xs), f + lambda (x-c_1) T(f) - g at xs), the residual of f in
     (E_lambda) on a flat array xs; f(xs) comes from T's calls of f, which
-    hold xs (f is called on xs alone only when lambda == 0)."""
-    rho = problem.rho
+    hold xs (f is called on xs alone only when lambda == 0); DomainError
+    for a non-finite point."""
+    rho, xs = problem.rho, _finite(xs)
     lhs, fx = _f_plus_T(1.0, problem.lam, rho, moment(rho, 1, spec), f, xs,
                         spec)
     return fx, lhs - _call(problem.g, xs)

@@ -158,7 +158,7 @@ def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
             prev, s = s, q / b
         return np.array(alpha + beta[:-1])[None], None
 
-    rows = rho._refine(lambda x, ws, g: [w.sum()[None] for w in ws], spec,
+    rows = rho._refine(lambda x, ws: [w.sum()[None] for w in ws], spec,
                        "recurrence", settle=stieltjes)[0]
     half = 0.5 * rho.interval.width
     a = rho.interval.midpoint + half * rows[:MAX_DEGREE]
@@ -234,7 +234,7 @@ def _apply_T(rho: BaseDensity, f: Callable, xs: np.ndarray,
     fx = dfx = None
     todo = np.ones(len(xs), dtype=bool)
 
-    def level(u, ws, _):
+    def level(u, ws):
         nonlocal fx, dfx
         # u ascends, so the node nearest each x is one of its two neighbours.
         j = np.clip(np.searchsorted(u, xs), 1, len(u) - 1)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationFailure, NonConvergence
+from .errors import DomainError, EvaluationFailure, NonConvergence
 
 __all__ = [
     "Interval",
@@ -140,10 +140,19 @@ def _call(f: Callable, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _finite(xs: np.ndarray) -> np.ndarray:
+    """xs, real or complex points; DomainError if one is NaN or infinite."""
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise DomainError(f"points must be finite, got {xs[bad][0]}")
+    return xs
+
+
 def _pointwise(fn: Callable, x):
     """fn on the flat array of x's points, returned in x's shape: a Python
-    scalar for a 0-d x, an array of x's shape otherwise."""
-    xs = np.asarray(x, dtype=float)
+    scalar for a 0-d x, an array of x's shape otherwise; DomainError for a
+    non-finite point (``_finite``)."""
+    xs = _finite(np.asarray(x, dtype=float))
     out = np.asarray(fn(xs.ravel())).reshape(xs.shape)
     return out.item() if out.ndim == 0 else out
 

@@ -33,8 +33,9 @@ import numpy as np
 from .errors import (DegenerateMeasure, DomainError, EvaluationFailure,
                      ExtrapolationDivergence, PointOnInterval)
 from .measures import BaseDensity, Density, _served, moment
-from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, kernel_sums,
-                         level_weights, refine_levels, tanh_sinh_nodes)
+from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _finite,
+                         kernel_sums, level_weights, refine_levels,
+                         tanh_sinh_nodes)
 
 __all__ = [
     "SecondaryMeasure",
@@ -200,13 +201,13 @@ def _cauchy_near_cut(rho: BaseDensity, zs: np.ndarray,
     support once, at x0, into the pieces [a, x0] and [x0, b], which are the
     rows of one batched tanh-sinh refinement.  z with the same x0 share
     their pieces: rho is evaluated once per distinct x0, and once per pass
-    on each piece that a block of rows (``kernel_sums``) holds, however
-    many rows hold it; while one block holds all the rows, Perron's ladder
-    at one x0 costs what its slowest z costs alone.  Tanh-sinh clusters each piece's nodes at both of
-    its ends: at a or b, where rho may be singular, and at x0, where the
-    integrand turns over on the scale Im z.  There z - t is formed from
-    each node's exact distance to x0, without cancellation, and the distance
-    to the far end of the support is a sum of positives.
+    on each piece that a block of rows (``kernel_sums``) holds, however many
+    rows hold it; while one block holds all the rows, Perron's ladder at one
+    x0 costs what its slowest z costs alone.  Tanh-sinh clusters each
+    piece's nodes at both of its ends: at a or b, where rho may be singular,
+    and at x0, where the integrand turns over on the scale Im z.  There
+    z - t is formed from each node's exact distance to x0, without
+    cancellation, and the distance to the far end is a sum of positives.
     """
     a, b = rho.interval.a, rho.interval.b
     cuts, of_z = np.unique(zs.real, return_inverse=True)
@@ -288,21 +289,21 @@ def stieltjes_transform(rho: BaseDensity, z,
 
     A scalar z gives a ``complex``, an array a complex array of its shape.
     Any z within ONCUT_DISTANCE widths of the support raises
-    PointOnInterval.  A z with |Im z| below NEAR_CUT_FRACTION widths and
-    below both Re z - a and b - Re z takes the near-cut path
-    (``_cauchy_near_cut``), however close Re z is to an end: it evaluates
-    rho once per distinct Re z and once per level on each piece of the
-    support a block of at most KERNEL_ENTRIES kernel entries holds.  Every
-    other z takes the far path (``_cauchy_far``), which reads rho's node
-    values, so rho is evaluated only at nodes finer than any an integral on
-    it has reached.  Nearer an end than the cut, rho(Re z) can exceed S by
-    orders (at a singular end) and the near-cut path's subtracted term
-    would cancel against its rows; the far path forms z - t exactly next to
-    an end.
+    PointOnInterval, a non-finite z DomainError.  A z with |Im z| below
+    NEAR_CUT_FRACTION widths and below both Re z - a and b - Re z takes the
+    near-cut path (``_cauchy_near_cut``), however close Re z is to an end:
+    it evaluates rho once per distinct Re z and once per level on each
+    piece of the support a block of at most KERNEL_ENTRIES kernel entries
+    holds.  Every other z takes the far path (``_cauchy_far``), which reads
+    rho's node values, so rho is evaluated only at nodes finer than any an
+    integral on it has reached.  Nearer an end than the cut, rho(Re z) can
+    exceed S by orders (at a singular end) and the near-cut path's
+    subtracted term would cancel against its rows; the far path forms z - t
+    exactly next to an end.
     """
     interval = rho.interval
     zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
+    flat = _finite(zs.ravel())
     dist = interval.distance_to(flat)
     on_cut = dist < ONCUT_DISTANCE * interval.width
     if on_cut.any():

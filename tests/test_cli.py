@@ -217,11 +217,27 @@ def test_usage_errors_that_were_numerical_failures_exit_two():
 
 
 def test_long_sum_exits_two():
-    # 3,000 ones in one sum died in a RecursionError traceback, exit 1.
-    r = run("reducer", "--density-expr", "+".join(["1"] * 3000) + "-2999",
-            "--interval", "0", "1", "--x", "0.5")
-    assert r.returncode == 2
-    assert "tree taller than 100" in r.stderr and "Traceback" not in r.stderr
+    # 3,000 ones in one sum died in a RecursionError traceback, exit 1, and
+    # were then refused, exit 2 ("tree taller than 100"); a chain is one
+    # node, and this is the uniform density, phi = 0 at the midpoint.
+    r = run("--format", "json", "reducer", "--density-expr",
+            "+".join(["1"] * 3000) + "-2999", "--interval", "0", "1",
+            "--x", "0.5")
+    assert r.returncode == 0 and "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["rows"] == [[0.5, 0.0]]
+
+
+def test_solve_takes_a_long_series():
+    # The 121-term Taylor polynomial of e^x was refused, exit 2 ("tree
+    # taller than 100 at offset 2904").
+    from secmeasure.operators import RESIDUAL_LIMIT
+    g = " + ".join(f"{1 / math.factorial(k):.17g}*x^{k}" for k in range(121))
+    r = run("--format", "json", "solve", "--density", "cheb-u", "--lam",
+            "-0.5", "--g", g, "--grid", "5")
+    assert r.returncode == 0, r.stderr
+    rows = json.loads(r.stdout)["rows"]
+    assert len(rows) == 5
+    assert all(abs(res) <= RESIDUAL_LIMIT for _, _, res in rows)
 
 
 def test_non_finite_exponents_exit_two():

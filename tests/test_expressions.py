@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,28 +121,100 @@ def test_nesting_of_one_hundred_parses():
     with pytest.raises(ExprSyntaxError, match="at offset 101"):
         parse(inner + "x^x" + outer)
 
-@pytest.mark.parametrize("src, offset", [
-    ("+".join(["1"] * 3000) + "-2999", 201),
-    ("*".join(["x"] * 3000), 201),
-    ("(" * 40 + "x" + ("+1" * 50 + ")") * 40, 243),
+@pytest.mark.parametrize("src, x, want", [
+    ("+".join(["1"] * 3000) + "-2999", 0.0, 1.0),
+    ("*".join(["x"] * 3000), 1.0, 1.0),
+    ("(" * 40 + "x" + ("+1" * 50 + ")") * 40, 0.5, 2000.5),
 ], ids=["sum", "product", "chains in brackets"])
-def test_long_chains_are_a_syntax_error(src, offset):
-    # A chain of '+' or '*' is a left-deep tree as tall as it is long, and
-    # evaluating or printing it recursed once per link: RecursionError.
-    with pytest.raises(ExprSyntaxError, match="tree taller than 100") as exc:
-        parse(src)
-    assert exc.value.offset == offset
+def test_long_chains_are_a_syntax_error(src, x, want):
+    # Refused past 100 links ("tree taller than 100"), for a left-deep tree
+    # as tall as its chain was long; a chain is one node now.
+    e = parse(src)
+    assert e.evaluate(x) == want
+    assert parse(e.canonical()) == e
 
 
 def test_tree_of_one_hundred_parses():
-    for links in (99, 100):
+    for links in (99, 100, 101, 3000):
         e = parse("+".join(["1"] * (links + 1)))
         assert e.evaluate(0.0) == links + 1
         assert parse(e.canonical()) == e
-    # Signs, calls, powers and chain links count towards one height.
-    assert parse("-" * 50 + "x" + "*x" * 50).evaluate(1.0) == 1.0
-    with pytest.raises(ExprSyntaxError, match="at offset 151"):
-        parse("-" * 50 + "x" + "*x" * 51)
+    # Signs nest, chain links do not: 100 signs take any chain.
+    assert parse("-" * 50 + "x" + "*x" * 51).evaluate(2.0) == 2.0 ** 52
+    assert parse("-" * 100 + "x" + "*x" * 3000).evaluate(1.0) == 1.0
+
+
+_NP_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _fold(first, links, value):
+    """((value(first) op value(b)) op value(c)) ..., one numpy call per
+    link: the left-deep tower of binary nodes chains were parsed to."""
+    acc = value(first)
+    for op, item in links:
+        acc = _NP_OPS[op](acc, value(item))
+    return acc
+
+
+def test_chains_evaluate_as_the_left_deep_tower(rng):
+    xs = np.linspace(-3.0, 3.0, 101)[np.arange(101) != 50]
+
+    def value(s):
+        return xs if s == "x" else np.full_like(xs, float(s))
+
+    operands = ["x", "0.1", "3", "7.25", "1e-3", "2.5e2", "0.3333"]
+    for links in range(1, 101):
+        ops = rng.choice(list("+-*/"), links)
+        items = rng.choice(operands, links + 1)
+        # A sum of terms, each a product (first item, [(op, item), ...]).
+        src, term = str(items[0]), [items[0], []]
+        first, sum_links = term, []
+        for op, item in zip(ops, items[1:]):
+            src += op + item
+            if op in "*/":
+                term[1].append((op, item))
+            else:
+                term = [item, []]
+                sum_links.append((op, term))
+        want = _fold(first, sum_links, lambda t: _fold(*t, value))
+        assert parse(src).evaluate(xs).tobytes() == want.tobytes(), src
+
+
+def _at_depth(frames, fn):
+    """fn() with ``frames`` more frames on the call stack."""
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+def _headroom(fn):
+    """The most frames on top of which fn() still returns."""
+    lo, hi = 0, sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            _at_depth(mid, fn)
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("src", [
+    "sin(x+" * 100 + "x" + ")" * 100,
+    "(x+" * 100 + "x" + ")" * 100,
+    "-" * 100 + "x",
+    "+".join(["x"] * 3001),
+], ids=["calls", "brackets", "signs", "chain"])
+def test_parsing_is_the_deepest_recursion(src):
+    # Evaluating, printing, comparing and hashing recurse once per node, at
+    # most a few nodes per level of nesting; parsing recurses several
+    # frames per level, so what parses can be used from the same stack.
+    frames = _headroom(lambda: parse(src))
+    e, again = parse(src), parse(src)
+    assert frames > 0
+    _at_depth(frames, lambda: e.evaluate(0.5))
+    _at_depth(frames, e.canonical)
+    _at_depth(frames, lambda: hash(e))
+    assert _at_depth(frames, lambda: e == again)
 
 
 def test_unexpected_character():

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from secmeasure import (IntegralEquationProblem, InvalidParameter, apply_T,
+from secmeasure import (DomainError, IntegralEquationProblem,
+                        InvalidParameter, apply_T,
                         apply_V, apply_V_inverse, barycentric_check,
                         composition_check, family, inner_product,
                         isometry_check, make_context, mean_project,
                         reducer, residual_check, secondary_measure,
                         solve_integral_equation, transform_relation_check,
                         transformed_polys)
-from secmeasure.operators import shift_multiply
+from secmeasure.operators import equation_residual, shift_multiply
 
 from conftest import assert_one_call_per_level
 
@@ -204,6 +205,29 @@ def test_scalar_shapes(cheb_u, spec):
     assert isinstance(apply_V(ctx, f, 0.3, spec), float)
     problem = IntegralEquationProblem(cheb_u, 0.25, lambda x: x)
     assert isinstance(solve_integral_equation(problem, 0.3, spec), float)
+
+
+_AT_NON_FINITE = {
+    "apply_T": lambda rho: apply_T(rho, np.sin, math.nan),
+    "apply_V": lambda rho: apply_V(make_context(rho, 1.0), np.sin, math.nan),
+    "apply_V at inf": lambda rho: apply_V(make_context(rho, 1.0), np.sin,
+                                          np.array([0.2, math.inf])),
+    "apply_V_inverse": lambda rho: apply_V_inverse(make_context(rho, 1.0),
+                                                   np.sin, math.nan),
+    "solve_integral_equation": lambda rho: solve_integral_equation(
+        IntegralEquationProblem(rho, 0.0, np.sin), math.nan),
+    "equation_residual": lambda rho: equation_residual(
+        IntegralEquationProblem(rho, 0.0, np.sin), np.sin,
+        np.array([0.1, math.nan])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_NON_FINITE))
+def test_a_non_finite_point_is_refused(name, cheb_u):
+    # Where T's coefficient is 0 (t = 1, lambda = 0) NaN came back silently;
+    # T itself failed as a numerical failure (EvaluationFailure, exit 3).
+    with pytest.raises(DomainError, match="points must be finite"):
+        _AT_NON_FINITE[name](cheb_u)
 
 
 @pytest.mark.parametrize("name", ["reducer", "mu", "mu0", "apply_T", "apply_V",

@@ -307,6 +307,21 @@ def test_reducer_and_mu_refuse_a_non_finite_point(uniform, spec):
             mu.mu(x)
 
 
+@pytest.mark.parametrize("name", ["stieltjes_transform", "family_transform",
+                                  "perron_invert"])
+def test_a_non_finite_z_is_refused(name, uniform, cheb_u, spec):
+    # A NaN failed as a non-finite estimate (EvaluationFailure, exit 3), and
+    # S(inf) = 0 times an infinite Moebius coefficient gave nan+nanj.
+    call = {"stieltjes_transform":
+            lambda: stieltjes_transform(uniform, math.nan, spec),
+            "family_transform":
+            lambda: family_transform(cheb_u, 0.5, math.inf, spec),
+            "perron_invert": lambda: perron_invert(
+                lambda z: stieltjes_transform(uniform, z, spec), math.nan)}
+    with pytest.raises(DomainError, match="points must be finite"):
+        call[name]()
+
+
 def test_reducer_cache_is_bounded(counted_semicircle, spec, monkeypatch):
     # Each call adds five points; the cache is emptied once it holds ten.
     monkeypatch.setattr("secmeasure.stieltjes._PHI_CACHE_SIZE", 10)

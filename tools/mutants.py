@@ -94,7 +94,7 @@ MUTANTS = [
     ("src/secmeasure/measures.py", " / (1.0 + self.exps.alpha)", ""),
     ("src/secmeasure/measures.py",
      "if not np.all((xs >= a + delta) & (xs <= b - delta)):",
-     "if np.any(xs < a + delta) or np.any(xs > b - delta):"),
+     "if not np.all((xs >= a + delta) | (xs <= b - delta)):"),
     ("src/secmeasure/quadrature.py",
      "0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf",
      "0 < self.rel_tol and 0 < self.abs_tol"),
@@ -155,8 +155,7 @@ MUTANTS = [
      "if False:"),
     # One first pass for both first levels: the next level's odd sums taken
     # from even-k columns, the first level's weights or the nested sum not
-    # halved, and the pass built one level too coarse.  A chain of '+' that
-    # does not grow the tree.
+    # halved, and the pass built one level too coarse.
     ("src/secmeasure/quadrature.py", "zip((slice(None, None, 2), ODD), ws)",
      "zip((slice(None, None, 2), slice(0, -1, 2)), ws)"),
     ("src/secmeasure/quadrature.py", "(2.0 * w[::2], w[ODD])",
@@ -165,8 +164,21 @@ MUTANTS = [
      "sums[act] = sums[act] + odd"),
     ("src/secmeasure/quadrature.py", "estimate(level + 1, act, False)",
      "estimate(level, act, False)"),
-    ("src/secmeasure/expressions.py", "below = max(left, self.height)",
-     "below = self.height"),
+    # A chain as one node: its links folded right to left, a bracketed
+    # chain that opens it spliced in without its links, and the flat print
+    # dropping a link's operator.  Each refusal of a non-finite point.
+    ("src/secmeasure/expressions.py", "for op, arg in node[2]:",
+     "for op, arg in node[2][::-1]:"),
+    ("src/secmeasure/expressions.py", "node[2] + tuple(links)",
+     "tuple(links)"),
+    ("src/secmeasure/expressions.py", "op + _print(arg)", "_print(arg)"),
+    ("src/secmeasure/quadrature.py",
+     "xs = _finite(np.asarray(x, dtype=float))",
+     "xs = np.asarray(x, dtype=float)"),
+    ("src/secmeasure/operators.py", "rho, xs = problem.rho, _finite(xs)",
+     "rho = problem.rho"),
+    ("src/secmeasure/stieltjes.py", "flat = _finite(zs.ravel())",
+     "flat = zs.ravel()"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
