@@ -136,6 +136,8 @@ class _Parser:
     def primary(self):
         kind, text, off = self.cur
         if kind == "num":
+            if float(text) == np.inf:
+                raise ExprSyntaxError(f"number {text!r} overflows a float", off)
             self.advance()
             return ("num", float(text))
         if kind == "ident":

@@ -89,22 +89,10 @@ class BaseDensity:
     # -- values at the tanh-sinh nodes -------------------------------------
 
     def _node_values(self, level: int, odd: bool = False) -> np.ndarray:
-        """The density at a level's tanh-sinh nodes on its interval (with
-        ``odd`` at the odd-k ones), a strided view of the values kept at
-        the finest level reached.  A first call evaluates its level in full;
-        a finer level is reached one level at a time, each evaluating only
-        its odd-k nodes."""
-        vals, top = self._nodes, self._node_level
-        if vals is None:
-            vals, top = self._evaluate_nodes(level, False), level
-        while top < level:
-            top += 1
-            finer = np.empty(2 * len(vals) - 1)
-            finer[::2], finer[ODD] = vals, self._evaluate_nodes(top, True)
-            vals = finer
-        self._nodes, self._node_level = vals, top
-        step = 2 ** (top - level)
-        return vals[step::2 * step] if odd else vals[::step]
+        """rho at a level's nodes (``odd``: its odd-k ones), by ``_level_view``."""
+        self._nodes, self._node_level, view = _level_view(
+            self._nodes, self._node_level, level, odd, self._evaluate_nodes)
+        return view
 
     def _node_points(self, level: int, odd: bool = False) -> tuple:
         """A level's nodes on the interval (with ``odd`` its odd-k ones) and
@@ -187,6 +175,21 @@ class BaseDensity:
         return float(self.rule(spec).w.sum())
 
 
+def _level_view(vals, top: int, level: int, odd: bool, evaluate: Callable):
+    """(vals, top, view): ``vals`` at the nodes of level ``top`` (None for
+    none) reaches ``level`` and is viewed there (``odd``: at its odd-k nodes),
+    ``evaluate`` giving a first level in full, each finer one at its odd-k."""
+    if vals is None:
+        vals, top = evaluate(level, False), level
+    while top < level:
+        top += 1
+        finer = np.empty(2 * len(vals) - 1)
+        finer[::2], finer[ODD] = vals, evaluate(top, True)
+        vals = finer
+    step = 2 ** (top - level)
+    return vals, top, vals[step::2 * step] if odd else vals[::step]
+
+
 def _served(rho: BaseDensity, x, what: str, fn: Callable, margin=0.0):
     """fn(xs, xs - a, b - xs) at points at least ``margin`` widths inside
     the support [a, b], in x's shape (``_pointwise``); DomainError for any
@@ -208,7 +211,7 @@ class Density(BaseDensity):
         super().__init__(interval, name)
         self.smooth_part = smooth_part
         self.exps = exps
-        self._phi: dict = {}
+        self._phi, self._phi_nodes = {}, {}  # reducer: dict, node arrays
 
     def value_at(self, x, dleft, dright):
         vals = np.asarray(_call(self.smooth_part, np.asarray(x, dtype=float)),

@@ -25,14 +25,14 @@ an arbitrary transform evaluator by extrapolating
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (DegenerateMeasure, DomainError, EvaluationFailure,
                      ExtrapolationDivergence, PointOnInterval)
-from .measures import BaseDensity, Density, _served, moment
+from .measures import BaseDensity, Density, _level_view, _served, moment
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _finite,
                          kernel_sums, level_weights, refine_levels,
                          tanh_sinh_nodes)
@@ -73,7 +73,8 @@ _ROUNDING_FLOOR = 100 * np.finfo(float).eps
 
 def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     """Reducer values by singularity subtraction on refining tanh-sinh rules
-    at points given by their endpoint distances, rx being rho at them.
+    at points given by endpoint distances, rx rho at them; each point within
+    _PHI_CLAMP widths of an end moves to that end's clamp point, taking rho there.
 
     phi(x)/2 = int (rho(u) - rho(x))/(x - u) du + rho(x) ln(dxl/dxr); the
     pole separation x - u is formed as a difference of endpoint distances,
@@ -92,7 +93,15 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
     level's.  Each row sums the integral and its magnitude, factored alike,
     for the rounding floor.
     """
-    half = 0.5 * rho.interval.width
+    width = rho.interval.width
+    clamp, half = _PHI_CLAMP * width, 0.5 * width
+    dxl, dxr, rx = (np.array(v, dtype=float) for v in (dxl, dxr, rx))
+    low, high = dxl < clamp, dxr < clamp
+    dxl[low], dxr[low] = clamp, width - clamp
+    dxl[high], dxr[high] = width - clamp, clamp
+    if (moved := low | high).any():
+        rx[moved] = rho.value_at(rho.interval.a + dxl[moved], dxl[moved],
+                                 dxr[moved])
     ratio = np.log(dxl / dxr)
     sigma = np.arcsinh(ratio / math.pi)
     # The log term and its magnitude, added to each row's two sums.
@@ -139,30 +148,41 @@ def _phi_batch(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
 
 
 def _phi_values(rho: Density, dxl, dxr, rx, spec: IntegrationSpec):
-    """Cached reducer phi, as a flat array, at points given by their exact
-    endpoint distances, rx being rho at them; computed once per point, each
-    point named by its signed distance to the nearer end, -dxr nearer b.
-    The clamp moves only distances: rho at a clamp point, a + dxl, is
-    evaluated when its phi is computed."""
-    width = rho.interval.width
-    clamp = _PHI_CLAMP * width
-    dxl, dxr, rx = (np.array(v, dtype=float).ravel() for v in (dxl, dxr, rx))
-    low, high = dxl < clamp, dxr < clamp
-    dxl[low], dxr[low] = clamp, width - clamp
-    dxl[high], dxr[high] = width - clamp, clamp
+    """Cached reducer phi, flat, at points off the nodes given by endpoint
+    distances, rx rho there: a ``_phi_batch`` row per point, in a dict of at
+    most _PHI_CACHE_SIZE keyed by the clamped dxl, or -dxr nearer b."""
+    clamp = _PHI_CLAMP * rho.interval.width
+    dxl, dxr, rx = (np.asarray(v, dtype=float).ravel() for v in (dxl, dxr, rx))
     cache = rho._phi.setdefault(spec, {})
     if len(cache) >= _PHI_CACHE_SIZE:
         cache.clear()
-    keys = np.where(dxl <= dxr, dxl, -dxr).tolist()
+    keys = np.where(dxl <= dxr, np.maximum(dxl, clamp),
+                    -np.maximum(dxr, clamp)).tolist()
     todo = list({k: i for i, k in enumerate(keys) if k not in cache}.values())
     if todo:
-        dxl, dxr, rx, moved = dxl[todo], dxr[todo], rx[todo], (low | high)[todo]
-        if moved.any():
-            rx[moved] = rho.value_at(rho.interval.a + dxl[moved], dxl[moved],
-                                     dxr[moved])
-        cache.update(zip([keys[i] for i in todo],
-                         _phi_batch(rho, dxl, dxr, rx, spec).tolist()))
+        phi = _phi_batch(rho, dxl[todo], dxr[todo], rx[todo], spec)
+        cache.update(zip([keys[i] for i in todo], phi.tolist()))
     return np.array([cache[k] for k in keys])
+
+
+def _phi_at_nodes(rho: Density, spec: IntegrationSpec, level: int, odd: bool):
+    """phi at the nodes of (level, odd), one row per node in one batch with
+    the clamp points the dict lacks, each at its clamp's innermost node: the
+    nodes in an end's clamp take that end's phi, kept in the dict."""
+    _, dl, dr = rho._node_points(level, odd)
+    clamp, cache = _PHI_CLAMP * rho.interval.width, rho._phi.setdefault(spec, {})
+    # Nodes ascend: a's clamp holds the first lo, b's those from hi on.
+    lo, hi = np.searchsorted(dl, clamp), np.searchsorted(-dr, -clamp, "right")
+    rows = slice(lo - (lo > 0 and clamp not in cache),
+                 hi + (hi < len(dl) and -clamp not in cache))
+    phi = np.empty_like(dl)
+    phi[rows] = _phi_batch(rho, dl[rows], dr[rows],
+                           rho._node_values(level, odd)[rows], spec)
+    if lo:
+        phi[:lo] = cache.setdefault(clamp, float(phi[lo - 1]))
+    if hi < len(dl):
+        phi[hi:] = cache.setdefault(-clamp, float(phi[hi]))
+    return phi
 
 
 def reducer(rho: BaseDensity, x, spec: IntegrationSpec = DEFAULT_SPEC):
@@ -369,13 +389,18 @@ def _vanishes(cs, d, spec: IntegrationSpec):
 
 def _on_cut(rho: BaseDensity, x, dl, dr, spec: IntegrationSpec, node=None):
     """(phi/2, rho) at points x with exact endpoint distances, the nodes of
-    (level, odd) = ``node`` if given; a Density reads phi from
-    ``_phi_values`` at those distances.  A derived density maps its base's
+    (level, odd) = ``node`` if given; a Density reads phi there from arrays
+    like its node values (``_phi_at_nodes``).  A derived density maps its base's
     s = phi/2 - i pi rho by (a s + b)/(c s + d) to (ad - bc) rho / |c s + d|^2
     and half its reducer Re((a s + b) conj(c s + d)) over |c s + d|^2, the
     sum of squares (c phi/2 + d)^2 + (c pi rho)^2."""
     if not isinstance(rho, DerivedDensity):
-        r = rho._node_values(*node) if node else rho.value_at(x, dl, dr)
+        if node:
+            rho._phi_nodes[spec] = kept = _level_view(
+                *rho._phi_nodes.get(spec, (None, 0))[:2], *node,
+                partial(_phi_at_nodes, rho, spec))
+            return 0.5 * kept[2], rho._node_values(*node)
+        r = rho.value_at(x, dl, dr)
         return 0.5 * _phi_values(rho, dl, dr, r, spec).reshape(r.shape), r
     hp, r = _on_cut(rho.base, x, dl, dr, spec, node)
     a, b, c, d = rho.mobius(x)

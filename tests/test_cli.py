@@ -216,7 +216,7 @@ def test_usage_errors_that_were_numerical_failures_exit_two():
                "nan").returncode == 2
 
 
-def test_long_sum_exits_two():
+def test_long_sum_exits_zero():
     # 3,000 ones in one sum died in a RecursionError traceback, exit 1, and
     # were then refused, exit 2 ("tree taller than 100"); a chain is one
     # node, and this is the uniform density, phi = 0 at the midpoint.
@@ -225,6 +225,15 @@ def test_long_sum_exits_two():
             "--x", "0.5")
     assert r.returncode == 0 and "Traceback" not in r.stderr
     assert json.loads(r.stdout)["rows"] == [[0.5, 0.0]]
+
+
+def test_an_overflowing_literal_exits_two():
+    # 1e999 parsed to inf, and the solver failed as a numerical failure,
+    # exit 3 ("non-finite at some requested point").
+    r = run("solve", "--density", "cheb-u", "--lam", "-0.5", "--g",
+            "1e999*0+x", "--grid", "3")
+    assert r.returncode == 2, r.stderr
+    assert "overflows a float at offset 0" in r.stderr
 
 
 def test_solve_takes_a_long_series():

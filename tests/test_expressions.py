@@ -88,6 +88,19 @@ def test_trailing_garbage():
         parse("x+1 )")
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("1e999-x", 0), ("x+2e308", 2), ("sin(" + "9" * 400 + ")", 4),
+], ids=["exponent", "just past the largest float", "digits"])
+def test_a_literal_that_overflows_is_a_syntax_error(src, offset):
+    # It parsed to inf, and canonical() wrote "(inf-x)", which does not
+    # parse: inf is no function.
+    with pytest.raises(ExprSyntaxError, match="overflows a float") as exc:
+        parse(src)
+    assert exc.value.offset == offset
+    e = parse("1.7976931348623157e308-x")
+    assert parse(e.canonical()) == e
+
+
 def test_nonfinite_evaluation():
     with pytest.raises(EvaluationFailure):
         parse("1/x").evaluate(0.0)
@@ -126,7 +139,7 @@ def test_nesting_of_one_hundred_parses():
     ("*".join(["x"] * 3000), 1.0, 1.0),
     ("(" * 40 + "x" + ("+1" * 50 + ")") * 40, 0.5, 2000.5),
 ], ids=["sum", "product", "chains in brackets"])
-def test_long_chains_are_a_syntax_error(src, x, want):
+def test_long_chains_parse(src, x, want):
     # Refused past 100 links ("tree taller than 100"), for a left-deep tree
     # as tall as its chain was long; a chain is one node now.
     e = parse(src)
@@ -134,7 +147,7 @@ def test_long_chains_are_a_syntax_error(src, x, want):
     assert parse(e.canonical()) == e
 
 
-def test_tree_of_one_hundred_parses():
+def test_chains_past_one_hundred_links_parse():
     for links in (99, 100, 101, 3000):
         e = parse("+".join(["1"] * (links + 1)))
         assert e.evaluate(0.0) == links + 1

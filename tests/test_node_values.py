@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from secmeasure import Density, Interval
-from secmeasure.family import denominator_root_scan, moment0_curve
+from secmeasure import stieltjes
+from secmeasure.family import (denominator_root_scan, family_density,
+                               moment0_curve)
 from secmeasure.orthopoly import apply_T, recurrence_coefficients
 from secmeasure.quadrature import EndpointExponents
 from secmeasure.stieltjes import (_PERRON_EPS, _PHI_CLAMP, perron_invert,
@@ -92,6 +94,56 @@ def test_reducer_evaluates_each_clamp_point_once(counted, spec):
         assert np.count_nonzero(seen == x) == 1
 
 
+def _counted_rows(monkeypatch):
+    """The (dxl, dxr) of every reducer row _phi_batch is handed, a pair of
+    arrays per batch."""
+    rows = []
+    batch = stieltjes._phi_batch
+
+    def counted(rho, dxl, dxr, rx, spec):
+        rows.append((np.copy(dxl), np.copy(dxr)))
+        return batch(rho, dxl, dxr, rx, spec)
+
+    monkeypatch.setattr(stieltjes, "_phi_batch", counted)
+    return rows
+
+
+def test_family_density_reads_the_reducer_points_off_the_nodes(
+        counted, spec, monkeypatch):
+    # The dict keeps phi at points off the nodes: rho_t on the grid the
+    # reducer has just served is its Moebius map, with no reducer row.
+    rho, _ = _counted_density(counted)
+    grid = np.linspace(0.01, 0.99, 40)
+    rows = _counted_rows(monkeypatch)
+    reducer(rho, grid, spec)
+    assert sum(len(dl) for dl, _ in rows) == len(grid)
+    family_density(rho, 0.5, grid, spec)
+    assert sum(len(dl) for dl, _ in rows) == len(grid)
+
+
+def test_node_rows_are_reduced_once_whatever_the_dict_holds(
+        counted, spec, monkeypatch):
+    # mu and rho_t read phi at rho's nodes from the node cache, so each
+    # distinct node is one reducer row and each clamp point one, though
+    # the dict is bounded far below the nodes they reach: it holds the
+    # two clamp points only.
+    monkeypatch.setattr(stieltjes, "_PHI_CACHE_SIZE", 4)
+    rho, _ = _counted_density(counted)
+    rows = _counted_rows(monkeypatch)
+    secondary_measure(rho, spec).mass()
+    moment0_curve(rho, 0.3, spec)
+    moment0_curve(rho, 0.8, spec)
+    dl, dr = (np.concatenate(v) for v in zip(*rows))
+    clamp = _PHI_CLAMP * rho.interval.width
+    assert np.count_nonzero(dl < clamp) == np.count_nonzero(dr < clamp) == 1
+    inner = (dl >= clamp) & (dr >= clamp)
+    keys = np.where(dl <= dr, dl, -dr)[inner]
+    _, nl, nr = rho._node_points(rho._node_level)
+    assert np.isin(keys, np.where(nl <= nr, nl, -nr)).all()
+    assert len(np.unique(keys)) == len(keys) > 100
+    assert sorted(rho._phi[spec]) == [-clamp, clamp]
+
+
 def test_perron_ladder_costs_one_near_cut_point(counted, spec):
     # The 18 points of the ladder share Re z, so they share the two pieces
     # of the split support and rho's values on them.
@@ -105,11 +157,13 @@ def test_perron_ladder_costs_one_near_cut_point(counted, spec):
 
 def _warmed(counted, spec):
     """A density whose node values reach deep levels (a far transform next
-    to an end, the recurrence) and whose reducer cache is still empty."""
+    to an end, the recurrence) and whose reducer caches, the dict and the
+    node cache, are still empty."""
     rho, _ = _counted_density(counted)
     stieltjes_transform(rho, np.array([1.0 + 1e-7, -1e-6]), spec)
     recurrence_coefficients(rho, 20, spec)
-    assert rho._node_level > rho.rule(spec).level + 2 and not rho._phi
+    assert rho._node_level > rho.rule(spec).level + 2
+    assert not rho._phi and not rho._phi_nodes
     return rho
 
 

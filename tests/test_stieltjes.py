@@ -335,20 +335,23 @@ def test_reducer_cache_is_bounded(counted_semicircle, spec, monkeypatch):
 
 def test_reducer_cache_names_each_node_by_its_exact_distance(spec):
     # On [1e8, 1e8 + 1] floats are 1.5e-8 widths apart, so next to an end
-    # many nodes round to one x.  After these calls the reducer keeps phi
-    # at every node of the finest level reached, and each node's is the
-    # one _phi_batch gives at that point alone; keyed by x, 122 of 1,325
-    # nodes read another node's phi, off by up to 3.9.
+    # many nodes round to one x.  After these calls the density keeps phi
+    # at every node of the finest level reached, in its node cache, and
+    # each node's is the one _phi_batch gives at that point alone; keyed by
+    # x, 122 of 1,325 nodes read another node's phi, off by up to 3.9.
     a = 1e8
     rho = Density(Interval(a, a + 1.0), lambda x: np.ones(np.shape(x)),
                   EndpointExponents(), "far uniform")
     secondary_measure(rho, spec).mass()
     moment0_curve(rho, 0.7, spec)
     moment0_curve(rho, 1.5, spec)
-    x, dl, dr = rho._node_points(rho._node_level)
-    kept = len(rho._phi[spec])
-    phi = 2.0 * _on_cut(rho, x, dl, dr, spec)[0]
-    assert len(rho._phi[spec]) == kept > 1000
+    kept, level = rho._phi_nodes[spec][:2]
+    x, dl, dr = rho._node_points(level)
+    phi = 2.0 * _on_cut(rho, x, dl, dr, spec, (level, False))[0]
+    # Read from the node cache: no level added, nothing new in the dict,
+    # which holds the two clamp points only.
+    assert rho._phi_nodes[spec][0] is kept and len(kept) > 1000
+    assert len(rho._phi[spec]) == 2
     clamp = _PHI_CLAMP * rho.interval.width
     dl, dr = np.clip(dl, clamp, 1.0 - clamp), np.clip(dr, clamp, 1.0 - clamp)
     nodes = np.unique(np.where(dl <= dr, dl, -dr), return_index=True)[1]

@@ -70,8 +70,8 @@ MUTANTS = [
     ("src/secmeasure/stieltjes.py", "sigma = np.arcsinh(ratio / math.pi)",
      "sigma = ratio / math.pi"),
     ("src/secmeasure/stieltjes.py", "2 * c * odd_sums", "c * odd_sums"),
-    ("src/secmeasure/stieltjes.py", "np.where(dxl <= dxr, dxl, -dxr)",
-     "np.where(dxl <= dxr, dxl, dxr)"),
+    ("src/secmeasure/stieltjes.py", "-np.maximum(dxr, clamp)).tolist()",
+     "np.maximum(dxr, clamp)).tolist()"),
     ("src/secmeasure/stieltjes.py",
      "(sums[0], odd_sums[level - 1]) = sums[0]",
      "sums[0] = odd_sums[level - 1] = sums[0][0]"),
@@ -179,6 +179,25 @@ MUTANTS = [
      "rho = problem.rho"),
     ("src/secmeasure/stieltjes.py", "flat = _finite(zs.ravel())",
      "flat = zs.ravel()"),
+    # phi at the nodes kept like rho's node values: the odd-k view taken
+    # from the even-k nodes, the two ends' clamp-point phi swapped, and the
+    # node rows sent back through the dict.  A literal that overflows.
+    ("src/secmeasure/measures.py", "vals[step::2 * step] if odd",
+     "vals[::2 * step] if odd"),
+    ("src/secmeasure/stieltjes.py",
+     "    if lo:\n"
+     "        phi[:lo] = cache.setdefault(clamp, float(phi[lo - 1]))\n"
+     "    if hi < len(dl):\n"
+     "        phi[hi:] = cache.setdefault(-clamp, float(phi[hi]))\n",
+     "    ends = (cache.setdefault(clamp, float(phi[lo - 1])),\n"
+     "            cache.setdefault(-clamp, float(phi[hi])))\n"
+     "    phi[:lo], phi[hi:] = ends[::-1]\n"),
+    ("src/secmeasure/stieltjes.py",
+     "return 0.5 * kept[2], rho._node_values(*node)",
+     "r = rho._node_values(*node)\n"
+     "            return 0.5 * _phi_values(rho, dl, dr, r, spec), r"),
+    ("src/secmeasure/expressions.py", "if float(text) == np.inf:",
+     "if False:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
