@@ -64,6 +64,10 @@ __all__ = [
 # nearer the support than that, and does not look for a root that near.
 _BRACKET_WIDTH = 1e-10
 _BRACKET_SPACINGS = 8
+# Columns of the root scan's point offsets: k = 1..7 for the seven points
+# splitting a bracket in eighths, j/4 for j = 0..3 for the powers of q.
+_EIGHTHS = np.arange(1.0, 8.0)[:, None]
+_QUARTERS = np.arange(4)[:, None] / 4
 # A density's family cache is emptied at this many members.
 _FAMILY_CACHE_SIZE = 256
 # The decreasing parameters along which the Dirac limit t -> 0 is checked.
@@ -221,14 +225,17 @@ def denominator_root_scan(rho: BaseDensity, t: float,
     way = np.where(lo >= b, 1.0, -1.0)
     end = np.where(lo >= b, b, a)
     rows = np.arange(len(lo))
-    while np.any(hi - lo > eps):
+    while np.count_nonzero(hi - lo > eps):
         ulo, uhi = np.log(way * (lo - end)), np.log(way * (hi - end))
         r = end + way * np.exp(ulo + dlo / (dlo - dhi) * (uhi - ulo))
-        even = end + way * np.exp(np.linspace(ulo, uhi, 9)[1:-1])
-        off = eps / 4 * ((hi - lo) / eps) ** (np.arange(4)[:, None] / 4)
+        # np.linspace(ulo, uhi, 9)[1:-1], by the arithmetic it does.
+        even = end + way * np.exp(_EIGHTHS * ((uhi - ulo) / 8) + ulo)
+        off = eps / 4 * ((hi - lo) / eps) ** _QUARTERS
         pts = np.clip(np.concatenate([even, r - off, r + off]), lo, hi)
-        xs = np.column_stack([lo, np.sort(pts, axis=0).T, hi])
-        ds = np.column_stack([dlo, D(xs[:, 1:-1]), dhi])
+        xs = np.concatenate([lo[:, None], np.sort(pts, axis=0).T, hi[:, None]],
+                            axis=1)
+        ds = np.concatenate([dlo[:, None], D(xs[:, 1:-1]), dhi[:, None]],
+                            axis=1)
         # The first pair of points whose D leaves the sign of lo's; hi's has.
         k = np.argmax(np.sign(ds[:, 1:]) != np.sign(dlo)[:, None], axis=1) + 1
         if np.array_equal(xs[rows, k - 1], lo) and np.array_equal(xs[rows, k], hi):

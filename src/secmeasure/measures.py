@@ -13,12 +13,14 @@ converged rule with the density values folded into the weights, cached
 per spec and reused for all density-weighted integrals), the reducer's
 inner sums and the transform away from the cut.  A derived density (mu,
 rho_t, ``stieltjes.DerivedDensity``) forms its node values from its
-base's.
+base's.  The nodes themselves and their exact distances to the ends are
+kept once per interval, whatever the density (``_node_points``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,6 +61,15 @@ class WeightedRule:
     level: int
 
 
+# Node points (x, x - a, b - x) at the finest tanh-sinh level asked for on an
+# interval, (level, x, da, db) keyed by the whole Interval, for the
+# _NODE_POINT_INTERVALS intervals last used, the least recent dropped first.
+# Every coarser level's nodes are the finer one's even-k nodes, bit for bit.
+_NODE_POINT_INTERVALS = 4
+_node_point_cache: dict = {}
+_node_point_lock = threading.Lock()  # densities in other threads share it
+
+
 class BaseDensity:
     """Shared machinery for catalog densities and derived family densities."""
 
@@ -96,10 +107,25 @@ class BaseDensity:
 
     def _node_points(self, level: int, odd: bool = False) -> tuple:
         """A level's nodes on the interval (with ``odd`` its odd-k ones) and
-        their exact distances to a and to b."""
-        half, mid = 0.5 * self.interval.width, self.interval.midpoint
-        g, _, dm, dp = tanh_sinh_nodes(level, odd)
-        return mid + half * g, half * dp, half * dm
+        their exact distances to a and to b: read-only strided views of the
+        three arrays ``_node_point_cache`` keeps for the interval, at the
+        finest level any density on an equal interval has asked for."""
+        key = self.interval
+        with _node_point_lock:
+            kept = _node_point_cache.pop(key, None)
+            if kept is None or kept[0] < level:
+                half, mid = 0.5 * self.interval.width, self.interval.midpoint
+                g, _, dm, dp = tanh_sinh_nodes(level)
+                kept = (level, mid + half * g, half * dp, half * dm)
+                for v in kept[1:]:
+                    v.flags.writeable = False
+            _node_point_cache[key] = kept
+            if len(_node_point_cache) > _NODE_POINT_INTERVALS:
+                del _node_point_cache[next(iter(_node_point_cache))]
+        top, x, da, db = kept
+        step = 2 ** (top - level)
+        part = slice(step, None, 2 * step) if odd else slice(None, None, step)
+        return x[part], da[part], db[part]
 
     def _evaluate_nodes(self, level: int, odd: bool) -> np.ndarray:
         """``value_at`` at a level's nodes (``odd``: its odd-k ones)."""
@@ -109,9 +135,9 @@ class BaseDensity:
     # -- cached weighted rule --------------------------------------------
 
     def _rule_at_level(self, level: int, odd: bool = False) -> tuple:
-        half, mid = 0.5 * self.interval.width, self.interval.midpoint
-        g, w = tanh_sinh_nodes(level, odd)[:2]
-        return mid + half * g, half * w * self._node_values(level, odd)
+        w = 0.5 * self.interval.width * tanh_sinh_nodes(level, odd)[1]
+        x = self._node_points(level, odd)[0]
+        return x, w * self._node_values(level, odd)
 
     def rule(self, spec: IntegrationSpec = DEFAULT_SPEC) -> WeightedRule:
         """The density-weighted rule, cached per spec: ``_rule_at_level``

@@ -143,7 +143,7 @@ def _call(f: Callable, x: np.ndarray) -> np.ndarray:
 def _finite(xs: np.ndarray) -> np.ndarray:
     """xs, real or complex points; DomainError if one is NaN or infinite."""
     bad = ~np.isfinite(xs)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(f"points must be finite, got {xs[bad][0]}")
     return xs
 
@@ -219,6 +219,8 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
     first level whose estimates are not all finite, with the fields."""
     act = np.arange(count)
     sums = est = odd = None
+    # np.count_nonzero tests a mask of a few elements at a fraction of the
+    # cost of .any() and .all(), once or twice per level.
     # A non-finite estimate raises below; numpy's warnings about forming it
     # would only repeat that.
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -232,7 +234,7 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
                 new = sums[act] = 0.5 * sums[act] + odd
                 odd = None
             cur, floor = settle(level, act, new) if settle else (new, None)
-            if not np.isfinite(cur).all():
+            if np.count_nonzero(np.isfinite(cur)) < cur.size:
                 raise EvaluationFailure(f"{what} is not finite at level {level}",
                                         what=what, level=level)
             if est is None:
@@ -244,12 +246,12 @@ def refine_levels(estimate: Callable, count: int, spec: IntegrationSpec,
                              for v in (gap, size))
             tol = np.maximum(size * spec.rel_tol, spec.abs_tol)
             if floor is not None:
-                tol = np.maximum(tol, floor)
+                np.maximum(tol, floor, out=tol)
             est[act] = cur
-            ok = gap <= tol
-            if ok.all():
+            unsettled = gap > tol
+            if not np.count_nonzero(unsettled):
                 return est
-            act, gap, tol = act[~ok], gap[~ok], tol[~ok]
+            act, gap, tol = act[unsettled], gap[unsettled], tol[unsettled]
     worst = np.argmax(gap / tol)
     raise NonConvergence(
         f"{what} did not settle by level {level}: {len(act)} of {count} "
@@ -286,6 +288,8 @@ def kernel_sums(kernel: Callable, rows: np.ndarray, ws: tuple) -> list:
     step = max(1, KERNEL_ENTRIES // sum(map(len, ws)))
     blocks = [level_sums(kernel(rows[s:s + step]), ws)
               for s in range(0, max(len(rows), 1), step)]
+    if len(blocks) == 1:
+        return blocks[0]
     return [np.concatenate(part, axis=-np.ndim(w))
             for part, w in zip(zip(*blocks), ws)]
 

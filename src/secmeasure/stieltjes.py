@@ -280,20 +280,21 @@ def _cauchy_far(rho: BaseDensity, zs: np.ndarray, spec: IntegrationSpec,
     half = 0.5 * interval.width
     left = zs.real < interval.midpoint
     ze = zs - np.where(left, interval.a, interval.b)
+    side = left.astype(np.intp)
 
     def estimate(level, act, odd):
         w = tanh_sinh_nodes(level, odd)[1]
         dl, dr = rho._node_points(level, odd)[1:]
         vals = rho._node_values(level, odd)
+        # e - t: dr on rows next to b (side 0), -dl on rows next to a.
+        e_t = np.array([dr, -dl])
 
         def kernel(sel):
-            near = left[sel, None]
-            # e - t is -dl on rows next to a and dr on rows next to b.
-            den = ze[sel, None] + np.where(near, -dl, dr)
+            den = ze[sel, None] + e_t[side[sel]]
             if lead is None:
                 return vals / den
             g, p = (v[sel, None] for v in lead)
-            return (vals - g * np.where(near, dl, dr) ** p) / den
+            return (vals - g * np.where(left[sel, None], dl, dr) ** p) / den
 
         return [half * s
                 for s in kernel_sums(kernel, act, level_weights(w, odd))]
@@ -326,17 +327,20 @@ def stieltjes_transform(rho: BaseDensity, z,
     flat = _finite(zs.ravel())
     dist = interval.distance_to(flat)
     on_cut = dist < ONCUT_DISTANCE * interval.width
-    if on_cut.any():
+    if np.count_nonzero(on_cut):
         raise PointOnInterval(
             f"{flat[on_cut][0]} is within {ONCUT_DISTANCE:g} widths of "
             f"[{interval.a}, {interval.b}]")
     near = np.abs(flat.imag) < np.minimum(
         NEAR_CUT_FRACTION * interval.width,
         np.minimum(flat.real - interval.a, interval.b - flat.real))
-    out = np.empty(len(flat), dtype=complex)
-    if not near.all():
+    some = np.count_nonzero(near)
+    if some in (0, len(flat)):  # one path, no scatter; none for no z
+        path = _cauchy_near_cut if some else _cauchy_far
+        out = path(rho, flat, spec) if len(flat) else flat
+    else:
+        out = np.empty(len(flat), dtype=complex)
         out[~near] = _cauchy_far(rho, flat[~near], spec)
-    if near.any():
         out[near] = _cauchy_near_cut(rho, flat[near], spec)
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
@@ -522,29 +526,37 @@ def secondary_measure(rho: BaseDensity,
 # Stieltjes-Perron inversion
 # ---------------------------------------------------------------------------
 
-# The imaginary offsets of the Perron ladder, 1e-2 halved eight times.
+# The imaginary offsets of the Perron ladder, 1e-2 halved eight times, and
+# Neville's columns j = 1..8 on them: the offsets eps_i and eps_{i+j} each
+# entry combines, and their gaps.
 _PERRON_EPS = 1e-2 * 0.5 ** np.arange(9)
+_NEVILLE_COLUMNS = [(big, small, big - small) for big, small in
+                    ((_PERRON_EPS[:-j], _PERRON_EPS[j:]) for j in range(1, 9))]
 
 
 def perron_invert(S: Callable[[np.ndarray], np.ndarray], x: float) -> float:
     """Recover a density value from its transform evaluator.
 
-    S takes an array of complex points and returns the transform at each.
-    It is called once, on the 18 points x - i eps and x + i eps of the
-    decreasing eps ladder 1e-2 * 2^-k, k = 0..8; the cut jump
-    (S(x - i eps) - S(x + i eps))/(2 i pi) is then polynomial-extrapolated
-    to eps = 0 (Neville).  The extrapolant must settle and its imaginary
-    part must be residual.
+    S takes an array of complex points and returns the transform at each,
+    one value per point (TypeError otherwise).  It is called once, on the
+    18 points x - i eps and x + i eps of the decreasing eps ladder
+    1e-2 * 2^-k, k = 0..8; a value that is not finite raises
+    EvaluationFailure.  The cut jump (S(x - i eps) - S(x + i eps))/(2 i pi)
+    is then polynomial-extrapolated to eps = 0 (Neville, a column at a
+    time).  The extrapolant must settle and its imaginary part must be
+    residual.
     """
     eps, n = _PERRON_EPS, len(_PERRON_EPS)
-    s = np.asarray(S(x + 1j * np.concatenate([-eps, eps])), dtype=complex)
-    vals = (s[:n] - s[n:]) / (2j * math.pi)
-    tab = vals.copy()
+    s = np.asarray(_call(S, x + 1j * np.concatenate([-eps, eps])),
+                   dtype=complex)
+    if not np.isfinite(s).all():
+        raise EvaluationFailure(
+            f"transform evaluator is not finite on the Perron ladder at x={x}")
+    tab = (s[:n] - s[n:]) / (2j * math.pi)
     diag = [tab[0]]
-    for j in range(1, n):
-        for i in range(n - j):
-            tab[i] = (eps[i] * tab[i + 1] - eps[i + j] * tab[i]) \
-                / (eps[i] - eps[i + j])
+    for big, small, gap in _NEVILLE_COLUMNS:
+        m = len(gap)
+        tab[:m] = (big * tab[1:m + 1] - small * tab[:m]) / gap
         diag.append(tab[0])
     diffs = np.abs(np.diff(diag))
     j = int(np.argmin(diffs)) + 1

@@ -2,15 +2,18 @@
 interval: every reader at those nodes shares them, and results are bit for
 bit those of a density that has kept nothing."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from secmeasure import Density, Interval
-from secmeasure import stieltjes
+from secmeasure import measures, stieltjes
 from secmeasure.family import (denominator_root_scan, family_density,
                                moment0_curve)
 from secmeasure.orthopoly import apply_T, recurrence_coefficients
-from secmeasure.quadrature import EndpointExponents
+from secmeasure.quadrature import EndpointExponents, tanh_sinh_nodes
 from secmeasure.stieltjes import (_PERRON_EPS, _PHI_CLAMP, perron_invert,
                                   reducer, secondary_measure,
                                   stieltjes_transform)
@@ -44,6 +47,78 @@ def test_node_values_are_views_of_the_finest_level(counted):
                 rho._node_values(level, odd),
                 plain.value_at(*plain._node_points(level, odd)))
     assert len(h.args) == 3
+
+
+def _fresh_points(interval, level, odd):
+    g, _, dm, dp = tanh_sinh_nodes(level, odd)
+    half = 0.5 * interval.width
+    return interval.midpoint + half * g, half * dp, half * dm
+
+
+def test_node_points_are_read_only_views_shared_by_equal_intervals():
+    # One cache entry per interval keeps the finest level asked for; every
+    # level's points, full and odd, are views of it, bit for bit those
+    # formed afresh.  Two intervals of the same width share nothing.
+    flat = lambda x: np.ones_like(x)
+    kept = []
+    for iv in (Interval(0.0, 1.0), Interval(1e8, 1e8 + 1.0)):
+        rho = Density(iv, flat, EndpointExponents(), "flat")
+        rho._node_points(5)
+        for level in (*range(2, 10), *range(9, 1, -1)):
+            for odd in (False, True):
+                pts = rho._node_points(level, odd)
+                for got, want in zip(pts, _fresh_points(iv, level, odd)):
+                    assert not got.flags.writeable
+                    assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            pts[0][0] = 0.0
+        twin = Density(Interval(iv.a, iv.b), flat, EndpointExponents(), "twin")
+        for mine, its in zip(rho._node_points(4), twin._node_points(4)):
+            assert np.shares_memory(mine, its)
+        kept.append(rho._node_points(4))
+    assert not any(np.shares_memory(u, v) for u, v in zip(*kept))
+
+
+def test_node_point_cache_is_bounded():
+    flat = lambda x: np.ones_like(x)
+    for k in range(measures._NODE_POINT_INTERVALS + 3):
+        Density(Interval(k, k + 2.0), flat, EndpointExponents(),
+                "flat")._node_points(3)
+    assert len(measures._node_point_cache) == measures._NODE_POINT_INTERVALS
+    assert Interval(k, k + 2.0) in measures._node_point_cache
+
+
+def test_node_point_cache_serves_threads_sharing_it():
+    # More threads than cores, each with intervals of its own and together
+    # more intervals than the cache holds, switching often: no call fails
+    # (an unguarded cache loses an entry two threads drop at once), each
+    # returns the fresh points, and the cache stays within its bound.
+    flat = lambda x: np.ones_like(x)
+    errors, switch = [], sys.getswitchinterval()
+
+    def work(k):
+        dens = [Density(Interval(k, k + 1.0 + j), flat, EndpointExponents(),
+                        "flat") for j in range(3)]
+        try:
+            for i in range(30000):
+                pts = dens[i % 3]._node_points(2 + i % 2)
+            want = _fresh_points(dens[i % 3].interval, 2 + i % 2, False)
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(pts, want))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert len(measures._node_point_cache) <= measures._NODE_POINT_INTERVALS
 
 
 def test_far_path_evaluates_no_cached_node(counted, spec):

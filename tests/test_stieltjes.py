@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
 from secmeasure import (CATALOG_NAMES, DegenerateMeasure, Density,
-                        DomainError, ExtrapolationDivergence, IntegrationSpec,
+                        DomainError, EvaluationFailure,
+                        ExtrapolationDivergence, IntegrationSpec,
                         Interval, NonConvergence, PointOnInterval, catalog,
                         family, family_transform, lerch_phi_half, moment,
                         moment0_curve, perron_invert, reducer, secondary_measure,
@@ -155,8 +157,12 @@ def test_transform_array_matches_scalar(cheb_u, spec):
     far = [2.0, -3.0 + 0.5j, 1.5 + 1j, 10.0, 0.3 + 0.2j]
     near = [0.3 + 1e-6j, -0.7 - 1e-3j, 0.999 + 1e-4j, 0.5 - 1e-8j] + [
         0.3 + s * y * 1j for y in (1e-2, 1e-4, 1e-6) for s in (1, -1)]
+    # 600 far z, real and complex, each side of the midpoint: more rows
+    # than one block of kernel entries holds on the first pass.
+    r = np.linspace(1.5, 6.0, 150)
+    big = np.concatenate([r, -r, r * np.exp(0.5j), -r * np.exp(-2j)])
     for zs in (np.array(far), np.array(near),
-               np.array(far[:3] + near + far[3:]).reshape(3, 5)):
+               np.array(far[:3] + near + far[3:]).reshape(3, 5), big):
         got = stieltjes_transform(cheb_u, zs, spec)
         assert got.shape == zs.shape and got.dtype == complex
         want = np.array([stieltjes_transform(cheb_u, z, spec)
@@ -576,6 +582,37 @@ def test_perron_rejects_imaginary_residue(cheb_u, spec):
                        match="kept imaginary residue 6.073e-04"):
         perron_invert(
             lambda z: (1 + 1e-3j) * stieltjes_transform(cheb_u, z, spec), 0.3)
+
+
+def _uniform_transform(z):
+    return np.log(z / (z - 1.0))
+
+
+def _spoiled(k, value):
+    """The uniform density's transform with its k-th value replaced."""
+
+    def S(z):
+        s = _uniform_transform(z)
+        s[k] = value
+        return s
+
+    return S
+
+
+@pytest.mark.parametrize("S, error", [
+    (lambda z: np.complex128(1.0), TypeError),
+    (lambda z: _uniform_transform(z)[:-1], TypeError),
+    (_spoiled(4, np.nan), EvaluationFailure),
+    (_spoiled(13, np.inf), EvaluationFailure),
+], ids=["0-d", "short", "one-nan", "one-inf"])
+def test_perron_rejects_a_ladder_of_wrong_shape_or_not_finite(S, error):
+    # The evaluator's values are checked before any arithmetic on them:
+    # no numpy error or warning, and no NaN returned.
+    assert abs(perron_invert(_uniform_transform, 0.3) - 1.0) < 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="shape|x=0.3"):
+            perron_invert(S, 0.3)
 
 
 def test_perron_rejects_nearby_pole(cheb_u, spec):
