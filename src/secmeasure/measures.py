@@ -172,20 +172,22 @@ class BaseDensity:
 
     def _refine(self, evaluate: Callable, spec: IntegrationSpec, what: str,
                 count: int = 1, settle: Optional[Callable] = None):
-        """``evaluate(x, ws)``, the ``level_sums`` of the nodes x with the
-        weights ws, each ``count`` sums stacked along the first axis, on the
-        cached rule, refined until two levels agree (arrays compared in
+        """``evaluate(x, ws, key)``, the ``level_sums`` of the nodes x with
+        the weights ws, each ``count`` sums stacked along the first axis, on
+        the cached rule, refined until two levels agree (arrays compared in
         max-norm).  The first pass is the rule's nodes, for it and the level
         before; later levels pass only their odd-k nodes, up to the rule's
         own cap, level 2 + max_refinement_levels, their density values read
-        from the node values.  ``settle`` is ``refine_levels``' hook: it
-        maps the sums to the values compared."""
+        from the node values.  key = (level, odd) names the nodes x: the
+        rule's level and False on the first pass, the level and True after
+        it.  ``settle`` is ``refine_levels``' hook: it maps the sums to the
+        values compared."""
         rule = self.rule(spec)
 
         def estimate(level, act, odd):
             x, w = self._rule_at_level(level, odd) if odd else (rule.x, rule.w)
             return [np.asarray(s)[act]
-                    for s in evaluate(x, level_weights(w, odd))]
+                    for s in evaluate(x, level_weights(w, odd), (level, odd))]
 
         return refine_levels(estimate, count, spec, 2,
                              f"{what} against {self.name!r}",
@@ -193,8 +195,13 @@ class BaseDensity:
 
     def weighted_integral(self, f: Callable, spec: IntegrationSpec = DEFAULT_SPEC):
         """Integral of f against this density, refined until levels agree."""
-        return self._refine(lambda x, ws: [s[None] for s in level_sums(
-            _call(f, x), ws)], spec, "weighted integral")[0]
+        return self._integral(lambda x, key: _call(f, x), spec)
+
+    def _integral(self, at: Callable, spec: IntegrationSpec):
+        """``weighted_integral`` of the values ``at(x, key)`` at the nodes x
+        that ``_refine`` names by key."""
+        return self._refine(lambda x, ws, key: [s[None] for s in level_sums(
+            at(x, key), ws)], spec, "weighted integral")[0]
 
     def mass(self, spec: IntegrationSpec = DEFAULT_SPEC) -> float:
         """Total mass: the sum of the cached rule's weights."""
@@ -344,27 +351,57 @@ def _moments(rho: BaseDensity, orders, spec: IntegrationSpec) -> list:
     todo = [n for n in orders if (n, spec) not in rho._moments]
     if todo:
         p = np.array(todo)[:, None]
-        vals = rho._refine(lambda x, w: kernel_sums(lambda n: x ** n, p, w),
-                           spec, "moments", len(todo))
+        vals = rho._refine(
+            lambda x, w, key: kernel_sums(lambda n: x ** n, p, w), spec,
+            "moments", len(todo))
         rho._moments.update(zip([(n, spec) for n in todo], vals.tolist()))
     return [rho._moments[(n, spec)] for n in orders]
 
 
 def inner_product(f: Callable, g: Callable, rho: BaseDensity,
                   spec: IntegrationSpec = DEFAULT_SPEC) -> float:
-    """Weighted inner product <f, g> = int f g rho; <f, f> calls f once."""
+    """Weighted inner product <f, g> = int f g rho; <f, f> calls f once.
+    TypeError when the integral is not real."""
     fg = ((lambda x: _call(f, x) ** 2) if g is f
           else (lambda x: _call(f, x) * _call(g, x)))
-    return float(rho.weighted_integral(fg, spec))
+    return _real(rho.weighted_integral(fg, spec), "the inner product")
 
 
 def mean_project(f: Callable, rho: BaseDensity,
                  spec: IntegrationSpec = DEFAULT_SPEC) -> Callable:
-    """Project f onto the zero-mean hyperplane: returns x -> f(x) - mean."""
-    mean = float(rho.weighted_integral(f, spec))
+    """Project f onto the zero-mean hyperplane: returns x -> f(x) - mean.
+    TypeError when the mean is not real."""
+    return _minus(f, _real(rho.weighted_integral(f, spec), "the mean of f"))
+
+
+def _minus(f: Callable, mean: float) -> Callable:
+    """x -> f(x) - mean, carrying ``mean``."""
 
     def projected(x):
         return _call(f, np.asarray(x, dtype=float)) - mean
 
     projected.mean = mean
     return projected
+
+
+def _real(value, what: str) -> float:
+    """An integral's value as a float; TypeError naming ``what`` when its
+    imaginary part is not zero, as for a complex f."""
+    if np.imag(value) != 0:
+        raise TypeError(f"{what} has imaginary part {np.imag(value):.3e}; "
+                        f"the function must be real")
+    return float(np.real(value))
+
+
+def _node_calls(f: Callable, kept: dict) -> Callable:
+    """``at(x, key)``: f at the nodes x that ``BaseDensity._refine`` names
+    by key, read from the dict ``kept`` where it holds the key, else f
+    called on x and the array it returns kept there under the key."""
+
+    def at(x, key):
+        vals = kept.get(key)
+        if vals is None:
+            vals = kept[key] = _call(f, x)
+        return vals
+
+    return at

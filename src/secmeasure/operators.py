@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .family import FamilyDensity, family, family_transform
-from .measures import BaseDensity, inner_product, mean_project, moment
+from .measures import BaseDensity, _minus, _node_calls, _real, moment
 from .orthopoly import (_apply_T, apply_T, orthonormal_polys,
                         recurrence_coefficients, secondary_polys)
 from .quadrature import (DEFAULT_SPEC, IntegrationSpec, _call, _finite,
@@ -52,13 +52,14 @@ RESIDUAL_LIMIT = 1e-5  # the largest |residual| of (E_lambda) accepted
 
 
 def _f_plus_T(a: float, b: float, rho: BaseDensity, c1: float, f: Callable,
-              xs: np.ndarray, spec: IntegrationSpec) -> tuple:
+              xs: np.ndarray, spec: IntegrationSpec, kept: dict) -> tuple:
     """(a f(xs) + b (xs-c_1) T_rho(f)(xs), f(xs)) for a flat array xs, f(xs)
-    from T's calls of f; T is not evaluated when b == 0."""
+    from T's calls of f, f at rho's nodes read from and kept in ``kept``
+    (``_apply_T``); T is not evaluated when b == 0."""
     if not b:
         fx = _call(f, xs)
         return a * fx, fx
-    Tf, fx = _apply_T(rho, f, xs, spec)
+    Tf, fx = _apply_T(rho, f, xs, spec, kept)
     return a * fx + b * (xs - c1) * Tf, fx
 
 
@@ -66,7 +67,7 @@ def apply_V(ctx: FamilyDensity, f: Callable, x,
             spec: IntegrationSpec = DEFAULT_SPEC):
     """V(f)(x) = t f(x) + (1-t)(x-c_1) T(f)(x), T against the base density."""
     return _pointwise(lambda xs: _f_plus_T(ctx.t, 1.0 - ctx.t, ctx.base,
-                                           ctx.c1, f, xs, spec)[0], x)
+                                           ctx.c1, f, xs, spec, {})[0], x)
 
 
 def apply_V_inverse(ctx: FamilyDensity, f: Callable, x,
@@ -74,21 +75,35 @@ def apply_V_inverse(ctx: FamilyDensity, f: Callable, x,
     """V^{-1}(f)(x) = (1/t) f(x) + (1 - 1/t)(x-c_1) T_{rho_t}(f)(x)."""
     t = ctx.t
     return _pointwise(lambda xs: _f_plus_T(1.0 / t, 1.0 - 1.0 / t, ctx,
-                                           ctx.c1, f, xs, spec)[0], x)
+                                           ctx.c1, f, xs, spec, {})[0], x)
 
 
 def isometry_check(ctx: FamilyDensity, f: Callable,
                    spec: IntegrationSpec = DEFAULT_SPEC) -> VerificationReport:
     """Compare int f~^2 rho with int V(f~)^2 rho_t/t, f~ mean-projected.
 
-    Passes when the two sides agree within 1e-6 * max(1, |left|).
+    Passes when the two sides agree within 1e-6 * max(1, |left|); TypeError
+    when the mean or either side is not real, as for a complex f.  f's
+    values at rho's rule nodes are kept for the check, keyed by level, so
+    f reaches each such node at most once: the mean's refinement calls f
+    there, the left side and every T inside V on the right read them less
+    the mean, and a level that none has reached is called and kept by the
+    first to need it.  Each T pass calls f~ only at the x off rho's nodes
+    and the difference offsets, and not at all when it has none.
     """
     with timer() as tm:
-        ft = mean_project(f, ctx.base, spec)
-        left = inner_product(ft, ft, ctx.base, spec)
-        right = float(ctx.weighted_integral(
-            lambda xs: apply_V(ctx, ft, xs, spec) ** 2,
-            spec).real) / ctx.t
+        rho, kept = ctx.base, {}  # f at rho's nodes by (level, odd)
+        mean = _real(rho._integral(_node_calls(f, kept), spec),
+                     "the mean of f")
+        ft = _minus(f, mean)
+        kept = {key: vals - mean for key, vals in kept.items()}
+        at = _node_calls(ft, kept)
+        left = _real(rho._integral(lambda x, key: at(x, key) ** 2, spec),
+                     "the left side")
+        right = _real(ctx.weighted_integral(
+            lambda xs: _f_plus_T(ctx.t, 1.0 - ctx.t, rho, ctx.c1, ft, xs,
+                                 spec, kept)[0] ** 2,
+            spec), "the right side") / ctx.t
     tol = 1e-6 * max(1.0, abs(left))
     return numeric_report(f"isometry {ctx.base.name} t={ctx.t:g}",
                           left, right, tol, "paper", tm.ms)
@@ -132,7 +147,8 @@ def solve_integral_equation(problem: IntegralEquationProblem, x,
     t = problem.t
     dens = family(problem.rho, t, spec)
     return _pointwise(lambda xs: _f_plus_T(1.0, -problem.lam * t, dens,
-                                           dens.c1, problem.g, xs, spec)[0], x)
+                                           dens.c1, problem.g, xs, spec,
+                                           {})[0], x)
 
 
 def equation_residual(problem: IntegralEquationProblem, f: Callable,
@@ -143,7 +159,7 @@ def equation_residual(problem: IntegralEquationProblem, f: Callable,
     for a non-finite point."""
     rho, xs = problem.rho, _finite(xs)
     lhs, fx = _f_plus_T(1.0, problem.lam, rho, moment(rho, 1, spec), f, xs,
-                        spec)
+                        spec, {})
     return fx, lhs - _call(problem.g, xs)
 
 

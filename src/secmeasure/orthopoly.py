@@ -158,7 +158,7 @@ def _stieltjes_rows(rho: BaseDensity, spec: IntegrationSpec
             prev, s = s, q / b
         return np.array(alpha + beta[:-1])[None], None
 
-    rows = rho._refine(lambda x, ws: [w.sum()[None] for w in ws], spec,
+    rows = rho._refine(lambda x, ws, key: [w.sum()[None] for w in ws], spec,
                        "recurrence", settle=stieltjes)[0]
     half = 0.5 * rho.interval.width
     a = rho.interval.midpoint + half * rows[:MAX_DEGREE]
@@ -214,48 +214,65 @@ def _t_against_rule(xs: np.ndarray, fx: np.ndarray, dfx: np.ndarray,
                     u: np.ndarray, fu: np.ndarray, ws: tuple,
                     near_tol: float) -> list:
     """``kernel_sums`` of f's difference quotients, f(x) = fx and f(u) = fu,
-    the derivative dfx in the place of those with |u - x| < near_tol."""
+    the derivative dfx in the place of those with |u - x| < near_tol.
+
+    Each block's quotients are written into one array, their near entries
+    divided by 1 and then overwritten by dfx in place; every other entry
+    is (fu - fx) / (u - x) as numpy forms it."""
+    dtype = np.result_type(fu, fx, dfx)
 
     def kernel(blk):
         den = u[None, :] - xs[blk, None]
         near = np.abs(den) < near_tol
-        K = (fu[None, :] - fx[blk, None]) / np.where(near, 1.0, den)
-        return np.where(near, dfx[blk, None], K)
+        np.copyto(den, 1.0, where=near)
+        K = np.empty(den.shape, dtype)
+        np.subtract(fu[None, :], fx[blk, None], out=K)
+        np.divide(K, den, out=K)
+        np.copyto(K, dfx[blk, None], where=near)
+        return K
 
     return kernel_sums(kernel, np.arange(len(xs)), ws)
 
 
 def _apply_T(rho: BaseDensity, f: Callable, xs: np.ndarray,
-             spec: IntegrationSpec) -> tuple:
-    """(T(f)(xs), f(xs)) for a flat array xs.  f's one call per pass holds
-    its new nodes, the xs off the first's and new rows' offsets."""
+             spec: IntegrationSpec, kept: dict) -> tuple:
+    """(T(f)(xs), f(xs)) for a flat array xs.  f's values at rho's nodes are
+    read from ``kept``, keyed as ``BaseDensity._refine`` names the nodes,
+    and a pass whose key it lacks keeps them there.  f's one call per pass
+    holds the nodes not kept, the xs off the first pass's nodes and new
+    rows' offsets; a pass with none of them does not call f."""
     iv = rho.interval
     near_tol = QUOTIENT_FALLBACK * iv.width
     fx = dfx = None
     todo = np.ones(len(xs), dtype=bool)
 
-    def level(u, ws):
+    def level(u, ws, key):
         nonlocal fx, dfx
-        # u ascends, so the node nearest each x is one of its two neighbours.
-        j = np.clip(np.searchsorted(u, xs), 1, len(u) - 1)
+        # u ascends, so the node nearest each x is one of its two neighbours:
+        # j, from 1 to len(u) - 1, is the first with x <= u[j], or the last.
+        j = np.searchsorted(u[1:-1], xs) + 1
         left, right = np.abs(xs - u[j - 1]), np.abs(u[j] - xs)
         gap = np.minimum(left, right)
         rows = np.flatnonzero(todo & (gap < near_tol))
         todo[rows] = False
-        off_nodes = xs[gap != 0] if fx is None else xs[:0]
-        parts = [off_nodes, u]
+        fu = kept.get(key)
+        parts = [xs[gap != 0] if fx is None else xs[:0]]
+        if fu is None:
+            parts.append(u)
         if len(rows):
             offsets, finish = derivative(xs[rows], iv.a, iv.b, iv.width)
             parts.append(offsets)
-        vals = _call(f, np.concatenate(parts))
-        n = len(off_nodes)
-        fu = vals[n:n + len(u)]
+        points = np.concatenate(parts)
+        vals = _call(f, points) if len(points) else points
+        n = len(parts[0])
+        if fu is None:
+            fu = kept[key] = vals[n:n + len(u)]
         if fx is None:
             fx = fu[j - (left <= right)]
             fx[gap != 0] = vals[:n]
-            dfx = np.zeros(len(xs), dtype=np.result_type(vals, float))
+            dfx = np.zeros(len(xs), dtype=np.result_type(vals, fu, float))
         if len(rows):
-            dfx[rows] = finish(fx[rows], vals[n + len(u):])
+            dfx[rows] = finish(fx[rows], vals[len(points) - len(offsets):])
         return [s[None]
                 for s in _t_against_rule(xs, fx, dfx, u, fu, ws, near_tol)]
 
@@ -269,10 +286,13 @@ def apply_T(rho: BaseDensity, f: Callable, x: Union[float, np.ndarray],
     The difference quotient is evaluated on the density's cached rule and
     refined with it until two levels agree (NonConvergence past the rule's
     level cap); where a node falls within 1e-8 interval widths of x, the
-    derivative of f takes the quotient's place.  f is called once per pass,
-    on its new nodes (both first levels' on the first), the x off the first
-    pass's nodes and the difference offsets of the x that first fall back.
+    derivative of f takes the quotient's place: each block of quotients is
+    one array, whose near entries are divided by 1 and then overwritten by
+    the derivative, every other entry the plain quotient.  f is called once
+    per pass, on its new nodes (both first levels' on the first), the x off
+    the first pass's nodes and the difference offsets of the x that first
+    fall back.
     Works for complex f (e.g. resolvent kernels).  A 0-d x gives a Python
     scalar, else x's shape.
     """
-    return _pointwise(lambda xs: _apply_T(rho, f, xs, spec)[0], x)
+    return _pointwise(lambda xs: _apply_T(rho, f, xs, spec, {})[0], x)

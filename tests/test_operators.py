@@ -88,16 +88,49 @@ def test_operators_call_f_once_per_level_of_T(name, cheb_u, counted, spec,
 
 
 def test_isometry_check_call_count(cheb_u, counted, spec):
-    # The mean, the left side's inner product, and one call per pass of T
-    # for rho_t's rule on the right, whose first two levels are one batch:
-    # 5 calls.  Running each first level apart from the next made 11, and
-    # calling f at x apart from the nodes, for V apart from T, twice per
-    # level for the inner product and again for each level's difference
-    # offsets made 24.
+    # f's values at rho's rule nodes are kept for the check: the mean calls
+    # f on the rule's 65 nodes, the left side on the 64 of the level after
+    # them, and each T inside V reads both, so its passes call f only at
+    # rho_t's x off rho's nodes and the difference offsets: 4 calls and
+    # 377 points.  With f called again at rho's nodes by the left side and
+    # T it was 5 calls and 571 points; running each first level apart from
+    # the next made 11 calls, and calling f at x apart from the nodes, for
+    # V apart from T, twice per level for the inner product and again for
+    # each level's difference offsets made 24.
     ctx = make_context(cheb_u, 1.35, spec)
     f = counted(lambda x: x ** 3 - 0.5 * x + 0.25)
-    assert isometry_check(ctx, f, spec).passed
-    assert len(f.args) <= 5
+    rep = isometry_check(ctx, f, spec)
+    assert rep.passed
+    assert (repr(rep.expected), repr(rep.computed)) == (
+        "0.015625", "0.01562500000000329")
+    assert len(f.args) <= 4
+    assert sum(map(len, f.args)) <= 377
+    # Each first-pass rule node reaches f once, in the mean's call.  The
+    # outermost nodes round to the ends +-1, where finer levels' nodes fall
+    # too, so only the inner nodes are told apart by value.
+    nodes = cheb_u.rule(spec).x
+    np.testing.assert_array_equal(f.args[0], nodes)
+    inner = nodes[np.abs(nodes) < 1.0]
+    later = np.concatenate(f.args[1:])
+    assert len(inner) > 40 and not np.isin(later, inner).any()
+
+
+@pytest.mark.parametrize("call", ["mean_project", "inner_product",
+                                  "isometry_check"])
+def test_a_complex_f_is_refused_where_an_integral_must_be_real(call, cheb_u,
+                                                               spec):
+    # Each cast its integral to float, dropping the imaginary part with a
+    # ComplexWarning: the check reported left -0.0625 against right
+    # -0.03125 and failed.
+    f = lambda x: (1 + 1j) * np.asarray(x) ** 2
+    run = {
+        "mean_project": lambda: mean_project(f, cheb_u, spec),
+        "inner_product": lambda: inner_product(f, f, cheb_u, spec),
+        "isometry_check": lambda: isometry_check(
+            make_context(cheb_u, 0.5, spec), f, spec),
+    }[call]
+    with pytest.raises(TypeError, match="imaginary part 2.500e-01"):
+        run()
 
 
 def test_isometry_random_polynomials(cheb_u, uniform, spec, rng):

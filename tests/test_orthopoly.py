@@ -7,12 +7,13 @@ from secmeasure import (DEFAULT_SPEC, Density, IntegrationSpec, Interval,
                         catalog, family, moment, user_density)
 from secmeasure.errors import InstabilityDetected, NonConvergence
 from secmeasure.measures import CATALOG_NAMES
+import secmeasure.orthopoly as orthopoly
 from secmeasure.orthopoly import (QUOTIENT_FALLBACK, RecurrenceCoefficients,
                                   _t_against_rule, apply_T, derivative,
                                   orthonormal_polys, recurrence_coefficients,
                                   secondary_polys)
 from secmeasure.quadrature import (KERNEL_ENTRIES, EndpointExponents,
-                                   tanh_sinh_nodes)
+                                   kernel_sums, tanh_sinh_nodes)
 from secmeasure.stieltjes import secondary_measure
 
 from conftest import assert_one_call_per_level
@@ -324,3 +325,78 @@ def test_t_kernel_blocks_match_one_matrix(uniform):
     # Equal to rounding: BLAS may sum a row in another order depending on
     # its place in the matrix (up to 5 ulps seen here).
     np.testing.assert_allclose(got, K @ w, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def _where_quotients(xs, fx, dfx, u, fu, near_tol):
+    """The reference: T's kernel as two np.where formed it before it wrote
+    its quotients in place."""
+
+    def kernel(blk):
+        den = u[None, :] - xs[blk, None]
+        near = np.abs(den) < near_tol
+        K = (fu[None, :] - fx[blk, None]) / np.where(near, 1.0, den)
+        return np.where(near, dfx[blk, None], K)
+
+    return kernel
+
+
+def _kernel_case(name):
+    """(interval, level, xs, f) of one input of the kernel comparison."""
+    unit = Interval(0.0, 1.0)
+    u = unit.a + unit.width * 0.5 * (1.0 + tanh_sinh_nodes(6)[0])
+    if name == "on nodes":
+        return unit, 6, np.concatenate([u[::3], [0.3, 0.7]]), np.cos
+    if name == "near the ends":
+        d = np.array([1e-8, 3e-9, 1e-10, 1e-13, 1e-20, 1e-30])
+        return unit, 7, np.concatenate([d, 1.0 - d]), np.exp
+    if name == "far from the origin":
+        far = Interval(1e8, 1e8 + 1.0)
+        xs = np.concatenate([far.interior_grid(40, 1e-3), far.a + u[::5]])
+        return far, 6, xs, lambda x: np.sin(x - 1e8)
+    if name == "complex":
+        f = lambda x: np.exp(3j * np.asarray(x))
+        return unit, 6, np.concatenate([u[::4], [0.25, 0.5]]), f
+    if name == "integer":
+        f = lambda x: np.floor(7 * np.asarray(x)).astype(np.int64)
+        return unit, 6, np.concatenate([u[::4], [0.25, 0.5]]), f
+    xs = np.linspace(0.001, 0.999, 300)  # several blocks
+    return unit, 7, np.concatenate([xs, u[1::7]]), np.cos
+
+
+@pytest.mark.parametrize("name", ["on nodes", "near the ends",
+                                  "far from the origin", "complex",
+                                  "integer", "several blocks"])
+def test_t_kernel_matches_the_where_formula_bit_for_bit(name, monkeypatch):
+    # Every quotient, the near entries' derivative and the dtype are the
+    # np.where formula's, block by block, and so are the sums.
+    iv, level, xs, f = _kernel_case(name)
+    rho = Density(iv, lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                  EndpointExponents(), name)
+    u, w = rho._rule_at_level(level)
+    ws = (2.0 * w[::2], w[1::2])  # a first pass's two levels
+    near_tol = QUOTIENT_FALLBACK * iv.width
+    fx, fu = np.asarray(f(xs)), np.asarray(f(u))
+    points, finish = derivative(xs, iv.a, iv.b, iv.width)
+    dfx = finish(fx, np.asarray(f(points)))
+    blocks = []
+
+    def recorded(kernel, rows, ws):
+        def spy(blk):
+            blocks.append((blk, kernel(blk)))
+            return blocks[-1][1]
+
+        return kernel_sums(spy, rows, ws)
+
+    monkeypatch.setattr(orthopoly, "kernel_sums", recorded)
+    got = _t_against_rule(xs, fx, dfx, u, fu, ws, near_tol)
+    want = _where_quotients(xs, fx, dfx, u, fu, near_tol)
+    near = 0
+    for blk, K in blocks:
+        ref = want(blk)
+        assert K.dtype == ref.dtype and K.tobytes() == ref.tobytes()
+        near += np.count_nonzero(np.abs(u[None, :] - xs[blk, None])
+                                 < near_tol)
+    assert near >= {"near the ends": 24 * len(xs)}.get(name, 1)
+    assert (len(blocks) > 2) == (name == "several blocks")
+    ref = kernel_sums(want, np.arange(len(xs)), ws)
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))

@@ -211,6 +211,21 @@ MUTANTS = [
      "for j in range(2, 10)"),
     ("src/secmeasure/stieltjes.py", "if not np.isfinite(s).all():",
      "if False:"),
+    # T and the isometry check: the near entries' derivative not written,
+    # the kept f values of the full level before served for a level's odd-k
+    # nodes (in the check and in T), the kept values not shifted by the
+    # mean, the nearest-node index one too low.
+    ("src/secmeasure/orthopoly.py",
+     "        np.copyto(K, dfx[blk, None], where=near)\n", ""),
+    ("src/secmeasure/measures.py", "vals = kept.get(key)",
+     "vals = kept.get((key[0] - key[1], False))"),
+    ("src/secmeasure/orthopoly.py", "fu = kept.get(key)",
+     "fu = kept.get((key[0] - key[1], False))"),
+    ("src/secmeasure/operators.py",
+     "kept = {key: vals - mean for key, vals in kept.items()}",
+     "kept = {key: vals for key, vals in kept.items()}"),
+    ("src/secmeasure/orthopoly.py", "j = np.searchsorted(u[1:-1], xs) + 1",
+     "j = np.searchsorted(u[1:-1], xs)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
